@@ -34,6 +34,7 @@ import os
 import platform
 import resource
 import shutil
+import signal
 import statistics
 import sys
 
@@ -162,6 +163,9 @@ def per_layer(loop, tracer, n_ops, ref, traced_ref):
 
 def main(argv=None):
     args = parse_args(argv)
+    # A terminated run still leaves through the finally blocks below, so
+    # the speed sampler is stopped and waited for.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     os.environ["OPENBLAS_NUM_THREADS"] = "1"    # before numpy loads BLAS
     import_biofuse()
     from speed import SpeedSampler

@@ -6,15 +6,25 @@ separate process times a fixed ~1 ms kernel (numpy FFT plus interpreted
 arithmetic) every 50 ms on the other CPU while the workload runs. Dividing
 a command's wall time by the kernel's median time over the same interval
 keeps the program's cost and sheds the drift.
+
+The sampler is this file run as a script: it samples until its stdin
+reaches end of file, then prints its rows as JSON and exits. The parent
+closes that pipe and waits for it on every way out of the `with` block,
+and if the parent dies first the pipe closes with it, so the sampler never
+outlives the benchmark.
 """
 
-import multiprocessing
-import queue
+import json
+import os
+import select
+import subprocess
+import sys
 import time
 
 import numpy as np
 
 PERIOD_S = 0.05
+WAIT_S = 60
 
 
 def kernel_s(data):
@@ -26,14 +36,19 @@ def kernel_s(data):
     return time.perf_counter() - t0
 
 
-def _sample(out, stop):
+def sample():
+    """Child side: sample until stdin closes, then print the rows."""
     data = np.random.default_rng(0).random((128, 128))
+    stdin = sys.stdin.buffer
     rows = []
-    while not stop.is_set():
+    while True:
         start = time.perf_counter()
         rows.append((start, kernel_s(data)))
-        stop.wait(PERIOD_S)
-    out.put(rows)
+        readable, _, _ = select.select([stdin], [], [], PERIOD_S)
+        if readable and not os.read(stdin.fileno(), 4096):
+            break
+    sys.stdout.write(json.dumps(rows))
+    sys.stdout.flush()
 
 
 class SpeedSampler:
@@ -42,24 +57,19 @@ class SpeedSampler:
     (a system-wide monotonic clock, shared with the child)."""
 
     def __enter__(self):
-        ctx = multiprocessing.get_context("spawn")
-        self._out = ctx.Queue()
-        self._stop = ctx.Event()
-        self._proc = ctx.Process(target=_sample, args=(self._out, self._stop),
-                                 daemon=True)
-        self._proc.start()
+        self._proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         return self
 
     def __exit__(self, *exc):
-        self._stop.set()
         try:
-            rows = self._out.get(timeout=60)
-        except queue.Empty:
-            rows = []
-        self._proc.join(timeout=10)
-        if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join()
+            out, _ = self._proc.communicate(input=b"", timeout=WAIT_S)
+        finally:
+            if self._proc.poll() is None:
+                self._proc.kill()
+            self._proc.wait()
+        rows = json.loads(out) if out else []
         self.starts = np.array([r[0] for r in rows])
         self.kernel = np.array([r[1] for r in rows])
 
@@ -73,3 +83,7 @@ class SpeedSampler:
             return float(np.median(self.kernel[inside]))
         nearest = np.argmin(np.abs(self.starts - 0.5 * (t0 + t1)))
         return float(self.kernel[nearest])
+
+
+if __name__ == "__main__":
+    sample()
