@@ -12,30 +12,18 @@ import os
 import sys
 
 from . import __version__
+from .atomic import write_atomic, write_json
 from .config import PipelineConfig, load_config
-from .dempster import (GENUINE, IMPOSTOR, VERIFICATION_FRAME, bpa_from_score,
-                       decide)
+from .dempster import GENUINE_MASK, IMPOSTOR_MASK, bpa_from_score, decide
 from .errors import BiofuseError, ManifestError, TotalConflict
 from .evaluate import run_fusion_experiment, run_image_experiment
 from .gabor import build_bank
 from .gmm import MODEL_FORMAT_VERSION, load_model, match_score, save_model
 from .pgm import load_pgm, write_pgm
-from .pipeline import (MODALITIES, image_observations, load_entry_image,
+from .pipeline import (BACKGROUND_ID, image_observations, load_entry_image,
                        model_filename, prep_image, stats_filename,
-                       stats_from_dict, stats_to_dict, split_by_session,
-                       train_modality)
+                       stats_from_dict, stats_to_dict, train_gallery)
 from .preprocess import load_manifest
-
-
-def _atomic_write_text(path, text):
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_json(path, obj):
-    _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _cache_dir(config):
@@ -68,7 +56,7 @@ def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
             "session": entry.session,
             "landmarks": {k: [v[0], v[1]] for k, v in canonical.items()},
         })
-    _write_json(os.path.join(out_dir, "manifest.json"), records)
+    write_json(os.path.join(out_dir, "manifest.json"), records)
     print(f"prepped {len(records)} images -> {out_dir}")
     return 0
 
@@ -77,40 +65,25 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
     """Fit client and background mixtures from session-1 (gallery) images
     of a prepped manifest and persist them with the per-modality stats."""
     entries = load_manifest(manifest_path)
-    gallery, _ = split_by_session(entries)
-    subjects = sorted({e.subject_id for e in entries})
     bank = build_bank(config.gabor)
     os.makedirs(config.paths.model_dir, exist_ok=True)
 
-    for modality in MODALITIES:
-        gallery_obs = {}
-        for entry in gallery:
-            if entry.modality != modality:
-                continue
-            img = load_entry_image(entry)
-            obs = image_observations(img, bank, config.stride,
-                                     params=config.gabor,
-                                     cache_dir=_cache_dir(config))
-            gallery_obs.setdefault(entry.subject_id, []).append(
-                obs.observations)
-        for sid in subjects:
-            if sid not in gallery_obs:
-                raise ManifestError(
-                    f"subject {sid} has no gallery (session 1) "
-                    f"{modality} images")
-        artifacts = train_modality(modality, gallery_obs, config)
-        for sid, model in sorted(artifacts.clients.items()):
-            save_model(model,
-                       os.path.join(config.paths.model_dir,
-                                    model_filename(modality, sid)),
+    def observations_for(entry):
+        return image_observations(load_entry_image(entry), bank,
+                                  config.stride, params=config.gabor,
+                                  cache_dir=_cache_dir(config))
+
+    for modality, artifacts in train_gallery(entries, config,
+                                             observations_for):
+        models = [*sorted(artifacts.clients.items()),
+                  (BACKGROUND_ID, artifacts.background)]
+        for sid, model in models:
+            save_model(model, os.path.join(config.paths.model_dir,
+                                           model_filename(modality, sid)),
                        modality, sid)
-        save_model(artifacts.background,
-                   os.path.join(config.paths.model_dir,
-                                model_filename(modality, "background")),
-                   modality, "background")
-        _write_json(os.path.join(config.paths.model_dir,
-                                 stats_filename(modality)),
-                    stats_to_dict(modality, artifacts))
+        write_json(os.path.join(config.paths.model_dir,
+                                stats_filename(modality)),
+                   stats_to_dict(modality, artifacts))
         print(f"trained {len(artifacts.clients)} {modality} client models "
               f"+ background")
     return 0
@@ -125,7 +98,7 @@ def _load_modality(config, modality, claimed_id):
             f"({client_path} missing); run `train` first")
     client, _, _ = load_model(client_path)
     background, _, _ = load_model(
-        os.path.join(model_dir, model_filename(modality, "background")))
+        os.path.join(model_dir, model_filename(modality, BACKGROUND_ID)))
     with open(os.path.join(model_dir, stats_filename(modality)),
               encoding="utf-8") as fh:
         _, scaler, calibration = stats_from_dict(json.load(fh))
@@ -141,6 +114,11 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
         client, background, scaler, calibration = _load_modality(
             config, modality, claimed_id)
         img = load_pgm(path)
+        if img.shape != (config.layout.height, config.layout.width):
+            raise BiofuseError(
+                f"{modality} probe {path} is {img.shape[0]}x{img.shape[1]} "
+                f"(height x width), expected {config.layout.height}x"
+                f"{config.layout.width}; run `prep` on it first")
         obs = image_observations(img, bank, config.stride,
                                  params=config.gabor,
                                  cache_dir=_cache_dir(config))
@@ -155,10 +133,8 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
     try:
         decision = decide(masses["face"], masses["ear"], tau)
         accepted = decision.accepted
-        genuine_mass = decision.combined.mass(
-            VERIFICATION_FRAME.subset([GENUINE]))
-        impostor_mass = decision.combined.mass(
-            VERIFICATION_FRAME.subset([IMPOSTOR]))
+        genuine_mass = decision.combined.mass(GENUINE_MASK)
+        impostor_mass = decision.combined.mass(IMPOSTOR_MASK)
         conflict = decision.conflict
         flagged = False
     except TotalConflict:
@@ -188,11 +164,11 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
 
 def _emit_report(report, rocs, out_dir, prefix=""):
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write_text(os.path.join(out_dir, f"{prefix}report.csv"),
-                       report.to_csv())
+    write_atomic(os.path.join(out_dir, f"{prefix}report.csv"),
+                 report.to_csv().encode("utf-8"))
     for method, roc in rocs.items():
-        _atomic_write_text(os.path.join(out_dir, f"{prefix}roc_{method}.csv"),
-                           roc.to_csv())
+        write_atomic(os.path.join(out_dir, f"{prefix}roc_{method}.csv"),
+                     roc.to_csv().encode("utf-8"))
     print(report.format_table())
 
 

@@ -6,9 +6,8 @@ paths are resolved against the config file's directory.
 """
 
 import configparser
-import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .gabor import GaborParams
 from .gmm import EmConfig
@@ -74,16 +73,6 @@ class PipelineConfig:
         return replace(self, eval=replace(self.eval, seed=seed))
 
 
-def _section(parser, name):
-    return parser[name] if parser.has_section(name) else {}
-
-
-def _get(sec, key, cast, default):
-    if key in sec:
-        return cast(sec[key])
-    return default
-
-
 def _point(text):
     parts = [float(p) for p in text.replace(",", " ").split()]
     if len(parts) != 2:
@@ -91,18 +80,48 @@ def _point(text):
     return (parts[0], parts[1])
 
 
+def _keys(settings, exclude=()) -> dict:
+    """Config keys of one settings dataclass, each mapped to its parser.
+
+    A scalar field is cast to the type of its default; a dict of landmark
+    points (the canonical layout) takes one `<field>_<point>` key per point.
+    """
+    keys = {}
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, dict):
+            keys.update({f"{f.name}_{point}": _point for point in value})
+        elif f.name not in exclude:
+            keys[f.name] = type(value)
+    return keys
+
+
+def _apply(settings, values: dict):
+    """settings with the parsed values of its section's keys applied."""
+    changes = {}
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, dict):
+            changes[f.name] = {point: values.get(f"{f.name}_{point}", xy)
+                               for point, xy in value.items()}
+        elif f.name in values:
+            changes[f.name] = values[f.name]
+    return replace(settings, **changes)
+
+
+_DEFAULT = PipelineConfig()
+
+# Section -> {key: parser}. The sampling stride sits in [gabor]; each
+# EmConfig.seed is derived per fit, so it is not a key.
 _KNOWN = {
-    "gabor": {"num_frequencies", "num_orientations", "k_max", "freq_spacing",
-              "sigma", "kernel_radius", "stride"},
-    "canonical": {"width", "height", "face_left_eye", "face_right_eye",
-                  "face_mouth_center", "ear_triangular_fossa", "ear_antitragus"},
-    "gmm_face": {"n_components", "max_iters", "tol", "cov_floor", "restarts"},
-    "gmm_ear": {"n_components", "max_iters", "tol", "cov_floor", "restarts"},
-    "fusion": {"alpha_face", "alpha_ear", "threshold"},
-    "eval": {"num_thresholds", "seed", "n_genuine", "n_impostor"},
-    "synth_face": {"genuine_mean", "genuine_std", "impostor_mean", "impostor_std"},
-    "synth_ear": {"genuine_mean", "genuine_std", "impostor_mean", "impostor_std"},
-    "paths": {"manifest", "model_dir", "output_dir"},
+    "gabor": {**_keys(_DEFAULT.gabor), "stride": int},
+    "canonical": _keys(_DEFAULT.layout),
+    **{f"gmm_{m}": _keys(em, exclude=("seed",))
+       for m, em in _DEFAULT.gmm.items()},
+    "fusion": _keys(_DEFAULT.fusion),
+    "eval": _keys(_DEFAULT.eval),
+    **{f"synth_{m}": _keys(spec) for m, spec in _DEFAULT.synth.items()},
+    "paths": _keys(_DEFAULT.paths),
 }
 
 
@@ -119,88 +138,28 @@ def load_config(path) -> PipelineConfig:
             if key not in _KNOWN[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
 
-    sec = _section(parser, "gabor")
-    gabor = GaborParams(
-        num_frequencies=_get(sec, "num_frequencies", int, 5),
-        num_orientations=_get(sec, "num_orientations", int, 8),
-        k_max=_get(sec, "k_max", float, math.pi / 2.0),
-        freq_spacing=_get(sec, "freq_spacing", float, math.sqrt(2.0)),
-        sigma=_get(sec, "sigma", float, 2.0 * math.pi),
-        kernel_radius=_get(sec, "kernel_radius", int, 16),
-    )
-    stride = _get(sec, "stride", int, 10)
+    def values(name):
+        sec = parser[name] if parser.has_section(name) else {}
+        return {key: cast(sec[key])
+                for key, cast in _KNOWN[name].items() if key in sec}
 
-    sec = _section(parser, "canonical")
-    default = CanonicalLayout()
-    layout = CanonicalLayout(
-        width=_get(sec, "width", int, default.width),
-        height=_get(sec, "height", int, default.height),
-        face={
-            "left_eye": _get(sec, "face_left_eye", _point,
-                             default.face["left_eye"]),
-            "right_eye": _get(sec, "face_right_eye", _point,
-                              default.face["right_eye"]),
-            "mouth_center": _get(sec, "face_mouth_center", _point,
-                                 default.face["mouth_center"]),
-        },
-        ear={
-            "triangular_fossa": _get(sec, "ear_triangular_fossa", _point,
-                                     default.ear["triangular_fossa"]),
-            "antitragus": _get(sec, "ear_antitragus", _point,
-                               default.ear["antitragus"]),
-        },
-    )
-
-    gmm = {}
-    for modality in ("face", "ear"):
-        sec = _section(parser, f"gmm_{modality}")
-        gmm[modality] = EmConfig(
-            n_components=_get(sec, "n_components", int, 8),
-            max_iters=_get(sec, "max_iters", int, 200),
-            tol=_get(sec, "tol", float, 1e-6),
-            cov_floor=_get(sec, "cov_floor", float, 1e-4),
-            restarts=_get(sec, "restarts", int, 3),
-        )
-
-    sec = _section(parser, "fusion")
-    fusion = FusionSettings(
-        alpha_face=_get(sec, "alpha_face", float, 0.9),
-        alpha_ear=_get(sec, "alpha_ear", float, 0.9),
-        threshold=_get(sec, "threshold", float, 0.5),
-    )
-
-    sec = _section(parser, "eval")
-    ev = EvalSettings(
-        num_thresholds=_get(sec, "num_thresholds", int, 10001),
-        seed=_get(sec, "seed", int, 42),
-        n_genuine=_get(sec, "n_genuine", int, 10000),
-        n_impostor=_get(sec, "n_impostor", int, 10000),
-    )
-
-    synth = {}
-    for modality in ("face", "ear"):
-        sec = _section(parser, f"synth_{modality}")
-        base = DEFAULT_SYNTH[modality]
-        spec = SynthModality(
-            genuine_mean=_get(sec, "genuine_mean", float, base.genuine_mean),
-            genuine_std=_get(sec, "genuine_std", float, base.genuine_std),
-            impostor_mean=_get(sec, "impostor_mean", float, base.impostor_mean),
-            impostor_std=_get(sec, "impostor_std", float, base.impostor_std),
-        )
+    gabor = values("gabor")
+    synth = {m: _apply(spec, values(f"synth_{m}"))
+             for m, spec in _DEFAULT.synth.items()}
+    for spec in synth.values():
         spec.validate()
-        synth[modality] = spec
-
-    sec = _section(parser, "paths")
+    paths = _apply(_DEFAULT.paths, values("paths"))
     base_dir = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
-    paths = Paths(
-        manifest=resolve(_get(sec, "manifest", str, "manifest.json")),
-        model_dir=resolve(_get(sec, "model_dir", str, "models")),
-        output_dir=resolve(_get(sec, "output_dir", str, "out")),
-    )
-
-    return PipelineConfig(gabor=gabor, stride=stride, layout=layout, gmm=gmm,
-                          fusion=fusion, eval=ev, synth=synth, paths=paths)
+    # join keeps an absolute path as it is
+    paths = replace(paths, **{
+        f.name: os.path.join(base_dir, getattr(paths, f.name))
+        for f in fields(paths)})
+    return PipelineConfig(
+        gabor=_apply(_DEFAULT.gabor, gabor),
+        stride=gabor.get("stride", _DEFAULT.stride),
+        layout=_apply(_DEFAULT.layout, values("canonical")),
+        gmm={m: _apply(em, values(f"gmm_{m}"))
+             for m, em in _DEFAULT.gmm.items()},
+        fusion=_apply(_DEFAULT.fusion, values("fusion")),
+        eval=_apply(_DEFAULT.eval, values("eval")),
+        synth=synth, paths=paths)

@@ -70,6 +70,8 @@ class Frame:
 GENUINE = "genuine"
 IMPOSTOR = "impostor"
 VERIFICATION_FRAME = Frame((GENUINE, IMPOSTOR))
+GENUINE_MASK = VERIFICATION_FRAME.subset([GENUINE])
+IMPOSTOR_MASK = VERIFICATION_FRAME.subset([IMPOSTOR])
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,10 @@ def vacuous(frame: Frame) -> MassFunction:
 def combine_dempster(m1: MassFunction, m2: MassFunction):
     """Dempster's orthogonal sum; returns (combined, conflict K).
 
-    Raises TotalConflict when the normalizer 1 - K vanishes. Per-subset
-    sums use math.fsum, so the result is independent of argument order.
+    Raises TotalConflict when the normalizer 1 - K vanishes. The normalizer
+    is the fsum of the non-conflicting products, not 1 - K, which cancels
+    near total conflict; with fsum per subset too, the combined masses sum
+    to 1 and do not depend on argument order.
     """
     if m1.frame != m2.frame:
         raise FrameMismatch("mass functions on different frames")
@@ -143,9 +147,9 @@ def combine_dempster(m1: MassFunction, m2: MassFunction):
             else:
                 buckets.setdefault(meet, []).append(product)
     conflict = math.fsum(conflict_terms)
-    if conflict >= 1.0 - _CONFLICT_EPS:
+    norm = math.fsum(p for terms in buckets.values() for p in terms)
+    if conflict >= 1.0 - _CONFLICT_EPS or norm <= 0.0:
         raise TotalConflict(f"conflict K = {conflict} leaves no mass")
-    norm = 1.0 - conflict
     combined = {mask: math.fsum(terms) / norm
                 for mask, terms in buckets.items()}
     return MassFunction(m1.frame, combined), conflict
@@ -190,11 +194,10 @@ def bpa_from_score(score: float, calibration, alpha: float) -> MassFunction:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     s = min(max((float(score) - lo) / (hi - lo), 0.0), 1.0)
-    frame = VERIFICATION_FRAME
-    return MassFunction(frame, {
-        frame.subset([GENUINE]): alpha * s,
-        frame.subset([IMPOSTOR]): alpha * (1.0 - s),
-        frame.theta: 1.0 - alpha,
+    return MassFunction(VERIFICATION_FRAME, {
+        GENUINE_MASK: alpha * s,
+        IMPOSTOR_MASK: alpha * (1.0 - s),
+        VERIFICATION_FRAME.theta: 1.0 - alpha,
     })
 
 
@@ -215,7 +218,7 @@ def decide(m_face: MassFunction, m_ear: MassFunction,
             raise FrameMismatch(
                 "decision masses must live on the genuine/impostor frame")
     combined, conflict = combine_dempster(m_face, m_ear)
-    genuine_mass = combined.mass(VERIFICATION_FRAME.subset([GENUINE]))
+    genuine_mass = combined.mass(GENUINE_MASK)
     return FusionDecision(combined=combined, conflict=conflict,
                           accepted=genuine_mass >= threshold,
                           threshold=threshold)

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dempster import (GENUINE, VERIFICATION_FRAME, bpa_from_score,
-                       combine_dempster)
+from .dempster import GENUINE_MASK, bpa_from_score, combine_dempster
 from .errors import EmptyScoreList, ManifestError, TotalConflict
 from .gabor import build_bank
-from .pipeline import (MODALITIES, check_protocol, image_observations,
-                       load_entry_image, prep_image, probe_score,
-                       split_by_session, train_modality)
+from .pipeline import (check_protocol, image_observations, load_entry_image,
+                       prep_image, probe_score, split_by_session,
+                       train_gallery)
 from .preprocess import load_manifest
-
-_GENUINE_MASK = VERIFICATION_FRAME.subset([GENUINE])
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,8 @@ class RocCurve:
 
     def to_csv(self) -> str:
         lines = ["threshold,far,frr"]
-        for t, fa, fr in zip(self.thresholds, self.far, self.frr):
+        for t, fa, fr in zip(self.thresholds.tolist(), self.far.tolist(),
+                             self.frr.tolist()):
             lines.append(f"{t!r},{fa!r},{fr!r}")
         return "\n".join(lines) + "\n"
 
@@ -154,17 +152,24 @@ class ErrorReport:
         return "\n".join(lines)
 
 
-def _method_report(method, genuine, impostor, num_thresholds):
-    roc = compute_roc(genuine, impostor, num_thresholds)
-    rate = eer(roc)
-    at = int(np.argmin(np.abs(roc.far - roc.frr)))
-    return MethodReport(
-        method=method,
-        frr=float(roc.frr[at]) * 100.0,
-        far=float(roc.far[at]) * 100.0,
-        eer=rate * 100.0,
-        recognition_rate=100.0 - rate * 100.0,
-    ), roc
+def _build_report(scores: dict, num_thresholds: int):
+    """(ErrorReport, {method: RocCurve}) from {method: (genuine, impostor)}
+    score lists, one row per method in the dict's order."""
+    rows = []
+    rocs = {}
+    for method, (genuine, impostor) in scores.items():
+        roc = compute_roc(genuine, impostor, num_thresholds)
+        rate = eer(roc)
+        at = int(np.argmin(np.abs(roc.far - roc.frr)))
+        rows.append(MethodReport(
+            method=method,
+            frr=float(roc.frr[at]) * 100.0,
+            far=float(roc.far[at]) * 100.0,
+            eer=rate * 100.0,
+            recognition_rate=100.0 - rate * 100.0,
+        ))
+        rocs[method] = roc
+    return ErrorReport(rows=tuple(rows)), rocs
 
 
 def fused_genuine_mass(face_score, ear_score, calib_face, calib_ear,
@@ -177,7 +182,7 @@ def fused_genuine_mass(face_score, ear_score, calib_face, calib_ear,
         combined, _ = combine_dempster(m_face, m_ear)
     except TotalConflict:
         return 0.0, True
-    return combined.mass(_GENUINE_MASK), False
+    return combined.mass(GENUINE_MASK), False
 
 
 def run_fusion_experiment(matchers: dict, alpha_face: float, alpha_ear: float,
@@ -199,24 +204,15 @@ def run_fusion_experiment(matchers: dict, alpha_face: float, alpha_ear: float,
         pool = np.concatenate([g, imp])
         calib[modality] = (float(pool.min()), float(pool.max()))
 
-    fused_g = np.array([
-        fused_genuine_mass(fs, es, calib["face"], calib["ear"],
-                           alpha_face, alpha_ear)[0]
-        for fs, es in zip(face_g, ear_g)])
-    fused_i = np.array([
-        fused_genuine_mass(fs, es, calib["face"], calib["ear"],
-                           alpha_face, alpha_ear)[0]
-        for fs, es in zip(face_i, ear_i)])
+    def fused(face, ear):
+        return np.array([
+            fused_genuine_mass(fs, es, calib["face"], calib["ear"],
+                               alpha_face, alpha_ear)[0]
+            for fs, es in zip(face, ear)])
 
-    rows = []
-    rocs = {}
-    for method, (g, imp) in (("face", (face_g, face_i)),
-                             ("ear", (ear_g, ear_i)),
-                             ("fusion", (fused_g, fused_i))):
-        row, roc = _method_report(method, g, imp, num_thresholds)
-        rows.append(row)
-        rocs[method] = roc
-    return ErrorReport(rows=tuple(rows)), rocs
+    return _build_report({"face": (face_g, face_i), "ear": (ear_g, ear_i),
+                          "fusion": (fused(face_g, ear_g),
+                                     fused(face_i, ear_i))}, num_thresholds)
 
 
 def run_image_experiment(manifest_path, config: PipelineConfig,
@@ -230,7 +226,7 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
     """
     entries = load_manifest(manifest_path)
     subjects = check_protocol(entries)
-    gallery, probes = split_by_session(entries)
+    _, probes = split_by_session(entries)
 
     bank = build_bank(config.gabor)
 
@@ -239,16 +235,7 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
         return image_observations(img, bank, config.stride,
                                   params=config.gabor, cache_dir=cache_dir)
 
-    artifacts = {}
-    for modality in MODALITIES:
-        gallery_obs = {}
-        for entry in gallery:
-            if entry.modality != modality:
-                continue
-            obs = observations_for(entry)
-            gallery_obs.setdefault(entry.subject_id, []).append(
-                obs.observations)
-        artifacts[modality] = train_modality(modality, gallery_obs, config)
+    artifacts = dict(train_gallery(entries, config, observations_for))
 
     probe_obs = {}
     for entry in probes:
@@ -275,15 +262,12 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
                 face_score=fs, ear_score=es, fused_genuine_mass=mass,
                 label="genuine" if claimed == true_sid else "impostor"))
 
-    rows = []
-    rocs = {}
-    for method, pick in (("face", lambda t: t.face_score),
-                         ("ear", lambda t: t.ear_score),
-                         ("fusion", lambda t: t.fused_genuine_mass)):
-        genuine = [pick(t) for t in trials if t.label == "genuine"]
-        impostor = [pick(t) for t in trials if t.label == "impostor"]
-        row, roc = _method_report(method, genuine, impostor,
-                                  config.eval.num_thresholds)
-        rows.append(row)
-        rocs[method] = roc
-    return ErrorReport(rows=tuple(rows)), rocs, trials
+    genuine = [t for t in trials if t.label == "genuine"]
+    impostor = [t for t in trials if t.label == "impostor"]
+    scores = {method: ([getattr(t, name) for t in genuine],
+                       [getattr(t, name) for t in impostor])
+              for method, name in (("face", "face_score"),
+                                   ("ear", "ear_score"),
+                                   ("fusion", "fused_genuine_mass"))}
+    report, rocs = _build_report(scores, config.eval.num_thresholds)
+    return report, rocs, trials

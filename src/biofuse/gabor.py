@@ -10,12 +10,14 @@ weighted mean of the harmonic subtracted, so the kernel has exactly zero
 response to a constant image.
 """
 
+import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import EmptyBank, InvalidParams
 
 
@@ -48,10 +50,9 @@ class GaborParams:
         return self.num_frequencies * self.num_orientations
 
     def cache_key(self) -> str:
-        """Stable textual key for on-disk observation caching."""
-        return (f"nf={self.num_frequencies};no={self.num_orientations};"
-                f"kmax={self.k_max!r};spacing={self.freq_spacing!r};"
-                f"sigma={self.sigma!r};radius={self.kernel_radius}")
+        """Stable textual key for on-disk observation caching: the repr
+        names every field with its exact value."""
+        return repr(self)
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,11 @@ class ObservationSet:
         return self.observations.shape[0]
 
     def save(self, path) -> None:
-        # write through a handle so numpy cannot append a suffix
-        with open(path, "wb") as fh:
-            np.savez(fh, format_version=1, stride=self.stride,
-                     observations=self.observations)
+        # write through a buffer so numpy cannot append a suffix
+        buf = io.BytesIO()
+        np.savez(buf, format_version=1, stride=self.stride,
+                 observations=self.observations)
+        write_atomic(path, buf.getvalue())
 
     @classmethod
     def load(cls, path) -> "ObservationSet":

@@ -9,11 +9,11 @@ log-likelihood ratios against a pooled background model.
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_json
 from .errors import (DimensionMismatch, EmptyObservationSet, ModelFormatError,
                      NumericalCollapse, TooFewObservations)
 
@@ -71,10 +71,13 @@ class EmConfig:
             raise ValueError("tol and cov_floor must be positive")
 
 
-def _as_data(obs) -> np.ndarray:
+def _as_data(obs, dim=None) -> np.ndarray:
     x = np.asarray(getattr(obs, "observations", obs), dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected an (n, dim) observation matrix")
+    if dim is not None and x.shape[1] != dim:
+        raise DimensionMismatch(
+            f"observation dim {x.shape[1]} != model dim {dim}")
     return x
 
 
@@ -103,10 +106,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 def log_likelihood_many(model: GmmModel, data) -> np.ndarray:
     """log p(x) for each row of data, computed with log-sum-exp so no
     finite input underflows to -inf."""
-    x = _as_data(data)
-    if x.shape[1] != model.dim:
-        raise DimensionMismatch(
-            f"observation dim {x.shape[1]} != model dim {model.dim}")
+    x = _as_data(data, model.dim)
     return _logsumexp_rows(_log_joint(x, model))
 
 
@@ -120,11 +120,7 @@ def log_likelihood(model: GmmModel, x) -> float:
 
 def responsibilities(model: GmmModel, data) -> np.ndarray:
     """(n, M) posterior component probabilities; rows sum to 1."""
-    x = _as_data(data)
-    if x.shape[1] != model.dim:
-        raise DimensionMismatch(
-            f"observation dim {x.shape[1]} != model dim {model.dim}")
-    lj = _log_joint(x, model)
+    lj = _log_joint(_as_data(data, model.dim), model)
     return np.exp(lj - _logsumexp_rows(lj)[:, None])
 
 
@@ -314,12 +310,7 @@ def model_from_dict(doc: dict):
 
 
 def save_model(model: GmmModel, path, modality: str, subject_id: str) -> None:
-    payload = json.dumps(model_to_dict(model, modality, subject_id),
-                         sort_keys=True, indent=2) + "\n"
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    write_json(path, model_to_dict(model, modality, subject_id))
 
 
 def load_model(path):

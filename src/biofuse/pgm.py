@@ -4,10 +4,9 @@ Grayscale images are plain 2D ``uint8`` numpy arrays of shape
 ``(height, width)``, row-major, intensities in [0, 255].
 """
 
-import os
-
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import MalformedHeader, TruncatedData, UnsupportedMaxval
 
 _WHITESPACE = b" \t\r\n\v\f"
@@ -101,8 +100,4 @@ def write_pgm(img: np.ndarray, path) -> None:
         raise ValueError("expected a 2D uint8 image")
     height, width = a.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(a.tobytes())
-    os.replace(tmp, path)
+    write_atomic(path, header + a.tobytes())

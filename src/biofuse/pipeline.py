@@ -15,7 +15,7 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import BiofuseError, ManifestError
 from .gabor import ChannelScaler, ObservationSet, convolve, downsample
-from .gmm import EmConfig, GmmModel, em_fit, match_score
+from .gmm import GmmModel, em_fit, match_score
 from .pgm import load_pgm
 from .preprocess import geometric_normalize, histogram_equalize
 
@@ -34,12 +34,14 @@ def image_observations(img: np.ndarray, bank, stride: int,
     """Response-magnitude observations for one prepped image.
 
     When cache_dir is given, results are cached on disk keyed by the image
-    content and the bank parameters; a 200x220 image costs 40 convolutions,
-    so re-runs skip straight to the cached observation matrix.
+    content, shape and dtype and the bank parameters; a 200x220 image costs
+    40 convolutions, so re-runs skip straight to the cached observation
+    matrix.
     """
     if cache_dir is not None and params is not None:
         digest = hashlib.sha256()
         digest.update(np.ascontiguousarray(img).tobytes())
+        digest.update(f"shape={img.shape};dtype={img.dtype};".encode())
         digest.update(params.cache_key().encode())
         digest.update(f";stride={stride}".encode())
         path = os.path.join(cache_dir, digest.hexdigest() + ".npz")
@@ -47,9 +49,7 @@ def image_observations(img: np.ndarray, bank, stride: int,
             return ObservationSet.load(path)
         obs = downsample(convolve(img, bank), stride)
         os.makedirs(cache_dir, exist_ok=True)
-        tmp = f"{path}.tmp{os.getpid()}"
-        obs.save(tmp)
-        os.replace(tmp, path)
+        obs.save(path)
         return obs
     return downsample(convolve(img, bank), stride)
 
@@ -113,13 +113,13 @@ def train_modality(modality: str, gallery_obs: dict,
     seed_base = config.eval.seed + (0 if modality == "face" else 1_000_000)
 
     background, _ = em_fit(scaler.transform(pooled),
-                           _with_seed(base, _fit_seed(seed_base, 0)))
+                           replace(base, seed=_fit_seed(seed_base, 0)))
     clients = {}
     for i, sid in enumerate(subjects):
         data = scaler.transform(np.vstack(gallery_obs[sid]))
         try:
             clients[sid], _ = em_fit(
-                data, _with_seed(base, _fit_seed(seed_base, i + 1)))
+                data, replace(base, seed=_fit_seed(seed_base, i + 1)))
         except BiofuseError as exc:
             raise type(exc)(
                 f"fitting {modality} model for subject {sid}: {exc}") from exc
@@ -135,8 +135,27 @@ def train_modality(modality: str, gallery_obs: dict,
                              scaler=scaler, calibration=calibration)
 
 
-def _with_seed(cfg: EmConfig, seed: int) -> EmConfig:
-    return replace(cfg, seed=seed)
+def train_gallery(entries, config: PipelineConfig, observations_for):
+    """Train each modality from the session-1 (gallery) entries, yielding
+    (modality, ModalityArtifacts) as each finishes.
+
+    observations_for(entry) returns the entry's ObservationSet. Every
+    subject in entries needs gallery images of every modality.
+    """
+    gallery, _ = split_by_session(entries)
+    subjects = sorted({e.subject_id for e in entries})
+    for modality in MODALITIES:
+        gallery_obs = {}
+        for entry in gallery:
+            if entry.modality == modality:
+                gallery_obs.setdefault(entry.subject_id, []).append(
+                    observations_for(entry).observations)
+        for sid in subjects:
+            if sid not in gallery_obs:
+                raise ManifestError(
+                    f"subject {sid} has no gallery (session 1) "
+                    f"{modality} images")
+        yield modality, train_modality(modality, gallery_obs, config)
 
 
 def probe_score(artifacts: ModalityArtifacts, claimed_id: str,

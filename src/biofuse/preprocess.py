@@ -203,32 +203,29 @@ def load_manifest(path) -> list:
             if key not in rec:
                 raise ManifestError(f"{where}: missing key {key!r}")
         image_path = rec["image_path"]
+        where = f"{where} ({image_path})"
         modality = rec["modality"]
         if modality not in _LABELS:
-            raise ManifestError(
-                f"{where} ({image_path}): unknown modality {modality!r}")
+            raise ManifestError(f"{where}: unknown modality {modality!r}")
         raw_marks = rec["landmarks"]
         if not isinstance(raw_marks, dict):
-            raise ManifestError(f"{where} ({image_path}): landmarks not an object")
+            raise ManifestError(f"{where}: landmarks not an object")
         for label in _LABELS[modality]:
             if label not in raw_marks:
-                raise ManifestError(
-                    f"{where} ({image_path}): missing landmark {label!r}")
+                raise ManifestError(f"{where}: missing landmark {label!r}")
         points = {}
         for label, xy in raw_marks.items():
             if label not in _LABELS[modality]:
-                raise ManifestError(
-                    f"{where} ({image_path}): unexpected landmark {label!r}")
+                raise ManifestError(f"{where}: unexpected landmark {label!r}")
             try:
                 points[label] = (float(xy[0]), float(xy[1]))
             except (TypeError, ValueError, IndexError):
                 raise ManifestError(
-                    f"{where} ({image_path}): landmark {label!r} is not [x, y]"
-                ) from None
+                    f"{where}: landmark {label!r} is not [x, y]") from None
         try:
             session = int(rec["session"])
         except (TypeError, ValueError):
-            raise ManifestError(f"{where} ({image_path}): bad session") from None
+            raise ManifestError(f"{where}: bad session") from None
         entries.append(ManifestEntry(
             image_path=str(image_path),
             modality=modality,

@@ -6,7 +6,7 @@ import pytest
 
 from biofuse.cli import main
 from biofuse.gmm import MODEL_FORMAT_VERSION
-from biofuse.pgm import load_pgm
+from biofuse.pgm import load_pgm, write_pgm
 
 
 def _write_config(path, corpus_root, manifest, workdir, extra=""):
@@ -134,6 +134,17 @@ class TestVerify:
                      "--face", face, "--ear", ear, "--claim", "mallory"])
         assert code == 2
         assert "mallory" in capsys.readouterr().err
+
+    def test_wrong_size_probe_exits_2(self, trained, tmp_path, capsys):
+        face, ear = self._probe(trained, "alice", session=1)
+        small = str(tmp_path / "small.pgm")
+        write_pgm(load_pgm(ear)[:200, :], small)
+        code = main(["--config", trained["config"], "verify",
+                     "--face", face, "--ear", small, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "200x200" in captured.err and "220x200" in captured.err
 
     def test_unreachable_threshold_rejects(self, trained, toy_corpus,
                                            tmp_path, capsys):

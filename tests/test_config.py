@@ -1,0 +1,153 @@
+import re
+from dataclasses import replace
+
+import pytest
+
+from biofuse.config import (FusionSettings, EvalSettings, Paths,
+                            PipelineConfig, SynthModality, load_config)
+from biofuse.gabor import GaborParams
+from biofuse.gmm import EmConfig
+from biofuse.preprocess import CanonicalLayout
+
+EVERY_KEY = """\
+[gabor]
+num_frequencies = 4
+num_orientations = 6
+k_max = 1.25
+freq_spacing = 1.5
+sigma = 5.5
+kernel_radius = 12
+stride = 7
+
+[canonical]
+width = 180
+height = 240
+face_left_eye = 50, 60
+face_right_eye = 130 61
+face_mouth_center = 90.5, 150
+ear_triangular_fossa = 91, 50
+ear_antitragus = 92, 151.25
+
+[gmm_face]
+n_components = 4
+max_iters = 50
+tol = 1e-5
+cov_floor = 1e-3
+restarts = 2
+
+[gmm_ear]
+n_components = 5
+max_iters = 60
+tol = 2e-5
+cov_floor = 2e-3
+restarts = 1
+
+[fusion]
+alpha_face = 0.8
+alpha_ear = 0.7
+threshold = 0.6
+
+[eval]
+num_thresholds = 501
+seed = 7
+n_genuine = 100
+n_impostor = 200
+
+[synth_face]
+genuine_mean = 2.5
+genuine_std = 1.5
+impostor_mean = 0.5
+impostor_std = 0.75
+
+[synth_ear]
+genuine_mean = 3.5
+genuine_std = 0.5
+impostor_mean = -0.5
+impostor_std = 1.25
+
+[paths]
+manifest = data/m.json
+model_dir = /abs/models
+output_dir = o
+"""
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    return path
+
+
+def _same_types(a, b):
+    """Field-by-field type equality, so an int key cannot land as a float."""
+    for name in vars(a):
+        x, y = getattr(a, name), getattr(b, name)
+        assert type(x) is type(y), name
+        if hasattr(x, "__dataclass_fields__"):
+            _same_types(x, y)
+
+
+def test_empty_file_is_the_default(tmp_path):
+    cfg = load_config(_write(tmp_path, ""))
+    assert cfg == replace(PipelineConfig(), paths=Paths(
+        manifest=str(tmp_path / "manifest.json"),
+        model_dir=str(tmp_path / "models"),
+        output_dir=str(tmp_path / "out")))
+    _same_types(cfg, PipelineConfig())
+
+
+def test_every_key_lands_in_its_field(tmp_path):
+    cfg = load_config(_write(tmp_path, EVERY_KEY))
+    expected = PipelineConfig(
+        gabor=GaborParams(num_frequencies=4, num_orientations=6, k_max=1.25,
+                          freq_spacing=1.5, sigma=5.5, kernel_radius=12),
+        stride=7,
+        layout=CanonicalLayout(
+            width=180, height=240,
+            face={"left_eye": (50.0, 60.0), "right_eye": (130.0, 61.0),
+                  "mouth_center": (90.5, 150.0)},
+            ear={"triangular_fossa": (91.0, 50.0),
+                 "antitragus": (92.0, 151.25)}),
+        gmm={"face": EmConfig(n_components=4, max_iters=50, tol=1e-5,
+                              cov_floor=1e-3, restarts=2),
+             "ear": EmConfig(n_components=5, max_iters=60, tol=2e-5,
+                             cov_floor=2e-3, restarts=1)},
+        fusion=FusionSettings(alpha_face=0.8, alpha_ear=0.7, threshold=0.6),
+        eval=EvalSettings(num_thresholds=501, seed=7, n_genuine=100,
+                          n_impostor=200),
+        synth={"face": SynthModality(genuine_mean=2.5, genuine_std=1.5,
+                                     impostor_mean=0.5, impostor_std=0.75),
+               "ear": SynthModality(genuine_mean=3.5, genuine_std=0.5,
+                                    impostor_mean=-0.5, impostor_std=1.25)},
+        paths=Paths(manifest=str(tmp_path / "data" / "m.json"),
+                    model_dir="/abs/models",
+                    output_dir=str(tmp_path / "o")))
+    assert cfg == expected
+    _same_types(cfg, expected)
+    for modality in ("face", "ear"):
+        _same_types(cfg.gmm[modality], expected.gmm[modality])
+        _same_types(cfg.synth[modality], expected.synth[modality])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[bogus]\nx = 1\n", "unknown config section [bogus]"),
+    ("[gabor]\nnum_wavelets = 40\n",
+     "unknown config key 'num_wavelets' in [gabor]"),
+    # the fit seed is derived per model, never configured
+    ("[gmm_ear]\nseed = 3\n", "unknown config key 'seed' in [gmm_ear]"),
+    ("[canonical]\near_left_eye = 1, 2\n",
+     "unknown config key 'ear_left_eye' in [canonical]"),
+    ("[fusion]\nstride = 5\n", "unknown config key 'stride' in [fusion]"),
+])
+def test_unknown_names_are_rejected(tmp_path, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(_write(tmp_path, text))
+
+
+def test_bad_values_are_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        load_config(_write(tmp_path, "[gabor]\nkernel_radius = 2.5\n"))
+    with pytest.raises(ValueError, match="expected 'x, y'"):
+        load_config(_write(tmp_path, "[canonical]\nface_left_eye = 1\n"))
+    with pytest.raises(ValueError, match="stddevs must be positive"):
+        load_config(_write(tmp_path, "[synth_ear]\nimpostor_std = 0\n"))

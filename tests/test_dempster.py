@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biofuse.dempster import (Frame, GENUINE, IMPOSTOR, MassFunction,
@@ -128,6 +128,9 @@ class TestCombineWorkedValues:
     def test_total_conflict(self):
         with pytest.raises(TotalConflict):
             combine_dempster(mf({G: 1.0}), mf({I: 1.0}))
+        # K = 1 - 5e-10 passes the K cut-off, but no mass is left over
+        with pytest.raises(TotalConflict):
+            combine_dempster(mf({G: 1.0 - 5e-10}), mf({I: 1.0}))
 
     def test_frame_mismatch(self):
         other = MassFunction(Frame(("a", "b")), {3: 1.0})
@@ -295,6 +298,9 @@ class TestDecide:
         g2=st.floats(0.0, 1.0), rest2=st.floats(0.0, 1.0),
         delta=st.floats(0.0, 1.0), tau=st.floats(0.0, 1.0),
     )
+    # K within ~2e-12 of 1: normalising by 1 - K left masses summing to
+    # 1.00002, and decide raised a plain ValueError
+    @example(g1=0, rest1=1e-12, g2=1e-12, rest2=1, delta=1, tau=0)
     def test_monotone_in_evidence(self, g1, rest1, g2, rest2, delta, tau):
         # moving mass from TH onto {genuine} never flips accept -> reject
         def masses(g, rest):

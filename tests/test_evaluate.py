@@ -82,6 +82,9 @@ class TestRoc:
         lines = roc.to_csv().strip().splitlines()
         assert lines[0] == "threshold,far,frr"
         assert len(lines) == 6
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert rows == np.column_stack(
+            [roc.thresholds, roc.far, roc.frr]).tolist()
 
 
 class TestSynthScores:
