@@ -69,8 +69,7 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
     os.makedirs(config.paths.model_dir, exist_ok=True)
 
     def observations_for(entry):
-        return image_observations(load_entry_image(entry), bank,
-                                  config.stride, params=config.gabor,
+        return image_observations(load_entry_image(entry), bank, config,
                                   cache_dir=_cache_dir(config))
 
     for modality, artifacts in train_gallery(entries, config,
@@ -119,8 +118,7 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
                 f"{modality} probe {path} is {img.shape[0]}x{img.shape[1]} "
                 f"(height x width), expected {config.layout.height}x"
                 f"{config.layout.width}; run `prep` on it first")
-        obs = image_observations(img, bank, config.stride,
-                                 params=config.gabor,
+        obs = image_observations(img, bank, config,
                                  cache_dir=_cache_dir(config))
         score = match_score(client, background,
                             scaler.transform(obs.observations))

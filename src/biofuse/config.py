@@ -126,20 +126,27 @@ _KNOWN = {
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse an INI config file; unknown sections or keys are errors."""
+    """Parse an INI config file; malformed INI, unknown sections or keys
+    raise ValueError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        # reading every value here surfaces interpolation errors too
+        raw = {section: dict(parser[section])
+               for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from exc
 
-    for section in parser.sections():
+    for section, items in raw.items():
         if section not in _KNOWN:
             raise ValueError(f"unknown config section [{section}]")
-        for key in parser[section]:
+        for key in items:
             if key not in _KNOWN[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
 
     def values(name):
-        sec = parser[name] if parser.has_section(name) else {}
+        sec = raw.get(name, {})
         return {key: cast(sec[key])
                 for key, cast in _KNOWN[name].items() if key in sec}
 

@@ -232,8 +232,7 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
 
     def observations_for(entry):
         img = prep_image(load_entry_image(entry), entry.landmarks, config)
-        return image_observations(img, bank, config.stride,
-                                  params=config.gabor, cache_dir=cache_dir)
+        return image_observations(img, bank, config, cache_dir=cache_dir)
 
     artifacts = dict(train_gallery(entries, config, observations_for))
 

@@ -10,14 +10,12 @@ weighted mean of the harmonic subtracted, so the kernel has exactly zero
 response to a constant image.
 """
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .atomic import write_atomic
 from .errors import EmptyBank, InvalidParams
 
 
@@ -48,11 +46,6 @@ class GaborParams:
     @property
     def bank_size(self) -> int:
         return self.num_frequencies * self.num_orientations
-
-    def cache_key(self) -> str:
-        """Stable textual key for on-disk observation caching: the repr
-        names every field with its exact value."""
-        return repr(self)
 
 
 @dataclass(frozen=True)
@@ -170,27 +163,8 @@ class ObservationSet:
     observations: np.ndarray
     stride: int
 
-    @property
-    def dim(self) -> int:
-        return self.observations.shape[1]
-
     def __len__(self) -> int:
         return self.observations.shape[0]
-
-    def save(self, path) -> None:
-        # write through a buffer so numpy cannot append a suffix
-        buf = io.BytesIO()
-        np.savez(buf, format_version=1, stride=self.stride,
-                 observations=self.observations)
-        write_atomic(path, buf.getvalue())
-
-    @classmethod
-    def load(cls, path) -> "ObservationSet":
-        with np.load(path) as npz:
-            if int(npz["format_version"]) != 1:
-                raise ValueError("unsupported observation-set format version")
-            return cls(observations=npz["observations"],
-                       stride=int(npz["stride"]))
 
 
 def downsample(field: np.ndarray, stride: int) -> ObservationSet:

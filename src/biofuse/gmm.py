@@ -3,8 +3,10 @@
 The mixture density is p(x) = sum_m w_m N(x; mu_m, diag(var_m)). Fitting
 alternates an E-step (posterior responsibilities) with an M-step
 (responsibility-weighted parameter updates); the data log-likelihood is
-nondecreasing across iterations. Per-image match scores are average
-log-likelihood ratios against a pooled background model.
+nondecreasing across iterations. The k-means initialisation is the same
+M-step applied to hard (one-hot) cluster assignments. Per-image match
+scores are average log-likelihood ratios against a pooled background
+model.
 """
 
 import json
@@ -118,10 +120,35 @@ def log_likelihood(model: GmmModel, x) -> float:
     return float(log_likelihood_many(model, v[None, :])[0])
 
 
+def _e_step(data: np.ndarray, model: GmmModel):
+    """(n, M) responsibilities and the (n,) per-row log-likelihoods."""
+    lj = _log_joint(data, model)
+    lse = _logsumexp_rows(lj)
+    return np.exp(lj - lse[:, None]), lse
+
+
 def responsibilities(model: GmmModel, data) -> np.ndarray:
     """(n, M) posterior component probabilities; rows sum to 1."""
-    lj = _log_joint(_as_data(data, model.dim), model)
-    return np.exp(lj - _logsumexp_rows(lj)[:, None])
+    return _e_step(_as_data(data, model.dim), model)[0]
+
+
+def _mass_means(data: np.ndarray, resp: np.ndarray):
+    """(M,) responsibility mass and (M, d) weighted means; a component
+    without mass gets a zero mean."""
+    nk = resp.sum(axis=0)
+    return nk, (resp.T @ data) / np.where(nk > 0.0, nk, 1.0)[:, None]
+
+
+def _m_step(data: np.ndarray, resp: np.ndarray):
+    """Mass, means and variances (two-pass: centred on the new means,
+    not yet floored) of the responsibility-weighted data."""
+    nk, means = _mass_means(data, resp)
+    safe_nk = np.where(nk > 0.0, nk, 1.0)
+    variances = np.empty_like(means)
+    for m in range(resp.shape[1]):
+        diff = data - means[m]
+        variances[m] = (resp[:, m] @ (diff * diff)) / safe_nk[m]
+    return nk, means, variances
 
 
 def _kmeans_pp(data: np.ndarray, k: int, rng) -> np.ndarray:
@@ -140,8 +167,9 @@ def _kmeans_pp(data: np.ndarray, k: int, rng) -> np.ndarray:
 
 def kmeans_init(data, n_components: int, seed: int,
                 cov_floor: float = 1e-4) -> GmmModel:
-    """k-means++ seeding plus Lloyd iterations; the resulting clustering
-    becomes the initial mixture. Deterministic given seed."""
+    """k-means++ seeding plus Lloyd iterations; the M-step of the final
+    hard (one-hot) assignment becomes the initial mixture, with each
+    cluster's Lloyd centre as its mean. Deterministic given seed."""
     x = _as_data(data)
     n = x.shape[0]
     if n < n_components:
@@ -157,24 +185,16 @@ def kmeans_init(data, n_components: int, seed: int,
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for m in range(n_components):
-            members = x[assign == m]
-            if members.shape[0] > 0:
-                centers[m] = members.mean(axis=0)
-            else:
-                # re-seed an empty cluster at the worst-covered point
-                centers[m] = x[int(np.argmax(np.min(d2, axis=1)))]
+        onehot = (assign[:, None] == np.arange(n_components)).astype(
+            np.float64)
+        counts, centers = _mass_means(x, onehot)
+        # re-seed an empty cluster at the worst-covered point
+        centers[counts == 0.0] = x[int(np.argmax(np.min(d2, axis=1)))]
 
-    weights = np.empty(n_components)
-    variances = np.empty_like(centers)
-    for m in range(n_components):
-        members = x[assign == m]
-        weights[m] = members.shape[0] / n
-        if members.shape[0] > 0:
-            variances[m] = np.maximum(members.var(axis=0), cov_floor)
-        else:
-            variances[m] = cov_floor
-    return GmmModel(weights=weights, means=centers, variances=variances)
+    # an empty cluster keeps its re-seeded centre, weight 0 and the floor
+    counts, _, variances = _m_step(x, onehot)
+    return GmmModel(weights=counts / n, means=centers,
+                    variances=np.maximum(variances, cov_floor))
 
 
 def _em_run(data: np.ndarray, config: EmConfig, init: GmmModel):
@@ -183,23 +203,14 @@ def _em_run(data: np.ndarray, config: EmConfig, init: GmmModel):
     trace = []
     reseeded = False
     for _ in range(config.max_iters):
-        lj = _log_joint(data, model)
-        lse = _logsumexp_rows(lj)
+        resp, lse = _e_step(data, model)
         loglik = float(np.sum(lse))
         trace.append(loglik)
         if len(trace) > 1:
             prev = trace[-2]
             if loglik - prev < config.tol * max(1.0, abs(prev)):
                 break
-        resp = np.exp(lj - lse[:, None])
-
-        nk = resp.sum(axis=0)
-        safe_nk = np.where(nk > 0.0, nk, 1.0)
-        means = (resp.T @ data) / safe_nk[:, None]
-        variances = np.empty_like(means)
-        for m in range(model.n_components):
-            diff = data - means[m]
-            variances[m] = (resp[:, m] @ (diff * diff)) / safe_nk[m]
+        nk, means, variances = _m_step(data, resp)
 
         # a component whose responsibility mass underflowed to zero has no
         # statistics left; re-seed it once at the worst-explained point.

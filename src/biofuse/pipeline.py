@@ -7,11 +7,13 @@ only, never from probes.
 """
 
 import hashlib
+import io
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import write_atomic
 from .config import PipelineConfig
 from .errors import BiofuseError, ManifestError
 from .gabor import ChannelScaler, ObservationSet, convolve, downsample
@@ -22,6 +24,7 @@ from .preprocess import geometric_normalize, histogram_equalize
 MODALITIES = ("face", "ear")
 STATS_FORMAT_VERSION = 1
 BACKGROUND_ID = "background"
+FEATURE_VERSION = 1  # bump when the observation arithmetic changes
 
 
 def prep_image(img: np.ndarray, marks, config: PipelineConfig) -> np.ndarray:
@@ -29,29 +32,29 @@ def prep_image(img: np.ndarray, marks, config: PipelineConfig) -> np.ndarray:
     return histogram_equalize(geometric_normalize(img, marks, config.layout))
 
 
-def image_observations(img: np.ndarray, bank, stride: int,
-                       params=None, cache_dir=None) -> ObservationSet:
+def image_observations(img: np.ndarray, bank, config: PipelineConfig,
+                       cache_dir=None) -> ObservationSet:
     """Response-magnitude observations for one prepped image.
 
-    When cache_dir is given, results are cached on disk keyed by the image
-    content, shape and dtype and the bank parameters; a 200x220 image costs
-    40 convolutions, so re-runs skip straight to the cached observation
-    matrix.
+    When cache_dir is given, the matrix is cached there as a .npy file keyed
+    by the image content, shape and dtype, config.gabor, config.stride and
+    FEATURE_VERSION, so re-runs skip the 40 convolutions of a 200x220 image.
     """
-    if cache_dir is not None and params is not None:
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(img).tobytes())
-        digest.update(f"shape={img.shape};dtype={img.dtype};".encode())
-        digest.update(params.cache_key().encode())
-        digest.update(f";stride={stride}".encode())
-        path = os.path.join(cache_dir, digest.hexdigest() + ".npz")
-        if os.path.exists(path):
-            return ObservationSet.load(path)
-        obs = downsample(convolve(img, bank), stride)
-        os.makedirs(cache_dir, exist_ok=True)
-        obs.save(path)
-        return obs
-    return downsample(convolve(img, bank), stride)
+    if cache_dir is None:
+        return downsample(convolve(img, bank), config.stride)
+    digest = hashlib.sha256(np.ascontiguousarray(img).tobytes())
+    digest.update(f"shape={img.shape};dtype={img.dtype};{config.gabor!r};"
+                  f"stride={config.stride};v{FEATURE_VERSION}".encode())
+    path = os.path.join(cache_dir, digest.hexdigest() + ".npy")
+    if os.path.exists(path):
+        return ObservationSet(observations=np.load(path),
+                              stride=config.stride)
+    obs = downsample(convolve(img, bank), config.stride)
+    os.makedirs(cache_dir, exist_ok=True)
+    buf = io.BytesIO()
+    np.save(buf, obs.observations)
+    write_atomic(path, buf.getvalue())
+    return obs
 
 
 def load_entry_image(entry) -> np.ndarray:
@@ -177,11 +180,15 @@ def stats_to_dict(modality: str, artifacts: ModalityArtifacts) -> dict:
 
 
 def stats_from_dict(doc: dict):
-    if int(doc.get("format_version", -1)) != STATS_FORMAT_VERSION:
-        raise ValueError("unsupported stats format version")
-    scaler = ChannelScaler.from_dict(doc["scaler"])
-    lo, hi = doc["calibration"]
-    return doc["modality"], scaler, (float(lo), float(hi))
+    """(modality, scaler, calibration); ValueError on a bad document."""
+    try:
+        if int(doc["format_version"]) != STATS_FORMAT_VERSION:
+            raise ValueError(f"format_version {doc['format_version']!r}")
+        scaler = ChannelScaler.from_dict(doc["scaler"])
+        lo, hi = doc["calibration"]
+        return doc["modality"], scaler, (float(lo), float(hi))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad stats document: {exc!r}") from exc
 
 
 def model_filename(modality: str, subject_id: str) -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -145,6 +146,33 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "200x200" in captured.err and "220x200" in captured.err
+
+    @pytest.mark.parametrize("broken", [
+        {"calibration": None},            # missing
+        {"calibration": 0.5},             # not a (lo, hi) pair
+        {"format_version": "one"},
+    ], ids=["missing", "ill-typed", "bad-version"])
+    def test_malformed_stats_exits_2(self, trained, toy_corpus, tmp_path,
+                                     capsys, broken):
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        stats = models / "face_stats.json"
+        doc = json.loads(stats.read_text())
+        for key, value in broken.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        stats.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "alice", session=1)
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad stats document" in captured.err
 
     def test_unreachable_threshold_rejects(self, trained, toy_corpus,
                                            tmp_path, capsys):

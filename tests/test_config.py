@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from biofuse.cli import main
 from biofuse.config import (FusionSettings, EvalSettings, Paths,
                             PipelineConfig, SynthModality, load_config)
 from biofuse.gabor import GaborParams
@@ -151,3 +152,17 @@ def test_bad_values_are_rejected(tmp_path):
         load_config(_write(tmp_path, "[canonical]\nface_left_eye = 1\n"))
     with pytest.raises(ValueError, match="stddevs must be positive"):
         load_config(_write(tmp_path, "[synth_ear]\nimpostor_std = 0\n"))
+
+
+@pytest.mark.parametrize("text", [
+    "seed = 3\n[eval]\n",                       # line before any section
+    "[eval]\nseed = %d\n",                       # bad interpolation
+    "[eval]\nseed = 1\nseed = 2\n",              # duplicate key
+    "[eval]\nseed = 1\n[eval]\nn_genuine = 5\n",  # duplicate section
+], ids=["no-section", "percent", "duplicate-key", "duplicate-section"])
+def test_malformed_file_exits_2(tmp_path, capsys, text):
+    path = _write(tmp_path, text)
+    assert main(["--config", str(path), "synth-eval"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"malformed config file {path}" in captured.err

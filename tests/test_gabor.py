@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biofuse.errors import EmptyBank, InvalidParams
-from biofuse.gabor import (ChannelScaler, GaborParams, ObservationSet,
-                           build_bank, convolve, downsample)
+from biofuse.gabor import (ChannelScaler, GaborParams, build_bank, convolve,
+                           downsample)
 
 
 @pytest.fixture(scope="module")
@@ -149,15 +149,6 @@ class TestDownsample:
     def test_invalid_stride(self):
         with pytest.raises(ValueError):
             downsample(np.zeros((4, 4, 1)), 0)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        obs = ObservationSet(observations=np.random.default_rng(0).random((7, 4)),
-                             stride=3)
-        path = tmp_path / "obs.npz"
-        obs.save(path)
-        loaded = ObservationSet.load(path)
-        assert loaded.stride == 3
-        assert np.array_equal(loaded.observations, obs.observations)
 
 
 class TestChannelScaler:

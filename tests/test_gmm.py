@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from biofuse.errors import (DimensionMismatch, EmptyObservationSet,
                             ModelFormatError, TooFewObservations)
-from biofuse.gmm import (EmConfig, GmmModel, em_fit, kmeans_init,
+from biofuse.gmm import (EmConfig, GmmModel, _kmeans_pp, em_fit, kmeans_init,
                          load_model, log_likelihood, match_score,
                          model_from_dict, model_to_dict, responsibilities,
                          save_model)
@@ -64,6 +64,70 @@ class TestKmeansInit:
         data = np.array([[0.0], [0.0], [5.0], [5.0]])
         model = kmeans_init(data, 2, seed=0, cov_floor=1e-4)
         assert np.all(model.variances >= 1e-4)
+
+
+def _kmeans_reference(x, k, seed, cov_floor):
+    """k-means++ seeding, then Lloyd updates and final statistics computed
+    one cluster at a time; also returns the final assignment and the point
+    each emptied cluster was last re-seeded at."""
+    centers = _kmeans_pp(x, k, np.random.default_rng(seed))
+    assign = None
+    reseeded = {}
+    for _ in range(50):
+        d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(d2, axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for m in range(k):
+            members = x[assign == m]
+            if members.shape[0] > 0:
+                centers[m] = members.mean(axis=0)
+            else:
+                reseeded[m] = x[int(np.argmax(np.min(d2, axis=1)))]
+                centers[m] = reseeded[m]
+    weights = np.empty(k)
+    variances = np.empty_like(centers)
+    for m in range(k):
+        members = x[assign == m]
+        weights[m] = members.shape[0] / x.shape[0]
+        if members.shape[0] > 0:
+            variances[m] = np.maximum(members.var(axis=0), cov_floor)
+        else:
+            variances[m] = cov_floor
+    return (GmmModel(weights=weights, means=centers, variances=variances),
+            assign, reseeded)
+
+
+class TestKmeansAgainstReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_cluster_loops(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        data = np.vstack([rng.normal(rng.normal(0.0, 4.0, 5), 1.0, (60, 5))
+                          for _ in range(4)])
+        got = kmeans_init(data, 4, seed=seed, cov_floor=1e-3)
+        want, _, _ = _kmeans_reference(data, 4, seed, 1e-3)
+        for name in ("weights", "means", "variances"):
+            assert np.allclose(getattr(got, name), getattr(want, name),
+                               rtol=0.0, atol=1e-12), name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_emptied_cluster(self, seed):
+        # two distinct points: once both are centres the third k-means++
+        # pick duplicates one, and the first Lloyd pass leaves it empty
+        data = np.array([[5.0, 1.0], [0.0, 0.0], [5.0, 1.0], [0.0, 0.0],
+                         [5.0, 1.0], [0.0, 0.0]])
+        got = kmeans_init(data, 3, seed=seed, cov_floor=1e-3)
+        want, assign, reseeded = _kmeans_reference(data, 3, seed, 1e-3)
+        empty = [m for m in range(3) if not np.any(assign == m)]
+        assert len(empty) == 1
+        m = empty[0]
+        assert got.weights[m] == 0.0
+        assert np.all(got.variances[m] == 1e-3)
+        assert np.array_equal(got.means[m], reseeded[m])
+        for name in ("weights", "means", "variances"):
+            assert np.allclose(getattr(got, name), getattr(want, name),
+                               rtol=0.0, atol=1e-12), name
 
 
 class TestEmFit:

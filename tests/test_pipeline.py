@@ -1,19 +1,64 @@
-import numpy as np
+from dataclasses import replace
 
+import numpy as np
+import pytest
+
+import biofuse.pipeline as pipeline
+from biofuse.config import PipelineConfig
 from biofuse.gabor import GaborParams, build_bank, convolve, downsample
 from biofuse.pipeline import image_observations
 
-PARAMS = GaborParams(num_frequencies=1, num_orientations=2, kernel_radius=3)
+CONFIG = PipelineConfig(gabor=GaborParams(num_frequencies=1,
+                                          num_orientations=2,
+                                          kernel_radius=3), stride=5)
+BANK = build_bank(CONFIG.gabor)
+
+
+def _image(seed=0, shape=(30, 40)):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 256, shape, dtype=np.uint8)
 
 
 def test_cache_key_covers_the_image_shape(tmp_path):
     # the same bytes read as 30x40 and as 40x30 are different images
-    bank = build_bank(PARAMS)
-    pixels = np.random.default_rng(0).integers(0, 256, 1200, dtype=np.uint8)
+    pixels = _image().ravel()
     cache = str(tmp_path / "cache")
     for shape in ((30, 40), (40, 30)):
         img = pixels.reshape(shape)
-        got = image_observations(img, bank, 5, params=PARAMS, cache_dir=cache)
-        want = downsample(convolve(img, bank), 5)
+        got = image_observations(img, BANK, CONFIG, cache_dir=cache)
+        want = downsample(convolve(img, BANK), 5)
         assert np.array_equal(got.observations, want.observations)
     assert len(list((tmp_path / "cache").iterdir())) == 2
+
+
+def test_hit_skips_the_convolution(tmp_path, monkeypatch):
+    img = _image()
+    cache = str(tmp_path / "cache")
+    first = image_observations(img, BANK, CONFIG, cache_dir=cache)
+
+    def no_convolve(*args, **kwargs):
+        raise AssertionError("a cache hit must not convolve")
+
+    monkeypatch.setattr(pipeline, "convolve", no_convolve)
+    hit = image_observations(img, BANK, CONFIG, cache_dir=cache)
+    assert np.array_equal(hit.observations, first.observations)
+    assert hit.stride == CONFIG.stride
+
+
+@pytest.mark.parametrize("change", ["stride", "feature_version"])
+def test_key_change_misses(tmp_path, monkeypatch, change):
+    img = _image()
+    cache = str(tmp_path / "cache")
+    image_observations(img, BANK, CONFIG, cache_dir=cache)
+    config = CONFIG
+    if change == "stride":
+        config = replace(CONFIG, stride=7)
+    else:
+        monkeypatch.setattr(pipeline, "FEATURE_VERSION",
+                            pipeline.FEATURE_VERSION + 1)
+    got = image_observations(img, BANK, config, cache_dir=cache)
+    want = downsample(convolve(img, BANK), config.stride)
+    assert np.array_equal(got.observations, want.observations)
+    assert got.stride == config.stride
+    assert len(list((tmp_path / "cache").iterdir())) == 2
+
