@@ -18,7 +18,7 @@ from .evaluate import (ErrorReport, RocCurve, TrialRecord, compute_roc, eer,
                        run_fusion_experiment, run_image_experiment,
                        synth_scores)
 from .gabor import (ChannelScaler, GaborKernel, GaborParams, ObservationSet,
-                    build_bank, convolve, downsample)
+                    build_bank, convolve, downsample, sampled_responses)
 from .gmm import (EmConfig, GmmModel, em_fit, kmeans_init, log_likelihood,
                   log_likelihood_many, match_score, responsibilities)
 from .pgm import load_pgm, write_pgm
@@ -31,7 +31,7 @@ __all__ = [
     "ErrorReport", "RocCurve", "TrialRecord", "compute_roc", "eer",
     "run_fusion_experiment", "run_image_experiment", "synth_scores",
     "ChannelScaler", "GaborKernel", "GaborParams", "ObservationSet",
-    "build_bank", "convolve", "downsample",
+    "build_bank", "convolve", "downsample", "sampled_responses",
     "EmConfig", "GmmModel", "em_fit", "kmeans_init", "log_likelihood",
     "log_likelihood_many", "match_score", "responsibilities",
     "load_pgm", "write_pgm",

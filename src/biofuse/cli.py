@@ -98,9 +98,12 @@ def _load_modality(config, modality, claimed_id):
     client, _, _ = load_model(client_path)
     background, _, _ = load_model(
         os.path.join(model_dir, model_filename(modality, BACKGROUND_ID)))
-    with open(os.path.join(model_dir, stats_filename(modality)),
-              encoding="utf-8") as fh:
-        _, scaler, calibration = stats_from_dict(json.load(fh))
+    stats_path = os.path.join(model_dir, stats_filename(modality))
+    with open(stats_path, encoding="utf-8") as fh:
+        try:
+            _, scaler, calibration = stats_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{stats_path}: {exc}") from exc
     return client, background, scaler, calibration
 
 

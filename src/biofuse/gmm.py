@@ -325,9 +325,14 @@ def save_model(model: GmmModel, path, modality: str, subject_id: str) -> None:
 
 
 def load_model(path):
+    """(model, modality, subject_id) from a model file; a bad file raises
+    ModelFormatError naming its path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: not valid JSON") from exc
-    return model_from_dict(doc)
+    try:
+        return model_from_dict(doc)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

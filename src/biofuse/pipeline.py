@@ -16,7 +16,7 @@ import numpy as np
 from .atomic import write_atomic
 from .config import PipelineConfig
 from .errors import BiofuseError, ManifestError
-from .gabor import ChannelScaler, ObservationSet, convolve, downsample
+from .gabor import ChannelScaler, ObservationSet, sampled_responses
 from .gmm import GmmModel, em_fit, match_score
 from .pgm import load_pgm
 from .preprocess import geometric_normalize, histogram_equalize
@@ -24,7 +24,7 @@ from .preprocess import geometric_normalize, histogram_equalize
 MODALITIES = ("face", "ear")
 STATS_FORMAT_VERSION = 1
 BACKGROUND_ID = "background"
-FEATURE_VERSION = 1  # bump when the observation arithmetic changes
+FEATURE_VERSION = 2  # bump when the observation arithmetic changes
 
 
 def prep_image(img: np.ndarray, marks, config: PipelineConfig) -> np.ndarray:
@@ -38,10 +38,10 @@ def image_observations(img: np.ndarray, bank, config: PipelineConfig,
 
     When cache_dir is given, the matrix is cached there as a .npy file keyed
     by the image content, shape and dtype, config.gabor, config.stride and
-    FEATURE_VERSION, so re-runs skip the 40 convolutions of a 200x220 image.
+    FEATURE_VERSION, so re-runs skip sampled_responses.
     """
     if cache_dir is None:
-        return downsample(convolve(img, bank), config.stride)
+        return sampled_responses(img, bank, config.stride)
     digest = hashlib.sha256(np.ascontiguousarray(img).tobytes())
     digest.update(f"shape={img.shape};dtype={img.dtype};{config.gabor!r};"
                   f"stride={config.stride};v{FEATURE_VERSION}".encode())
@@ -49,7 +49,7 @@ def image_observations(img: np.ndarray, bank, config: PipelineConfig,
     if os.path.exists(path):
         return ObservationSet(observations=np.load(path),
                               stride=config.stride)
-    obs = downsample(convolve(img, bank), config.stride)
+    obs = sampled_responses(img, bank, config.stride)
     os.makedirs(cache_dir, exist_ok=True)
     buf = io.BytesIO()
     np.save(buf, obs.observations)

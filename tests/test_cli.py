@@ -93,6 +93,18 @@ class TestTrain:
                  for n in os.listdir(model_dir)}
         assert before == after
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_invalid_stride_exits_2(self, trained, toy_corpus, tmp_path,
+                                    capsys, stride):
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path,
+                            extra=f"[gabor]\nstride = {stride}\n")
+        code = main(["--config", cfg, "train",
+                     "--manifest", trained["prepped_manifest"]])
+        assert code == 2
+        assert "stride must be at least 1" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "models") == []
+
     def test_subject_without_gallery_exits_2(self, trained, tmp_path, capsys):
         records = json.load(open(trained["prepped_manifest"]))
         kept = [r for r in records
@@ -173,6 +185,40 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad stats document" in captured.err
+        assert "face_stats.json" in captured.err
+
+    def test_malformed_model_exits_2(self, trained, toy_corpus, tmp_path,
+                                     capsys):
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        client = models / "ear_alice.json"
+        doc = json.loads(client.read_text())
+        del doc["weights"]
+        client.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "alice", session=1)
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad model document" in captured.err
+        assert "ear_alice.json" in captured.err
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_invalid_stride_exits_2(self, trained, toy_corpus, tmp_path,
+                                    capsys, stride):
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], trained["work"],
+                            extra=f"[gabor]\nstride = {stride}\n")
+        face, ear = self._probe(trained, "alice", session=1)
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stride must be at least 1" in captured.err
 
     def test_unreachable_threshold_rejects(self, trained, toy_corpus,
                                            tmp_path, capsys):

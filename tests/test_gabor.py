@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biofuse.errors import EmptyBank, InvalidParams
-from biofuse.gabor import (ChannelScaler, GaborParams, build_bank, convolve,
-                           downsample)
+from biofuse.gabor import (ChannelScaler, GaborKernel, GaborParams,
+                           build_bank, convolve, downsample,
+                           sampled_responses)
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +151,68 @@ class TestDownsample:
     def test_invalid_stride(self):
         with pytest.raises(ValueError):
             downsample(np.zeros((4, 4, 1)), 0)
+
+
+class TestSampledResponses:
+    @pytest.fixture(scope="class")
+    def references(self, default_bank):
+        """(img, bank, convolve(img, bank, method)) for every shape, bank
+        and route, except the slow direct route of 40 kernels at 220x200.
+        A Gabor kernel rotated by 180 degrees is its conjugate, which gives
+        the same magnitudes, so random taps pin the flip as well."""
+        rng = np.random.default_rng(11)
+        noise = [GaborKernel(0, i, rng.normal(size=(7, 7))
+                             + 1j * rng.normal(size=(7, 7))) for i in (0, 1)]
+        refs = []
+        for shape in ((220, 200), (37, 23), (5, 4)):
+            img = rng.integers(0, 256, shape).astype(np.uint8)
+            for bank in (default_bank, default_bank[::10], noise):
+                for method in ("fft", "direct"):
+                    if method == "direct" and img.size * len(bank) > 1e6:
+                        continue
+                    refs.append((img, bank, convolve(img, bank, method)))
+        return refs
+
+    @pytest.mark.parametrize("stride", [1, 3, 7, 10])
+    def test_agrees_with_downsampled_convolution(self, references, stride):
+        # rounding differs only; a wrong flip or offset is off by O(1)
+        for img, bank, field in references:
+            want = downsample(field, stride)
+            got = sampled_responses(img, bank, stride)
+            assert len(got) == len(want)
+            assert got.stride == stride
+            diff = np.max(np.abs(got.observations - want.observations))
+            assert diff <= 1e-10 * np.max(want.observations), \
+                (img.shape, len(bank), stride, diff)
+
+    def test_empty_bank(self):
+        with pytest.raises(EmptyBank):
+            sampled_responses(np.zeros((8, 8)), [], 1)
+
+    def test_rejects_a_3d_image(self, default_bank):
+        with pytest.raises(ValueError, match="2D"):
+            sampled_responses(np.zeros((8, 8, 3)), default_bank[:1], 1)
+
+    def test_rejects_taps_of_mixed_shapes(self, default_bank):
+        small = GaborKernel(0, 0, default_bank[0].taps[1:-1, 1:-1])
+        with pytest.raises(ValueError, match="shape"):
+            sampled_responses(np.zeros((8, 8)), [default_bank[0], small], 1)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_invalid_stride(self, default_bank, stride):
+        with pytest.raises(ValueError, match="stride must be at least 1"):
+            sampled_responses(np.zeros((8, 8)), default_bank[:1], stride)
+
+    def test_stride_1_memory_is_bounded(self, default_bank):
+        # unblocked, the 220x200 windows alone would take 383 MB
+        img = np.random.default_rng(12).random((220, 200))
+        tracemalloc.start()
+        try:
+            sampled_responses(img, default_bank[:2], 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestChannelScaler:

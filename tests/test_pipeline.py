@@ -5,7 +5,7 @@ import pytest
 
 import biofuse.pipeline as pipeline
 from biofuse.config import PipelineConfig
-from biofuse.gabor import GaborParams, build_bank, convolve, downsample
+from biofuse.gabor import GaborParams, build_bank, sampled_responses
 from biofuse.pipeline import image_observations
 
 CONFIG = PipelineConfig(gabor=GaborParams(num_frequencies=1,
@@ -26,7 +26,7 @@ def test_cache_key_covers_the_image_shape(tmp_path):
     for shape in ((30, 40), (40, 30)):
         img = pixels.reshape(shape)
         got = image_observations(img, BANK, CONFIG, cache_dir=cache)
-        want = downsample(convolve(img, BANK), 5)
+        want = sampled_responses(img, BANK, 5)
         assert np.array_equal(got.observations, want.observations)
     assert len(list((tmp_path / "cache").iterdir())) == 2
 
@@ -39,7 +39,7 @@ def test_hit_skips_the_convolution(tmp_path, monkeypatch):
     def no_convolve(*args, **kwargs):
         raise AssertionError("a cache hit must not convolve")
 
-    monkeypatch.setattr(pipeline, "convolve", no_convolve)
+    monkeypatch.setattr(pipeline, "sampled_responses", no_convolve)
     hit = image_observations(img, BANK, CONFIG, cache_dir=cache)
     assert np.array_equal(hit.observations, first.observations)
     assert hit.stride == CONFIG.stride
@@ -57,7 +57,7 @@ def test_key_change_misses(tmp_path, monkeypatch, change):
         monkeypatch.setattr(pipeline, "FEATURE_VERSION",
                             pipeline.FEATURE_VERSION + 1)
     got = image_observations(img, BANK, config, cache_dir=cache)
-    want = downsample(convolve(img, BANK), config.stride)
+    want = sampled_responses(img, BANK, config.stride)
     assert np.array_equal(got.observations, want.observations)
     assert got.stride == config.stride
     assert len(list((tmp_path / "cache").iterdir())) == 2
