@@ -14,15 +14,18 @@ import sys
 from . import __version__
 from .atomic import write_atomic, write_json
 from .config import PipelineConfig, load_config
-from .dempster import GENUINE_MASK, IMPOSTOR_MASK, bpa_from_score, decide
-from .errors import BiofuseError, ManifestError, TotalConflict
-from .evaluate import run_fusion_experiment, run_image_experiment
+from .errors import BiofuseError, ManifestError
+from .evaluate import (fused_genuine_mass, run_fusion_experiment,
+                       run_image_experiment)
 from .gabor import build_bank
-from .gmm import MODEL_FORMAT_VERSION, load_model, match_score, save_model
+# match_score is unused here; perfbench's tracer tests check this import site
+from .gmm import (MODEL_FORMAT_VERSION, load_model, match_score,  # noqa: F401
+                  save_model)
 from .pgm import load_pgm, write_pgm
-from .pipeline import (BACKGROUND_ID, image_observations, load_entry_image,
-                       model_filename, prep_image, stats_filename,
-                       stats_from_dict, stats_to_dict, train_gallery)
+from .pipeline import (BACKGROUND_ID, ModalityArtifacts, image_observations,
+                       load_entry_image, model_filename, prep_image,
+                       probe_score, stats_filename, stats_from_dict,
+                       stats_to_dict, train_gallery)
 from .preprocess import load_manifest
 
 
@@ -88,7 +91,7 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
     return 0
 
 
-def _load_modality(config, modality, claimed_id):
+def _load_modality(config, modality, claimed_id) -> ModalityArtifacts:
     model_dir = config.paths.model_dir
     client_path = os.path.join(model_dir, model_filename(modality, claimed_id))
     if not os.path.exists(client_path):
@@ -104,17 +107,20 @@ def _load_modality(config, modality, claimed_id):
             _, scaler, calibration = stats_from_dict(json.load(fh))
         except ValueError as exc:
             raise ValueError(f"{stats_path}: {exc}") from exc
-    return client, background, scaler, calibration
+    return ModalityArtifacts({claimed_id: client}, background, scaler,
+                             calibration)
 
 
 def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
     """Score one prepped face/ear probe pair against a claimed identity."""
+    if claimed_id == BACKGROUND_ID:
+        raise BiofuseError(f"claimed id {claimed_id!r} is reserved for "
+                           f"the background model")
     bank = build_bank(config.gabor)
-    masses = {}
+    artifacts = {}
     scores = {}
     for modality, path in (("face", face_path), ("ear", ear_path)):
-        client, background, scaler, calibration = _load_modality(
-            config, modality, claimed_id)
+        artifacts[modality] = _load_modality(config, modality, claimed_id)
         img = load_pgm(path)
         if img.shape != (config.layout.height, config.layout.width):
             raise BiofuseError(
@@ -123,39 +129,26 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
                 f"{config.layout.width}; run `prep` on it first")
         obs = image_observations(img, bank, config,
                                  cache_dir=_cache_dir(config))
-        score = match_score(client, background,
-                            scaler.transform(obs.observations))
-        scores[modality] = score
-        alpha = config.fusion.alpha_face if modality == "face" \
-            else config.fusion.alpha_ear
-        masses[modality] = bpa_from_score(score, calibration, alpha)
+        scores[modality] = probe_score(artifacts[modality], claimed_id,
+                                       obs.observations)
 
-    tau = config.fusion.threshold
-    try:
-        decision = decide(masses["face"], masses["ear"], tau)
-        accepted = decision.accepted
-        genuine_mass = decision.combined.mass(GENUINE_MASK)
-        impostor_mass = decision.combined.mass(IMPOSTOR_MASK)
-        conflict = decision.conflict
-        flagged = False
-    except TotalConflict:
-        # evaluation policy: a fully conflicting trial is a flagged reject
-        accepted = False
-        genuine_mass = 0.0
-        impostor_mass = 0.0
-        conflict = 1.0
-        flagged = True
-
+    fusion = config.fusion
+    genuine_mass, impostor_mass, conflict, flagged = (
+        value.item() for value in fused_genuine_mass(
+            scores["face"], scores["ear"], artifacts["face"].calibration,
+            artifacts["ear"].calibration, fusion.alpha_face,
+            fusion.alpha_ear))
+    accepted = genuine_mass >= fusion.threshold and not flagged
     verdict = "ACCEPT" if accepted else "REJECT"
     print(f"{verdict} m_genuine={genuine_mass:.6f} conflict={conflict:.6f} "
-          f"threshold={tau}")
+          f"threshold={fusion.threshold}")
     print(json.dumps({
         "decision": verdict,
         "claimed_id": claimed_id,
         "m_genuine": genuine_mass,
         "m_impostor": impostor_mass,
         "conflict": conflict,
-        "threshold": tau,
+        "threshold": fusion.threshold,
         "face_score": scores["face"],
         "ear_score": scores["ear"],
         "total_conflict_flag": flagged,

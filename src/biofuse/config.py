@@ -6,6 +6,7 @@ paths are resolved against the config file's directory.
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -19,6 +20,18 @@ class FusionSettings:
     alpha_face: float = 0.9
     alpha_ear: float = 0.9
     threshold: float = 0.5
+
+    def validate(self):
+        """Alphas are source reliabilities in [0, 1]; the threshold may
+        exceed 1 (then nothing is accepted) but must be a number."""
+        for key in ("alpha_face", "alpha_ear"):
+            alpha = getattr(self, key)
+            if not 0.0 <= alpha <= 1.0:
+                raise ValueError(
+                    f"[fusion] {key} must lie in [0, 1], got {alpha}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(
+                f"[fusion] threshold must be finite, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +168,8 @@ def load_config(path) -> PipelineConfig:
              for m, spec in _DEFAULT.synth.items()}
     for spec in synth.values():
         spec.validate()
+    fusion = _apply(_DEFAULT.fusion, values("fusion"))
+    fusion.validate()
     paths = _apply(_DEFAULT.paths, values("paths"))
     base_dir = os.path.dirname(os.path.abspath(path))
     # join keeps an absolute path as it is
@@ -167,6 +182,6 @@ def load_config(path) -> PipelineConfig:
         layout=_apply(_DEFAULT.layout, values("canonical")),
         gmm={m: _apply(em, values(f"gmm_{m}"))
              for m, em in _DEFAULT.gmm.items()},
-        fusion=_apply(_DEFAULT.fusion, values("fusion")),
+        fusion=fusion,
         eval=_apply(_DEFAULT.eval, values("eval")),
         synth=synth, paths=paths)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import (DegenerateCalibration, FrameMismatch, TotalConflict)
 
-_CONFLICT_EPS = 1e-12
+CONFLICT_EPS = 1e-12
 _SUM_TOL = 1e-9
 
 
@@ -148,7 +148,7 @@ def combine_dempster(m1: MassFunction, m2: MassFunction):
                 buckets.setdefault(meet, []).append(product)
     conflict = math.fsum(conflict_terms)
     norm = math.fsum(p for terms in buckets.values() for p in terms)
-    if conflict >= 1.0 - _CONFLICT_EPS or norm <= 0.0:
+    if conflict >= 1.0 - CONFLICT_EPS or norm <= 0.0:
         raise TotalConflict(f"conflict K = {conflict} leaves no mass")
     combined = {mask: math.fsum(terms) / norm
                 for mask, terms in buckets.items()}

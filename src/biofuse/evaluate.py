@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dempster import GENUINE_MASK, bpa_from_score, combine_dempster
-from .errors import EmptyScoreList, ManifestError, TotalConflict
+from .dempster import CONFLICT_EPS
+from .errors import DegenerateCalibration, EmptyScoreList, ManifestError
 from .gabor import build_bank
-from .pipeline import (check_protocol, image_observations, load_entry_image,
-                       prep_image, probe_score, split_by_session,
-                       train_gallery)
+from .pipeline import (MODALITIES, check_protocol, image_observations,
+                       load_entry_image, prep_image, probe_score,
+                       split_by_session, train_gallery)
 from .preprocess import load_manifest
 
 
@@ -172,17 +172,40 @@ def _build_report(scores: dict, num_thresholds: int):
     return ErrorReport(rows=tuple(rows)), rocs
 
 
-def fused_genuine_mass(face_score, ear_score, calib_face, calib_ear,
-                       alpha_face, alpha_ear):
-    """Combined genuine mass for one trial; (mass, conflicted) where a
-    totally conflicting pair is scored 0 (reject) instead of aborting."""
-    m_face = bpa_from_score(face_score, calib_face, alpha_face)
-    m_ear = bpa_from_score(ear_score, calib_ear, alpha_ear)
-    try:
-        combined, _ = combine_dempster(m_face, m_ear)
-    except TotalConflict:
-        return 0.0, True
-    return combined.mass(GENUINE_MASK), False
+def _source_masses(scores, calibration, alpha, modality):
+    """(genuine, impostor, ignorance) masses, as dempster.bpa_from_score."""
+    lo, hi = float(calibration[0]), float(calibration[1])
+    if not lo < hi:
+        raise DegenerateCalibration(f"{modality} calibration [{lo}, {hi}]")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"{modality} alpha {alpha} must lie in [0, 1]")
+    scores = np.asarray(scores, dtype=np.float64)
+    if np.isnan(scores).any():
+        raise ValueError(f"{modality} score is NaN")
+    with np.errstate(over="ignore"):  # an overflowing ratio clips to 1
+        s = np.clip((scores - lo) / (hi - lo), 0.0, 1.0)
+    return alpha * s, alpha * (1.0 - s), 1.0 - alpha
+
+
+def fused_genuine_mass(face, ear, calib_face, calib_ear, alpha_face,
+                       alpha_ear):
+    """Dempster's rule for face and ear evidence over {genuine, impostor},
+    in closed form over arrays of trials (0-d too): arrays (genuine mass,
+    impostor mass, conflict K, total-conflict flag). Source masses are
+    those of dempster.bpa_from_score; the normaliser is the sum of the
+    non-conflicting products, not 1 - K. A totally conflicting trial is a
+    flagged reject: masses 0, conflict 1."""
+    g1, i1, t1 = _source_masses(face, calib_face, alpha_face, "face")
+    g2, i2, t2 = _source_masses(ear, calib_ear, alpha_ear, "ear")
+    conflict = g1 * i2 + i1 * g2
+    genuine = g1 * g2 + g1 * t2 + t1 * g2
+    impostor = i1 * i2 + i1 * t2 + t1 * i2
+    norm = genuine + impostor + t1 * t2
+    flagged = (conflict >= 1.0 - CONFLICT_EPS) | (norm <= 0.0)
+    norm = np.where(flagged, 1.0, norm)
+    return (np.where(flagged, 0.0, genuine / norm),
+            np.where(flagged, 0.0, impostor / norm),
+            np.where(flagged, 1.0, conflict), flagged)
 
 
 def run_fusion_experiment(matchers: dict, alpha_face: float, alpha_ear: float,
@@ -196,23 +219,13 @@ def run_fusion_experiment(matchers: dict, alpha_face: float, alpha_ear: float,
     Returns (ErrorReport, {method: RocCurve}).
     """
     scores = synth_scores(matchers, n_genuine, n_impostor, seed)
-    face_g, face_i = scores["face"]
-    ear_g, ear_i = scores["ear"]
-
-    calib = {}
-    for modality, (g, imp) in scores.items():
-        pool = np.concatenate([g, imp])
-        calib[modality] = (float(pool.min()), float(pool.max()))
-
-    def fused(face, ear):
-        return np.array([
-            fused_genuine_mass(fs, es, calib["face"], calib["ear"],
-                               alpha_face, alpha_ear)[0]
-            for fs, es in zip(face, ear)])
-
-    return _build_report({"face": (face_g, face_i), "ear": (ear_g, ear_i),
-                          "fusion": (fused(face_g, ear_g),
-                                     fused(face_i, ear_i))}, num_thresholds)
+    calib = {modality: (float(np.min(pair)), float(np.max(pair)))
+             for modality, pair in scores.items()}
+    fused = tuple(fused_genuine_mass(face, ear, calib["face"], calib["ear"],
+                                     alpha_face, alpha_ear)[0]
+                  for face, ear in zip(scores["face"], scores["ear"]))
+    return _build_report({"face": scores["face"], "ear": scores["ear"],
+                          "fusion": fused}, num_thresholds)
 
 
 def run_image_experiment(manifest_path, config: PipelineConfig,
@@ -245,28 +258,23 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
                 f"{entry.modality} images; one probe per modality expected")
         probe_obs[key] = observations_for(entry).observations
 
-    trials = []
-    for true_sid in subjects:
-        face_matrix = probe_obs[(true_sid, "face")]
-        ear_matrix = probe_obs[(true_sid, "ear")]
-        for claimed in subjects:
-            fs = probe_score(artifacts["face"], claimed, face_matrix)
-            es = probe_score(artifacts["ear"], claimed, ear_matrix)
-            mass, _ = fused_genuine_mass(
-                fs, es,
-                artifacts["face"].calibration, artifacts["ear"].calibration,
-                config.fusion.alpha_face, config.fusion.alpha_ear)
-            trials.append(TrialRecord(
-                claimed_subject=claimed, true_subject=true_sid,
-                face_score=fs, ear_score=es, fused_genuine_mass=mass,
-                label="genuine" if claimed == true_sid else "impostor"))
+    pairs = [(true_sid, claimed) for true_sid in subjects
+             for claimed in subjects]
+    scores = {modality: np.array([
+        probe_score(artifacts[modality], claimed,
+                    probe_obs[(true_sid, modality)])
+        for true_sid, claimed in pairs]) for modality in MODALITIES}
+    scores["fusion"] = fused_genuine_mass(
+        scores["face"], scores["ear"], artifacts["face"].calibration,
+        artifacts["ear"].calibration, config.fusion.alpha_face,
+        config.fusion.alpha_ear)[0]
 
-    genuine = [t for t in trials if t.label == "genuine"]
-    impostor = [t for t in trials if t.label == "impostor"]
-    scores = {method: ([getattr(t, name) for t in genuine],
-                       [getattr(t, name) for t in impostor])
-              for method, name in (("face", "face_score"),
-                                   ("ear", "ear_score"),
-                                   ("fusion", "fused_genuine_mass"))}
-    report, rocs = _build_report(scores, config.eval.num_thresholds)
+    trials = [TrialRecord(claimed, true_sid, fs, es, mass,
+                          "genuine" if claimed == true_sid else "impostor")
+              for (true_sid, claimed), fs, es, mass in zip(
+                  pairs, *(values.tolist() for values in scores.values()))]
+    genuine = np.array([t.label == "genuine" for t in trials])
+    report, rocs = _build_report(
+        {method: (values[genuine], values[~genuine])
+         for method, values in scores.items()}, config.eval.num_thresholds)
     return report, rocs, trials

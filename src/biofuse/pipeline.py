@@ -19,11 +19,11 @@ from .errors import BiofuseError, ManifestError
 from .gabor import ChannelScaler, ObservationSet, sampled_responses
 from .gmm import GmmModel, em_fit, match_score
 from .pgm import load_pgm
-from .preprocess import geometric_normalize, histogram_equalize
+from .preprocess import (BACKGROUND_ID, geometric_normalize,
+                         histogram_equalize)
 
 MODALITIES = ("face", "ear")
 STATS_FORMAT_VERSION = 1
-BACKGROUND_ID = "background"
 FEATURE_VERSION = 2  # bump when the observation arithmetic changes
 
 

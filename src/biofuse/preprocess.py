@@ -18,6 +18,10 @@ EAR_LABELS = ("triangular_fossa", "antitragus")
 
 _LABELS = {"face": FACE_LABELS, "ear": EAR_LABELS}
 
+# the pooled background model is stored under this id, so no subject may
+# take it
+BACKGROUND_ID = "background"
+
 
 @dataclass(frozen=True)
 class LandmarkSet:
@@ -182,7 +186,8 @@ def load_manifest(path) -> list:
     """Parse a dataset manifest: a JSON array of records
     {image_path, modality, subject_id, session, landmarks: {label: [x, y]}}.
 
-    Raises ManifestError naming the offending record on any defect.
+    Raises ManifestError naming the offending record on any defect,
+    including a subject id equal to the reserved BACKGROUND_ID.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -226,10 +231,15 @@ def load_manifest(path) -> list:
             session = int(rec["session"])
         except (TypeError, ValueError):
             raise ManifestError(f"{where}: bad session") from None
+        subject_id = str(rec["subject_id"])
+        if subject_id == BACKGROUND_ID:
+            raise ManifestError(
+                f"{where}: subject id {subject_id!r} is reserved for the "
+                f"background model")
         entries.append(ManifestEntry(
             image_path=str(image_path),
             modality=modality,
-            subject_id=str(rec["subject_id"]),
+            subject_id=subject_id,
             session=session,
             landmarks=LandmarkSet(modality, points),
         ))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -105,6 +106,27 @@ class TestTrain:
         assert "stride must be at least 1" in capsys.readouterr().err
         assert os.listdir(tmp_path / "models") == []
 
+    def test_background_subject_exits_2(self, trained, toy_corpus, tmp_path,
+                                        capsys):
+        # a subject named like the background model would overwrite it
+        records = json.load(open(trained["prepped_manifest"]))
+        for rec in records:
+            if rec["subject_id"] == "bob":
+                rec["subject_id"] = "background"
+        bad = tmp_path / "reserved.json"
+        bad.write_text(json.dumps(records))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        code = main(["--config", cfg, "train", "--manifest", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        first = next(i for i, r in enumerate(records)
+                     if r["subject_id"] == "background")
+        assert f"manifest record {first} ({records[first]['image_path']})" \
+            in err
+        assert "'background' is reserved" in err
+        assert not os.path.exists(tmp_path / "models")
+
     def test_subject_without_gallery_exits_2(self, trained, tmp_path, capsys):
         records = json.load(open(trained["prepped_manifest"]))
         kept = [r for r in records
@@ -147,6 +169,16 @@ class TestVerify:
                      "--face", face, "--ear", ear, "--claim", "mallory"])
         assert code == 2
         assert "mallory" in capsys.readouterr().err
+
+    def test_background_claim_exits_2(self, trained, capsys):
+        # the background model scores 0 against itself; it is no identity
+        face, ear = self._probe(trained, "alice")
+        code = main(["--config", trained["config"], "verify",
+                     "--face", face, "--ear", ear, "--claim", "background"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'background' is reserved" in captured.err
 
     def test_wrong_size_probe_exits_2(self, trained, tmp_path, capsys):
         face, ear = self._probe(trained, "alice", session=1)
@@ -238,10 +270,19 @@ class TestVerify:
         face, ear = self._probe(trained, "alice", session=1)
         main(["--config", trained["config"], "verify",
               "--face", face, "--ear", ear, "--claim", "alice"])
-        detail = json.loads(capsys.readouterr().out.splitlines()[1])
+        first, second = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"ACCEPT m_genuine=\d\.\d{6} conflict=\d\.\d{6} "
+                            r"threshold=0\.5", first)
+        detail = json.loads(second)
+        assert set(detail) == {
+            "claimed_id", "conflict", "decision", "ear_score", "face_score",
+            "m_genuine", "m_impostor", "threshold", "total_conflict_flag"}
         assert detail["decision"] == "ACCEPT"
         assert 0.0 <= detail["m_genuine"] <= 1.0
         assert detail["claimed_id"] == "alice"
+        assert detail["total_conflict_flag"] is False
+        assert first == (f"ACCEPT m_genuine={detail['m_genuine']:.6f} "
+                         f"conflict={detail['conflict']:.6f} threshold=0.5")
 
 
 class TestSynthEval:

@@ -166,3 +166,26 @@ def test_malformed_file_exits_2(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"malformed config file {path}" in captured.err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("alpha_face = 1.5\n", "[fusion] alpha_face must lie in [0, 1]"),
+    ("alpha_ear = -0.1\n", "[fusion] alpha_ear must lie in [0, 1]"),
+    ("alpha_face = nan\n", "[fusion] alpha_face must lie in [0, 1]"),
+    ("threshold = nan\n", "[fusion] threshold must be finite"),
+    ("threshold = inf\n", "[fusion] threshold must be finite"),
+], ids=["alpha-above-1", "alpha-below-0", "alpha-nan", "threshold-nan",
+        "threshold-inf"])
+def test_bad_fusion_settings_exit_2_before_training(tmp_path, capsys, text,
+                                                    message):
+    path = _write(tmp_path, "[paths]\nmodel_dir = models\n[fusion]\n" + text)
+    assert main(["--config", str(path), "train"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not (tmp_path / "models").exists()
+
+
+def test_threshold_above_one_is_legal(tmp_path):
+    cfg = load_config(_write(tmp_path, "[fusion]\nthreshold = 1.5\n"))
+    assert cfg.fusion.threshold == 1.5

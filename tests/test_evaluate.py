@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biofuse.config import DEFAULT_SYNTH, PipelineConfig, SynthModality
-from biofuse.errors import EmptyScoreList, ManifestError
+from biofuse.dempster import (GENUINE_MASK, IMPOSTOR_MASK, bpa_from_score,
+                              combine_dempster)
+from biofuse.errors import (DegenerateCalibration, EmptyScoreList,
+                            ManifestError, TotalConflict)
 from biofuse.evaluate import (TrialRecord, compute_roc, eer,
-                              run_fusion_experiment, run_image_experiment,
-                              synth_scores)
+                              fused_genuine_mass, run_fusion_experiment,
+                              run_image_experiment, synth_scores)
 
 PHI_MINUS_HALF = 0.5 * math.erfc(0.5 / math.sqrt(2.0))  # ~0.30854
 
@@ -126,6 +129,82 @@ class TestTrialRecord:
             TrialRecord("a", "a", 1.0, 1.0, 0.9, "impostor")
         with pytest.raises(ValueError):
             TrialRecord("a", "b", 1.0, 1.0, 0.9, "genuine")
+
+
+@st.composite
+def _two_sources(draw):
+    """[(scores, calibration, alpha)] for face and ear, equally many scores
+    each; scores fall inside the bounds or anywhere, +-inf included."""
+    n = draw(st.integers(1, 8))
+    sources = []
+    for _ in range(2):
+        lo, hi = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2,
+                                      max_size=2, unique=True)))
+        score = st.floats(lo, hi) | st.floats(allow_nan=False)
+        scores = draw(st.lists(score, min_size=n, max_size=n))
+        alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        sources.append((scores, (lo, hi), alpha))
+    return sources
+
+
+class TestFusedGenuineMass:
+    @settings(max_examples=300, deadline=None)
+    @given(sources=_two_sources())
+    # certain sources that disagree: total conflict
+    @example(sources=[([1.0], (0.0, 1.0), 1.0), ([0.0], (0.0, 1.0), 1.0)])
+    # K = 1 - 2e-12, the near-total conflict pinned on
+    # test_dempster.py::TestDecide::test_monotone_in_evidence
+    @example(sources=[([1.0 - 1e-12], (0.0, 1.0), 1.0),
+                      ([1e-12], (0.0, 1.0), 1.0)])
+    def test_matches_the_general_engine(self, sources):
+        (face, calib_face, alpha_face), (ear, calib_ear, alpha_ear) = sources
+        genuine, impostor, conflict, flagged = fused_genuine_mass(
+            face, ear, calib_face, calib_ear, alpha_face, alpha_ear)
+        for k, (fs, es) in enumerate(zip(face, ear)):
+            try:
+                combined, ref_conflict = combine_dempster(
+                    bpa_from_score(fs, calib_face, alpha_face),
+                    bpa_from_score(es, calib_ear, alpha_ear))
+            except TotalConflict:
+                assert flagged[k]
+                assert (genuine[k], impostor[k], conflict[k]) == \
+                    (0.0, 0.0, 1.0)
+                continue
+            assert not flagged[k]
+            assert conflict[k] == ref_conflict
+            assert abs(genuine[k] - combined.mass(GENUINE_MASK)) <= 1e-15
+            assert abs(impostor[k] - combined.mass(IMPOSTOR_MASK)) <= 1e-15
+
+    def test_scalar_trial_worked_value(self):
+        # s = 0.8 and 0.7, alpha 1: K = .8*.3 + .2*.7, m(g) = .56 / .62
+        genuine, impostor, conflict, flagged = fused_genuine_mass(
+            0.8, 0.7, (0.0, 1.0), (0.0, 1.0), 1.0, 1.0)
+        assert genuine.shape == impostor.shape == conflict.shape == ()
+        assert not flagged
+        assert conflict == pytest.approx(0.38, abs=1e-15)
+        assert genuine == pytest.approx(0.56 / 0.62, abs=1e-15)
+        assert impostor == pytest.approx(0.06 / 0.62, abs=1e-15)
+
+    @pytest.mark.parametrize("calib_face, calib_ear", [
+        ((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (2.0, 1.0))])
+    def test_degenerate_calibration(self, calib_face, calib_ear):
+        with pytest.raises(DegenerateCalibration):
+            fused_genuine_mass([0.5], [0.5], calib_face, calib_ear, 0.9, 0.9)
+
+    @pytest.mark.parametrize("alpha_face, alpha_ear", [
+        (1.5, 0.9), (0.9, -0.1), (math.nan, 0.9)])
+    def test_alpha_out_of_range(self, alpha_face, alpha_ear):
+        with pytest.raises(ValueError, match=r"alpha .* must lie in \[0, 1\]"):
+            fused_genuine_mass([0.5], [0.5], (0.0, 1.0), (0.0, 1.0),
+                               alpha_face, alpha_ear)
+
+    @pytest.mark.parametrize("modality", ["face", "ear"])
+    def test_nan_score_names_the_modality(self, modality):
+        scores = {"face": [0.5, 0.5], "ear": [0.5, 0.5]}
+        scores[modality] = [0.5, math.nan]
+        with pytest.raises(ValueError, match=f"{modality} score is NaN"):
+            fused_genuine_mass(scores["face"], scores["ear"], (0.0, 1.0),
+                               (0.0, 1.0), 0.9, 0.9)
 
 
 class TestFusionExperiment:
