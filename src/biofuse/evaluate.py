@@ -219,8 +219,10 @@ def run_fusion_experiment(matchers: dict, alpha_face: float, alpha_ear: float,
     Returns (ErrorReport, {method: RocCurve}).
     """
     scores = synth_scores(matchers, n_genuine, n_impostor, seed)
-    calib = {modality: (float(np.min(pair)), float(np.max(pair)))
-             for modality, pair in scores.items()}
+    calib = {}
+    for modality, pair in scores.items():
+        pool = np.concatenate(pair)
+        calib[modality] = (float(pool.min()), float(pool.max()))
     fused = tuple(fused_genuine_mass(face, ear, calib["face"], calib["ear"],
                                      alpha_face, alpha_ear)[0]
                   for face, ear in zip(scores["face"], scores["ear"]))
@@ -272,7 +274,8 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
     trials = [TrialRecord(claimed, true_sid, fs, es, mass,
                           "genuine" if claimed == true_sid else "impostor")
               for (true_sid, claimed), fs, es, mass in zip(
-                  pairs, *(values.tolist() for values in scores.values()))]
+                  pairs, scores["face"].tolist(), scores["ear"].tolist(),
+                  scores["fusion"].tolist())]
     genuine = np.array([t.label == "genuine" for t in trials])
     report, rocs = _build_report(
         {method: (values[genuine], values[~genuine])

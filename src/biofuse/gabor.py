@@ -46,10 +46,6 @@ class GaborParams:
         if self.kernel_radius < 1:
             raise InvalidParams("kernel_radius must be at least 1")
 
-    @property
-    def bank_size(self) -> int:
-        return self.num_frequencies * self.num_orientations
-
 
 @dataclass(frozen=True)
 class GaborKernel:

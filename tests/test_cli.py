@@ -298,6 +298,13 @@ class TestSynthEval:
         table = capsys.readouterr().out
         assert "fusion" in table
 
+    def test_unequal_trial_counts(self, tmp_path):
+        cfg = tmp_path / "synth.ini"
+        cfg.write_text(f"[paths]\noutput_dir = {tmp_path}/out\n"
+                       "[eval]\nn_genuine = 300\nn_impostor = 500\n")
+        assert main(["--config", str(cfg), "synth-eval"]) == 0
+        assert (tmp_path / "out" / "synth_roc_fusion.csv").exists()
+
     def test_same_seed_identical_outputs(self, tmp_path):
         cfg = tmp_path / "synth.ini"
         cfg.write_text(f"[paths]\noutput_dir = {tmp_path}/out\n"

@@ -235,6 +235,16 @@ class TestFusionExperiment:
                                           n_genuine=4000, n_impostor=4000)
         assert report.row("fusion").eer <= report.row("ear").eer + 1.0
 
+    def test_unequal_trial_counts(self):
+        # n_genuine and n_impostor are separate keys; the calibration pool
+        # must not assume the two score arrays have the same length
+        report, rocs = run_fusion_experiment(DEFAULT_SYNTH, 0.9, 0.9, seed=3,
+                                             n_genuine=300, n_impostor=500)
+        assert [row.method for row in report.rows] == ["face", "ear",
+                                                       "fusion"]
+        for roc in rocs.values():
+            _roc_invariants(roc)
+
     def test_zero_alpha_is_chance(self):
         report, _ = run_fusion_experiment(DEFAULT_SYNTH, 0.0, 0.0, seed=21,
                                           n_genuine=2000, n_impostor=2000)
