@@ -129,8 +129,8 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
                 f"{config.layout.width}; run `prep` on it first")
         obs = image_observations(img, bank, config,
                                  cache_dir=_cache_dir(config))
-        scores[modality] = probe_score(artifacts[modality], claimed_id,
-                                       obs.observations)
+        scores[modality] = probe_score(artifacts[modality],
+                                       obs.observations).item()
 
     fusion = config.fusion
     genuine_mass, impostor_mass, conflict, flagged = (

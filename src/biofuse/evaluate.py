@@ -262,10 +262,9 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
 
     pairs = [(true_sid, claimed) for true_sid in subjects
              for claimed in subjects]
-    scores = {modality: np.array([
-        probe_score(artifacts[modality], claimed,
-                    probe_obs[(true_sid, modality)])
-        for true_sid, claimed in pairs]) for modality in MODALITIES}
+    scores = {modality: np.concatenate([
+        probe_score(artifacts[modality], probe_obs[(true_sid, modality)])
+        for true_sid in subjects]) for modality in MODALITIES}
     scores["fusion"] = fused_genuine_mass(
         scores["face"], scores["ear"], artifacts["face"].calibration,
         artifacts["ear"].calibration, config.fusion.alpha_face,

@@ -127,15 +127,13 @@ def train_modality(modality: str, gallery_obs: dict,
             raise type(exc)(
                 f"fitting {modality} model for subject {sid}: {exc}") from exc
 
-    scores = []
-    for sid in subjects:
-        for matrix in gallery_obs[sid]:
-            std = scaler.transform(matrix)
-            for claimed in subjects:
-                scores.append(match_score(clients[claimed], background, std))
-    calibration = (min(scores), max(scores))
-    return ModalityArtifacts(clients=clients, background=background,
-                             scaler=scaler, calibration=calibration)
+    artifacts = ModalityArtifacts(clients=clients, background=background,
+                                  scaler=scaler, calibration=None)
+    scores = np.concatenate([probe_score(artifacts, matrix)
+                             for sid in subjects
+                             for matrix in gallery_obs[sid]])
+    return replace(artifacts,
+                   calibration=(float(scores.min()), float(scores.max())))
 
 
 def train_gallery(entries, config: PipelineConfig, observations_for):
@@ -161,11 +159,16 @@ def train_gallery(entries, config: PipelineConfig, observations_for):
         yield modality, train_modality(modality, gallery_obs, config)
 
 
-def probe_score(artifacts: ModalityArtifacts, claimed_id: str,
-                obs_matrix: np.ndarray) -> float:
-    client = artifacts.clients[claimed_id]
-    return match_score(client, artifacts.background,
-                       artifacts.scaler.transform(obs_matrix))
+def probe_score(artifacts: ModalityArtifacts,
+                obs_matrix: np.ndarray) -> np.ndarray:
+    """Match scores of one image's raw observations against every client,
+    in sorted subject-id order; the image is transformed and its background
+    term taken once, so each score equals match_score(client, background,
+    scaler.transform(obs_matrix))."""
+    x = artifacts.scaler.transform(obs_matrix)
+    background = match_score(artifacts.background, None, x)
+    return np.array([match_score(artifacts.clients[sid], None, x) - background
+                     for sid in sorted(artifacts.clients)])
 
 
 # --- persistence of per-modality training artifacts ---

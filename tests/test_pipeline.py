@@ -5,8 +5,10 @@ import pytest
 
 import biofuse.pipeline as pipeline
 from biofuse.config import PipelineConfig
-from biofuse.gabor import GaborParams, build_bank, sampled_responses
-from biofuse.pipeline import image_observations
+from biofuse.gabor import (ChannelScaler, GaborParams, build_bank,
+                           sampled_responses)
+from biofuse.gmm import GmmModel, match_score
+from biofuse.pipeline import ModalityArtifacts, image_observations, probe_score
 
 CONFIG = PipelineConfig(gabor=GaborParams(num_frequencies=1,
                                           num_orientations=2,
@@ -62,3 +64,21 @@ def test_key_change_misses(tmp_path, monkeypatch, change):
     assert got.stride == config.stride
     assert len(list((tmp_path / "cache").iterdir())) == 2
 
+
+
+def _random_model(rng, m=3, d=4):
+    return GmmModel(rng.dirichlet(np.ones(m)), rng.normal(0.0, 1.0, (m, d)),
+                    rng.uniform(0.3, 2.0, (m, d)))
+
+
+def test_probe_score_scores_every_client_in_sorted_order():
+    rng = np.random.default_rng(5)
+    clients = {sid: _random_model(rng) for sid in ("carol", "alice", "bob")}
+    background = _random_model(rng)
+    scaler = ChannelScaler.fit(rng.normal(2.0, 3.0, (50, 4)))
+    artifacts = ModalityArtifacts(clients, background, scaler, (0.0, 1.0))
+    obs = rng.normal(2.0, 3.0, (30, 4))
+    got = probe_score(artifacts, obs)
+    want = [match_score(clients[sid], background, scaler.transform(obs))
+            for sid in ("alice", "bob", "carol")]
+    assert got.tolist() == want
