@@ -83,18 +83,25 @@ def _as_data(obs, dim=None) -> np.ndarray:
     return x
 
 
-def _log_components(data: np.ndarray, model: GmmModel) -> np.ndarray:
-    """(n, M) matrix of log N(x_n; mu_m, diag var_m)."""
-    diff = data[:, None, :] - model.means[None, :, :]
-    quad = np.sum(diff * diff / model.variances[None, :, :], axis=2)
-    logdet = np.sum(np.log(model.variances), axis=1)
-    return -0.5 * (quad + logdet + data.shape[1] * _LOG_2PI)
+def _quad_form(data: np.ndarray, means: np.ndarray,
+               inv_var: np.ndarray) -> np.ndarray:
+    """(n, M) matrix of sum_d (x_nd - mu_md)^2 inv_var_md as matrix
+    products, taken about the mean of the means so that an offset shared
+    by the data and the means cancels before anything is squared."""
+    centre = means.mean(axis=0)
+    x = data - centre
+    mu = means - centre
+    return ((x * x) @ inv_var.T - 2.0 * (x @ (mu * inv_var).T)
+            + np.sum(mu * mu * inv_var, axis=1))
 
 
 def _log_joint(data: np.ndarray, model: GmmModel) -> np.ndarray:
+    """(n, M) matrix of log w_m + log N(x_n; mu_m, diag var_m)."""
     with np.errstate(divide="ignore"):
         logw = np.log(model.weights)
-    return _log_components(data, model) + logw[None, :]
+    logdet = np.sum(np.log(model.variances), axis=1)
+    quad = _quad_form(data, model.means, 1.0 / model.variances)
+    return logw - 0.5 * (quad + logdet + data.shape[1] * _LOG_2PI)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -140,29 +147,32 @@ def _mass_means(data: np.ndarray, resp: np.ndarray):
 
 
 def _m_step(data: np.ndarray, resp: np.ndarray):
-    """Mass, means and variances (two-pass: centred on the new means,
-    not yet floored) of the responsibility-weighted data."""
-    nk, means = _mass_means(data, resp)
-    safe_nk = np.where(nk > 0.0, nk, 1.0)
-    variances = np.empty_like(means)
-    for m in range(resp.shape[1]):
-        diff = data - means[m]
-        variances[m] = (resp[:, m] @ (diff * diff)) / safe_nk[m]
-    return nk, means, variances
+    """Mass, means and variances (not yet floored) of the
+    responsibility-weighted data, as resp^T (x-c)^2 / n_k - (mu-c)^2 about
+    the data mean c so that the cancellation is only as large as the
+    spread of the data."""
+    centre = data.mean(axis=0)
+    x = data - centre
+    nk, mu = _mass_means(x, resp)
+    safe_nk = np.where(nk > 0.0, nk, 1.0)[:, None]
+    return nk, centre + mu, (resp.T @ (x * x)) / safe_nk - mu * mu
+
+
+def _sq_dist(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances from each row to each centre."""
+    return _quad_form(data, centers, np.ones_like(centers))
 
 
 def _kmeans_pp(data: np.ndarray, k: int, rng) -> np.ndarray:
-    chosen = [int(rng.integers(data.shape[0]))]
-    d2 = np.sum((data - data[chosen[0]]) ** 2, axis=1)
+    n = data.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.inf
     for _ in range(1, k):
+        d2 = np.minimum(d2, _sq_dist(data, data[chosen[-1:]])[:, 0])
         total = float(d2.sum())
-        if total > 0.0:
-            nxt = int(rng.choice(data.shape[0], p=d2 / total))
-        else:
-            nxt = int(rng.integers(data.shape[0]))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((data - data[nxt]) ** 2, axis=1))
-    return data[np.array(chosen)].copy()
+        chosen.append(int(rng.choice(n, p=d2 / total)) if total > 0.0
+                      else int(rng.integers(n)))
+    return data[chosen].copy()
 
 
 def kmeans_init(data, n_components: int, seed: int,
@@ -180,7 +190,7 @@ def kmeans_init(data, n_components: int, seed: int,
 
     assign = None
     for _ in range(50):
-        d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = _sq_dist(x, centers)
         new_assign = np.argmin(d2, axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -216,19 +226,18 @@ def _em_run(data: np.ndarray, config: EmConfig, init: GmmModel):
         # statistics left; re-seed it once at the worst-explained point.
         # (variances merely estimated under the floor are clamped by the
         # floor itself -- the constrained M-step keeps EM monotone.)
-        collapsed = [m for m in range(model.n_components) if nk[m] == 0.0]
-        if collapsed:
+        collapsed = np.flatnonzero(nk == 0.0)
+        if collapsed.size:
             if reseeded:
                 raise NumericalCollapse(
-                    f"components {collapsed} lost all responsibility mass "
-                    f"after a re-seed")
+                    f"components {collapsed.tolist()} lost all "
+                    f"responsibility mass after a re-seed")
             reseeded = True
             worst = np.argsort(lse)
-            spread = np.maximum(data.var(axis=0), config.cov_floor)
-            for j, m in enumerate(collapsed):
-                means[m] = data[int(worst[j % n])]
-                variances[m] = spread
-                nk[m] = 1.0
+            means[collapsed] = data[worst[np.arange(collapsed.size) % n]]
+            variances[collapsed] = np.maximum(data.var(axis=0),
+                                              config.cov_floor)
+            nk[collapsed] = 1.0
 
         variances = np.maximum(variances, config.cov_floor)
         weights = nk / nk.sum()

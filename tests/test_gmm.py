@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from biofuse.errors import (DimensionMismatch, EmptyObservationSet,
                             ModelFormatError, TooFewObservations)
-from biofuse.gmm import (EmConfig, GmmModel, _kmeans_pp, em_fit, kmeans_init,
-                         load_model, log_likelihood, match_score,
-                         model_from_dict, model_to_dict, responsibilities,
-                         save_model)
+from biofuse.gmm import (EmConfig, GmmModel, _kmeans_pp, _m_step, em_fit,
+                         kmeans_init, load_model, log_likelihood,
+                         log_likelihood_many, match_score, model_from_dict,
+                         model_to_dict, responsibilities, save_model)
+
+EPS = np.finfo(np.float64).eps
 
 
 def _simple_model(weights, means, variances):
@@ -214,6 +216,21 @@ class TestEmFit:
         assert np.allclose(model.variances[0], config.cov_floor)
         assert np.all(np.diff(trace) >= -1e-9)
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_shift_invariance(self, offset):
+        # the density is translation invariant, so a fit on shifted data
+        # is the shifted fit; the inputs themselves carry eps * offset of
+        # rounding, and the means may differ by 1e-14 * offset (45 ulps)
+        rng = np.random.default_rng(47)
+        data = np.concatenate([rng.normal(-1.5, 1.0, (150, 3)),
+                               rng.normal(1.5, 1.5, (150, 3))])
+        config = EmConfig(n_components=2, restarts=1, seed=4, tol=1e-12)
+        base, _ = em_fit(data, config)
+        model, trace = em_fit(data + offset, config)
+        assert np.all(np.diff(trace) >= -1e-9)
+        assert np.allclose(model.means, base.means + offset, rtol=0.0,
+                           atol=1e-14 * offset)
+
     def test_restarts_pick_best_loglik(self):
         rng = np.random.default_rng(37)
         data = np.concatenate([rng.normal(-3, 0.5, (100, 1)),
@@ -288,6 +305,88 @@ class TestResponsibilities:
         resp = responsibilities(model, data)
         assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(resp >= 0)
+
+
+def _log_joint_broadcast(model, x):
+    """(n, M) log w + log N by an (n, M, d) broadcast of x - mu."""
+    diff = x[:, None, :] - model.means[None, :, :]
+    quad = np.sum(diff * diff / model.variances[None, :, :], axis=2)
+    logdet = np.sum(np.log(model.variances), axis=1)
+    with np.errstate(divide="ignore"):
+        logw = np.log(model.weights)
+    return logw - 0.5 * (quad + logdet + x.shape[1] * math.log(2 * math.pi))
+
+
+def _log_likelihood_broadcast(model, x):
+    lj = _log_joint_broadcast(model, x)
+    top = lj.max(axis=1)
+    return top + np.log(np.exp(lj - top[:, None]).sum(axis=1))
+
+
+def _m_step_two_pass(x, resp):
+    """Mass, means and variances centred on each component's own mean,
+    one component at a time."""
+    nk = resp.sum(axis=0)
+    safe = np.where(nk > 0.0, nk, 1.0)
+    means = (resp.T @ x) / safe[:, None]
+    variances = np.empty_like(means)
+    for m in range(resp.shape[1]):
+        diff = x - means[m]
+        variances[m] = resp[:, m] @ (diff * diff) / safe[m]
+    return nk, means, variances
+
+
+def _oracle_case(case, seed):
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    offset = 1e4 if case == "offset" else 0.0
+    means = rng.normal(0.0, 3.0, (m, d)) + offset
+    if case == "far":  # the far-seeded component of test_dead_component_revived
+        m, d, means = 2, 1, np.array([[0.0], [1e8]])
+    model = GmmModel(rng.dirichlet(np.ones(m)), means,
+                     rng.uniform(0.2, 2.0, (m, d)))
+    return model, rng.normal(0.0, 3.0, (40, d)) + offset
+
+
+class TestKernelAgainstBroadcast:
+    """The matrix-product E- and M-steps agree with the broadcast and
+    two-pass forms within 32 roundoff units of the magnitudes they cancel:
+    the squared distances about the centre of the means (E-step), and each
+    component's spread about the data mean (M-step)."""
+
+    CASES = [(case, seed) for case in ("random", "offset", "far")
+             for seed in range(25)]
+
+    @pytest.mark.parametrize("case,seed", CASES)
+    def test_e_step(self, case, seed):
+        model, x = _oracle_case(case, seed)
+        c = model.means.mean(axis=0)
+        inv_var = 1.0 / model.variances
+        scale = 1.0 + np.max(((x - c) ** 2) @ inv_var.T
+                             + np.sum((model.means - c) ** 2 * inv_var,
+                                      axis=1), axis=1)
+        ll = _log_likelihood_broadcast(model, x)
+        assert np.all(np.abs(log_likelihood_many(model, x) - ll)
+                      <= 32 * EPS * scale)
+        resp = np.exp(_log_joint_broadcast(model, x) - ll[:, None])
+        assert np.all(np.abs(responsibilities(model, x) - resp)
+                      <= 32 * EPS * scale[:, None])
+
+    @pytest.mark.parametrize("case,seed", CASES)
+    def test_m_step(self, case, seed):
+        model, x = _oracle_case(case, seed)
+        resp = np.exp(_log_joint_broadcast(model, x)
+                      - _log_likelihood_broadcast(model, x)[:, None])
+        nk, means, variances = _m_step(x, resp)
+        want_nk, want_means, want_var = _m_step_two_pass(x, resp)
+        assert np.array_equal(nk, want_nk)
+        live = want_nk > 0.0
+        c = x.mean(axis=0)
+        spread = want_var + (want_means - c) ** 2
+        assert np.all((np.abs(means - want_means)
+                       <= 32 * EPS * (np.abs(c) + np.sqrt(spread)))[live])
+        assert np.all((np.abs(variances - want_var)
+                       <= 32 * EPS * spread)[live])
 
 
 class TestMatchScore:
