@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .atomic import write_atomic, write_json
 from .config import PipelineConfig, load_config
-from .errors import BiofuseError, ManifestError
+from .errors import BiofuseError, ManifestError, ModelFormatError
 from .evaluate import (fused_genuine_mass, run_fusion_experiment,
                        run_image_experiment)
 from .gabor import build_bank
@@ -22,10 +22,10 @@ from .gabor import build_bank
 from .gmm import (MODEL_FORMAT_VERSION, load_model, match_score,  # noqa: F401
                   save_model)
 from .pgm import load_pgm, write_pgm
-from .pipeline import (BACKGROUND_ID, ModalityArtifacts, image_observations,
-                       load_entry_image, model_filename, prep_image,
-                       probe_score, stats_filename, stats_from_dict,
-                       stats_to_dict, train_gallery)
+from .pipeline import (BACKGROUND_ID, ModalityArtifacts, check_canonical_size,
+                       image_observations, load_entry_image, model_filename,
+                       prep_image, probe_score, stats_filename,
+                       stats_from_dict, stats_to_dict, train_gallery)
 from .preprocess import load_manifest
 
 
@@ -72,7 +72,10 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
     os.makedirs(config.paths.model_dir, exist_ok=True)
 
     def observations_for(entry):
-        return image_observations(load_entry_image(entry), bank, config,
+        img = check_canonical_size(
+            load_entry_image(entry), config,
+            f"{entry.modality} gallery image {entry.image_path}")
+        return image_observations(img, bank, config,
                                   cache_dir=_cache_dir(config))
 
     for modality, artifacts in train_gallery(entries, config,
@@ -92,22 +95,31 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
 
 
 def _load_modality(config, modality, claimed_id) -> ModalityArtifacts:
-    model_dir = config.paths.model_dir
-    client_path = os.path.join(model_dir, model_filename(modality, claimed_id))
-    if not os.path.exists(client_path):
-        raise BiofuseError(
-            f"no {modality} model for claimed id {claimed_id!r} "
-            f"({client_path} missing); run `train` first")
-    client, _, _ = load_model(client_path)
-    background, _, _ = load_model(
-        os.path.join(model_dir, model_filename(modality, BACKGROUND_ID)))
-    stats_path = os.path.join(model_dir, stats_filename(modality))
+    """One-client artifacts; a file naming another modality or id than
+    asked for is never served."""
+    models = []
+    for sid in (claimed_id, BACKGROUND_ID):
+        path = os.path.join(config.paths.model_dir,
+                            model_filename(modality, sid))
+        if not os.path.exists(path):
+            raise BiofuseError(f"no {modality} model for id {sid!r} ({path} "
+                               f"missing); run `train` first")
+        model, got_modality, got_sid = load_model(path)
+        if (got_modality, got_sid) != (modality, sid):
+            raise ModelFormatError(
+                f"{path}: holds the {got_modality} model of {got_sid!r}, "
+                f"not the {modality} model of {sid!r}")
+        models.append(model)
+    stats_path = os.path.join(config.paths.model_dir, stats_filename(modality))
     with open(stats_path, encoding="utf-8") as fh:
         try:
-            _, scaler, calibration = stats_from_dict(json.load(fh))
+            got_modality, scaler, calibration = stats_from_dict(json.load(fh))
+            if got_modality != modality:
+                raise ValueError(f"holds the {got_modality} stats, not the "
+                                 f"{modality} stats")
         except ValueError as exc:
             raise ValueError(f"{stats_path}: {exc}") from exc
-    return ModalityArtifacts({claimed_id: client}, background, scaler,
+    return ModalityArtifacts({claimed_id: models[0]}, models[1], scaler,
                              calibration)
 
 
@@ -121,12 +133,8 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
     scores = {}
     for modality, path in (("face", face_path), ("ear", ear_path)):
         artifacts[modality] = _load_modality(config, modality, claimed_id)
-        img = load_pgm(path)
-        if img.shape != (config.layout.height, config.layout.width):
-            raise BiofuseError(
-                f"{modality} probe {path} is {img.shape[0]}x{img.shape[1]} "
-                f"(height x width), expected {config.layout.height}x"
-                f"{config.layout.width}; run `prep` on it first")
+        img = check_canonical_size(load_pgm(path), config,
+                                   f"{modality} probe {path}")
         obs = image_observations(img, bank, config,
                                  cache_dir=_cache_dir(config))
         scores[modality] = probe_score(artifacts[modality],

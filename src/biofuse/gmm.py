@@ -147,10 +147,9 @@ def _mass_means(data: np.ndarray, resp: np.ndarray):
 
 
 def _m_step(data: np.ndarray, resp: np.ndarray):
-    """Mass, means and variances (not yet floored) of the
-    responsibility-weighted data, as resp^T (x-c)^2 / n_k - (mu-c)^2 about
-    the data mean c so that the cancellation is only as large as the
-    spread of the data."""
+    """Mass, means and variances (not yet floored) of the weighted data,
+    as resp^T (x-c)^2 / n_k - (mu-c)^2 about the data mean c, so that the
+    cancellation is only as large as the spread of the data."""
     centre = data.mean(axis=0)
     x = data - centre
     nk, mu = _mass_means(x, resp)
@@ -158,17 +157,13 @@ def _m_step(data: np.ndarray, resp: np.ndarray):
     return nk, centre + mu, (resp.T @ (x * x)) / safe_nk - mu * mu
 
 
-def _sq_dist(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances from each row to each centre."""
-    return _quad_form(data, centers, np.ones_like(centers))
-
-
 def _kmeans_pp(data: np.ndarray, k: int, rng) -> np.ndarray:
     n = data.shape[0]
     chosen = [int(rng.integers(n))]
     d2 = np.inf
     for _ in range(1, k):
-        d2 = np.minimum(d2, _sq_dist(data, data[chosen[-1:]])[:, 0])
+        last = data[chosen[-1:]]
+        d2 = np.minimum(d2, _quad_form(data, last, np.ones_like(last))[:, 0])
         total = float(d2.sum())
         chosen.append(int(rng.choice(n, p=d2 / total)) if total > 0.0
                       else int(rng.integers(n)))
@@ -190,7 +185,7 @@ def kmeans_init(data, n_components: int, seed: int,
 
     assign = None
     for _ in range(50):
-        d2 = _sq_dist(x, centers)
+        d2 = _quad_form(x, centers, np.ones_like(centers))
         new_assign = np.argmin(d2, axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -208,7 +203,6 @@ def kmeans_init(data, n_components: int, seed: int,
 
 
 def _em_run(data: np.ndarray, config: EmConfig, init: GmmModel):
-    n = data.shape[0]
     model = init
     trace = []
     reseeded = False
@@ -234,7 +228,7 @@ def _em_run(data: np.ndarray, config: EmConfig, init: GmmModel):
                     f"responsibility mass after a re-seed")
             reseeded = True
             worst = np.argsort(lse)
-            means[collapsed] = data[worst[np.arange(collapsed.size) % n]]
+            means[collapsed] = data[worst[:collapsed.size]]
             variances[collapsed] = np.maximum(data.var(axis=0),
                                               config.cov_floor)
             nk[collapsed] = 1.0

@@ -57,6 +57,17 @@ def image_observations(img: np.ndarray, bank, config: PipelineConfig,
     return obs
 
 
+def check_canonical_size(img: np.ndarray, config: PipelineConfig,
+                         what: str) -> np.ndarray:
+    """img when it has the canonical frame's size; BiofuseError otherwise."""
+    if img.shape != (config.layout.height, config.layout.width):
+        raise BiofuseError(
+            f"{what} is {img.shape[0]}x{img.shape[1]} (height x width), "
+            f"expected {config.layout.height}x{config.layout.width}; "
+            f"run `prep` on it first")
+    return img
+
+
 def load_entry_image(entry) -> np.ndarray:
     try:
         return load_pgm(entry.image_path)
@@ -109,7 +120,8 @@ def train_modality(modality: str, gallery_obs: dict,
     gallery_obs maps subject_id -> list of (n_i, dim) observation matrices.
     """
     subjects = sorted(gallery_obs)
-    pooled = np.vstack([m for sid in subjects for m in gallery_obs[sid]])
+    matrices = [m for sid in subjects for m in gallery_obs[sid]]
+    pooled = np.vstack(matrices)
     scaler = ChannelScaler.fit(pooled)
 
     base = config.gmm[modality]
@@ -129,9 +141,7 @@ def train_modality(modality: str, gallery_obs: dict,
 
     artifacts = ModalityArtifacts(clients=clients, background=background,
                                   scaler=scaler, calibration=None)
-    scores = np.concatenate([probe_score(artifacts, matrix)
-                             for sid in subjects
-                             for matrix in gallery_obs[sid]])
+    scores = np.concatenate([probe_score(artifacts, m) for m in matrices])
     return replace(artifacts,
                    calibration=(float(scores.min()), float(scores.max())))
 
@@ -161,10 +171,9 @@ def train_gallery(entries, config: PipelineConfig, observations_for):
 
 def probe_score(artifacts: ModalityArtifacts,
                 obs_matrix: np.ndarray) -> np.ndarray:
-    """Match scores of one image's raw observations against every client,
-    in sorted subject-id order; the image is transformed and its background
-    term taken once, so each score equals match_score(client, background,
-    scaler.transform(obs_matrix))."""
+    """Scores of one image's raw observations against every client, in
+    sorted id order: match_score(client, background, transformed obs),
+    with the transform and the background term taken once."""
     x = artifacts.scaler.transform(obs_matrix)
     background = match_score(artifacts.background, None, x)
     return np.array([match_score(artifacts.clients[sid], None, x) - background

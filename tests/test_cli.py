@@ -127,6 +127,25 @@ class TestTrain:
         assert "'background' is reserved" in err
         assert not os.path.exists(tmp_path / "models")
 
+    def test_wrong_size_gallery_image_exits_2(self, trained, toy_corpus,
+                                              tmp_path, capsys):
+        records = json.load(open(trained["prepped_manifest"]))
+        first = records[0]
+        small = str(tmp_path / "small.pgm")
+        write_pgm(load_pgm(first["image_path"])[:110, :100], small)
+        first["image_path"] = small
+        bad = tmp_path / "small.json"
+        bad.write_text(json.dumps(records))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        code = main(["--config", cfg, "train", "--manifest", str(bad)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "trained" not in captured.out
+        assert small in captured.err
+        assert "110x100" in captured.err and "220x200" in captured.err
+        assert os.listdir(tmp_path / "models") == []
+
     def test_subject_without_gallery_exits_2(self, trained, tmp_path, capsys):
         records = json.load(open(trained["prepped_manifest"]))
         kept = [r for r in records
@@ -237,6 +256,29 @@ class TestVerify:
         assert captured.out == ""
         assert "bad model document" in captured.err
         assert "ear_alice.json" in captured.err
+
+    @pytest.mark.parametrize("source,target", [
+        ("face_bob.json", "face_alice.json"),         # another subject
+        ("ear_alice.json", "face_alice.json"),        # another modality
+        ("face_alice.json", "face_background.json"),  # a client
+        ("ear_stats.json", "face_stats.json"),        # another modality
+    ], ids=["client-subject", "client-modality", "background", "stats"])
+    def test_misplaced_file_exits_2(self, trained, toy_corpus, tmp_path,
+                                    capsys, source, target):
+        # every file has the same dimension, so only its own header can
+        # tell that it does not belong under this name
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        shutil.copyfile(models / source, models / target)
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "alice", session=1)
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert target in captured.err
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_invalid_stride_exits_2(self, trained, toy_corpus, tmp_path,
