@@ -78,8 +78,9 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
         return image_observations(img, bank, config,
                                   cache_dir=_cache_dir(config))
 
-    for modality, artifacts in train_gallery(entries, config,
-                                             observations_for):
+    # train every modality before writing, so a failure writes no model
+    for modality, artifacts in list(train_gallery(entries, config,
+                                                  observations_for)):
         models = [*sorted(artifacts.clients.items()),
                   (BACKGROUND_ID, artifacts.background)]
         for sid, model in models:
@@ -95,8 +96,7 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
 
 
 def _load_modality(config, modality, claimed_id) -> ModalityArtifacts:
-    """One-client artifacts; a file naming another modality or id than
-    asked for is never served."""
+    """One-client artifacts; a misplaced model or stats file is refused."""
     models = []
     for sid in (claimed_id, BACKGROUND_ID):
         path = os.path.join(config.paths.model_dir,

@@ -167,7 +167,7 @@ def _kmeans_pp(data: np.ndarray, k: int, rng) -> np.ndarray:
         total = float(d2.sum())
         chosen.append(int(rng.choice(n, p=d2 / total)) if total > 0.0
                       else int(rng.integers(n)))
-    return data[chosen].copy()
+    return data[chosen]
 
 
 def kmeans_init(data, n_components: int, seed: int,

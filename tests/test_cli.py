@@ -127,10 +127,11 @@ class TestTrain:
         assert "'background' is reserved" in err
         assert not os.path.exists(tmp_path / "models")
 
+    @pytest.mark.parametrize("modality", ["face", "ear"])
     def test_wrong_size_gallery_image_exits_2(self, trained, toy_corpus,
-                                              tmp_path, capsys):
+                                              tmp_path, capsys, modality):
         records = json.load(open(trained["prepped_manifest"]))
-        first = records[0]
+        first = next(r for r in records if r["modality"] == modality)
         small = str(tmp_path / "small.pgm")
         write_pgm(load_pgm(first["image_path"])[:110, :100], small)
         first["image_path"] = small
