@@ -27,6 +27,8 @@ def write_atomic(path, data: bytes) -> None:
 
 def write_json(path, obj) -> None:
     """Atomically write obj as key-sorted, 2-space-indented JSON plus a
-    final newline (the layout of model, stats and manifest files)."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    final newline (the layout of model, stats and manifest files). A NaN
+    or infinity is not JSON, so it raises ValueError and nothing is
+    written."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     write_atomic(path, text.encode("utf-8"))

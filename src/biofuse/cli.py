@@ -7,6 +7,7 @@ atomic (write to a temp file, then rename).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -14,18 +15,17 @@ import sys
 from . import __version__
 from .atomic import write_atomic, write_json
 from .config import PipelineConfig, load_config
-from .errors import BiofuseError, ManifestError, ModelFormatError
+from .errors import BiofuseError, ManifestError
 from .evaluate import (fused_genuine_mass, run_fusion_experiment,
                        run_image_experiment)
 from .gabor import build_bank
 # match_score is unused here; perfbench's tracer tests check this import site
-from .gmm import (MODEL_FORMAT_VERSION, load_model, match_score,  # noqa: F401
-                  save_model)
+from .gmm import MODEL_FORMAT_VERSION, match_score, save_model  # noqa: F401
 from .pgm import load_pgm, write_pgm
-from .pipeline import (BACKGROUND_ID, ModalityArtifacts, check_canonical_size,
-                       image_observations, load_entry_image, model_filename,
-                       prep_image, probe_score, stats_filename,
-                       stats_from_dict, stats_to_dict, train_gallery)
+from .pipeline import (BACKGROUND_ID, check_canonical_size,
+                       image_observations, load_artifacts, load_entry_image,
+                       model_filename, prep_image, probe_score,
+                       stats_filename, stats_to_dict, train_gallery)
 from .preprocess import load_manifest
 
 
@@ -69,58 +69,35 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
     of a prepped manifest and persist them with the per-modality stats."""
     entries = load_manifest(manifest_path)
     bank = build_bank(config.gabor)
-    os.makedirs(config.paths.model_dir, exist_ok=True)
+    model_dir = config.paths.model_dir
+    os.makedirs(model_dir, exist_ok=True)
 
-    def observations_for(entry):
-        img = check_canonical_size(
+    def image_for(entry):
+        return check_canonical_size(
             load_entry_image(entry), config,
             f"{entry.modality} gallery image {entry.image_path}")
-        return image_observations(img, bank, config,
-                                  cache_dir=_cache_dir(config))
 
     # train every modality before writing, so a failure writes no model
-    for modality, artifacts in list(train_gallery(entries, config,
-                                                  observations_for)):
+    trained = list(train_gallery(entries, config, image_for, bank,
+                                 cache_dir=_cache_dir(config)))
+    # a stats file vouches for the models beside it (eval reuses them when
+    # its fingerprint matches), so the old one goes first and the new one
+    # is written last: a write that fails midway leaves no stats file
+    for modality, _ in trained:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(model_dir, stats_filename(modality)))
+    for modality, artifacts in trained:
         models = [*sorted(artifacts.clients.items()),
                   (BACKGROUND_ID, artifacts.background)]
         for sid, model in models:
-            save_model(model, os.path.join(config.paths.model_dir,
+            save_model(model, os.path.join(model_dir,
                                            model_filename(modality, sid)),
                        modality, sid)
-        write_json(os.path.join(config.paths.model_dir,
-                                stats_filename(modality)),
+        write_json(os.path.join(model_dir, stats_filename(modality)),
                    stats_to_dict(modality, artifacts))
         print(f"trained {len(artifacts.clients)} {modality} client models "
               f"+ background")
     return 0
-
-
-def _load_modality(config, modality, claimed_id) -> ModalityArtifacts:
-    """One-client artifacts; a misplaced model or stats file is refused."""
-    models = []
-    for sid in (claimed_id, BACKGROUND_ID):
-        path = os.path.join(config.paths.model_dir,
-                            model_filename(modality, sid))
-        if not os.path.exists(path):
-            raise BiofuseError(f"no {modality} model for id {sid!r} ({path} "
-                               f"missing); run `train` first")
-        model, got_modality, got_sid = load_model(path)
-        if (got_modality, got_sid) != (modality, sid):
-            raise ModelFormatError(
-                f"{path}: holds the {got_modality} model of {got_sid!r}, "
-                f"not the {modality} model of {sid!r}")
-        models.append(model)
-    stats_path = os.path.join(config.paths.model_dir, stats_filename(modality))
-    with open(stats_path, encoding="utf-8") as fh:
-        try:
-            got_modality, scaler, calibration = stats_from_dict(json.load(fh))
-            if got_modality != modality:
-                raise ValueError(f"holds the {got_modality} stats, not the "
-                                 f"{modality} stats")
-        except ValueError as exc:
-            raise ValueError(f"{stats_path}: {exc}") from exc
-    return ModalityArtifacts({claimed_id: models[0]}, models[1], scaler,
-                             calibration)
 
 
 def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
@@ -132,7 +109,8 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
     artifacts = {}
     scores = {}
     for modality, path in (("face", face_path), ("ear", ear_path)):
-        artifacts[modality] = _load_modality(config, modality, claimed_id)
+        artifacts[modality] = load_artifacts(config.paths.model_dir,
+                                             modality, [claimed_id])
         img = check_canonical_size(load_pgm(path), config,
                                    f"{modality} probe {path}")
         obs = image_observations(img, bank, config,
@@ -175,9 +153,12 @@ def _emit_report(report, rocs, out_dir, prefix=""):
 
 
 def cmd_eval(config: PipelineConfig, manifest_path) -> int:
-    """Full image experiment: report.csv plus one ROC CSV per method."""
-    report, rocs, _ = run_image_experiment(manifest_path, config,
-                                           cache_dir=_cache_dir(config))
+    """Full image experiment: report.csv plus one ROC CSV per method. The
+    models `train` wrote are reused when they were fitted from the same
+    gallery and settings; model_dir is never written."""
+    report, rocs, _ = run_image_experiment(
+        manifest_path, config, cache_dir=_cache_dir(config),
+        model_dir=config.paths.model_dir)
     _emit_report(report, rocs, config.paths.output_dir)
     return 0
 

@@ -10,6 +10,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from .errors import InvalidParams
 from .gabor import GaborParams
 from .gmm import EmConfig
 from .preprocess import CanonicalLayout
@@ -27,11 +28,10 @@ class FusionSettings:
         for key in ("alpha_face", "alpha_ear"):
             alpha = getattr(self, key)
             if not 0.0 <= alpha <= 1.0:
-                raise ValueError(
-                    f"[fusion] {key} must lie in [0, 1], got {alpha}")
+                raise ValueError(f"{key} must lie in [0, 1], got {alpha}")
         if not math.isfinite(self.threshold):
             raise ValueError(
-                f"[fusion] threshold must be finite, got {self.threshold}")
+                f"threshold must be finite, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,16 @@ _KNOWN = {
 }
 
 
+def _validated(section: str, settings):
+    """settings, once its validate() passes; otherwise ValueError naming
+    the section."""
+    try:
+        settings.validate()
+    except (ValueError, InvalidParams) as exc:
+        raise ValueError(f"[{section}] {exc}") from exc
+    return settings
+
+
 def load_config(path) -> PipelineConfig:
     """Parse an INI config file; malformed INI, unknown sections or keys
     raise ValueError."""
@@ -163,13 +173,10 @@ def load_config(path) -> PipelineConfig:
         return {key: cast(sec[key])
                 for key, cast in _KNOWN[name].items() if key in sec}
 
+    def settings(name, default):
+        return _validated(name, _apply(default, values(name)))
+
     gabor = values("gabor")
-    synth = {m: _apply(spec, values(f"synth_{m}"))
-             for m, spec in _DEFAULT.synth.items()}
-    for spec in synth.values():
-        spec.validate()
-    fusion = _apply(_DEFAULT.fusion, values("fusion"))
-    fusion.validate()
     paths = _apply(_DEFAULT.paths, values("paths"))
     base_dir = os.path.dirname(os.path.abspath(path))
     # join keeps an absolute path as it is
@@ -177,11 +184,12 @@ def load_config(path) -> PipelineConfig:
         f.name: os.path.join(base_dir, getattr(paths, f.name))
         for f in fields(paths)})
     return PipelineConfig(
-        gabor=_apply(_DEFAULT.gabor, gabor),
+        gabor=_validated("gabor", _apply(_DEFAULT.gabor, gabor)),
         stride=gabor.get("stride", _DEFAULT.stride),
         layout=_apply(_DEFAULT.layout, values("canonical")),
-        gmm={m: _apply(em, values(f"gmm_{m}"))
-             for m, em in _DEFAULT.gmm.items()},
-        fusion=fusion,
+        gmm={m: settings(f"gmm_{m}", em) for m, em in _DEFAULT.gmm.items()},
+        fusion=settings("fusion", _DEFAULT.fusion),
         eval=_apply(_DEFAULT.eval, values("eval")),
-        synth=synth, paths=paths)
+        synth={m: settings(f"synth_{m}", spec)
+               for m, spec in _DEFAULT.synth.items()},
+        paths=paths)

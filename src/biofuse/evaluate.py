@@ -231,11 +231,14 @@ def run_fusion_experiment(matchers: dict, alpha_face: float, alpha_ear: float,
 
 
 def run_image_experiment(manifest_path, config: PipelineConfig,
-                         cache_dir=None):
+                         cache_dir=None, model_dir=None):
     """Full verification experiment over a dataset manifest.
 
     Session 1 trains and calibrates; session-2 probes claim every identity
-    (their own -> genuine trial, each other -> impostor trial).
+    (their own -> genuine trial, each other -> impostor trial). With
+    model_dir, a modality whose stored models were fitted from this same
+    gallery and settings is served from there instead of trained again
+    (see pipeline.train_gallery); model_dir is only read.
 
     Returns (ErrorReport, {method: RocCurve}, [TrialRecord, ...]).
     """
@@ -245,11 +248,11 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
 
     bank = build_bank(config.gabor)
 
-    def observations_for(entry):
-        img = prep_image(load_entry_image(entry), entry.landmarks, config)
-        return image_observations(img, bank, config, cache_dir=cache_dir)
+    def image_for(entry):
+        return prep_image(load_entry_image(entry), entry.landmarks, config)
 
-    artifacts = dict(train_gallery(entries, config, observations_for))
+    artifacts = dict(train_gallery(entries, config, image_for, bank,
+                                   cache_dir=cache_dir, model_dir=model_dir))
 
     probe_obs = {}
     for entry in probes:
@@ -258,7 +261,8 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
             raise ManifestError(
                 f"subject {entry.subject_id} has multiple session-2 "
                 f"{entry.modality} images; one probe per modality expected")
-        probe_obs[key] = observations_for(entry).observations
+        probe_obs[key] = image_observations(
+            image_for(entry), bank, config, cache_dir=cache_dir).observations
 
     pairs = [(true_sid, claimed) for true_sid in subjects
              for claimed in subjects]

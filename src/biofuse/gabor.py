@@ -35,16 +35,17 @@ class GaborParams:
     kernel_radius: int = 16
 
     def validate(self) -> None:
-        if self.num_frequencies < 1 or self.num_orientations < 1:
-            raise InvalidParams("bank needs at least one frequency and orientation")
-        if self.k_max <= 0.0:
-            raise InvalidParams("k_max must be positive")
-        if self.freq_spacing <= 1.0:
-            raise InvalidParams("freq_spacing must exceed 1")
-        if self.sigma <= 0.0:
-            raise InvalidParams("sigma must be positive")
-        if self.kernel_radius < 1:
-            raise InvalidParams("kernel_radius must be at least 1")
+        for key in ("num_frequencies", "num_orientations", "kernel_radius"):
+            if getattr(self, key) < 1:
+                raise InvalidParams(
+                    f"{key} must be at least 1, got {getattr(self, key)}")
+        # `not x > bound` also refuses NaN
+        for key, bound in (("k_max", 0.0), ("sigma", 0.0),
+                           ("freq_spacing", 1.0)):
+            value = getattr(self, key)
+            if not (value > bound and math.isfinite(value)):
+                raise InvalidParams(
+                    f"{key} must be finite and exceed {bound:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -258,6 +259,8 @@ class ChannelScaler:
     def from_dict(cls, d: dict) -> "ChannelScaler":
         mean = np.asarray(d["mean"], dtype=np.float64)
         std = np.asarray(d["std"], dtype=np.float64)
-        if mean.shape != std.shape or mean.ndim != 1 or np.any(std <= 0):
+        if mean.shape != std.shape or mean.ndim != 1 \
+                or not np.all(np.isfinite(mean)) \
+                or not np.all((std > 0) & np.isfinite(std)):
             raise ValueError("invalid scaler payload")
         return cls(mean=mean, std=std)

@@ -27,7 +27,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 @dataclass(frozen=True)
 class GmmModel:
     """weights (M,), means (M, d), variances (M, d); weights on the simplex,
-    variances strictly positive."""
+    means finite, variances strictly positive and finite."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -43,10 +43,13 @@ class GmmModel:
         if w.ndim != 1 or mu.ndim != 2 or var.shape != mu.shape \
                 or w.shape[0] != mu.shape[0]:
             raise ValueError("inconsistent parameter shapes")
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
+        # written as `not all(good)`, so that a NaN fails every check
+        if not np.all(w >= 0) or not abs(float(w.sum()) - 1.0) <= 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
-        if np.any(var <= 0):
-            raise ValueError("variances must be strictly positive")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("means must be finite")
+        if not np.all((var > 0) & np.isfinite(var)):
+            raise ValueError("variances must be strictly positive and finite")
 
     @property
     def n_components(self) -> int:
@@ -67,10 +70,15 @@ class EmConfig:
     restarts: int = 3
 
     def validate(self) -> None:
-        if self.n_components < 1 or self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("n_components, max_iters, restarts must be >= 1")
-        if self.tol <= 0 or self.cov_floor <= 0:
-            raise ValueError("tol and cov_floor must be positive")
+        for key in ("n_components", "max_iters", "restarts"):
+            if getattr(self, key) < 1:
+                raise ValueError(
+                    f"{key} must be at least 1, got {getattr(self, key)}")
+        for key in ("tol", "cov_floor"):
+            value = getattr(self, key)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{key} must be positive and finite, got {value}")
 
 
 def _as_data(obs, dim=None) -> np.ndarray:

@@ -4,10 +4,16 @@ Gallery protocol: session 1 trains one client mixture per (subject,
 modality) plus one pooled background mixture and the channel scaler per
 modality; score calibration bounds come from gallery-vs-client scores
 only, never from probes.
+
+Each modality's stats file carries a fingerprint of the gallery and the
+settings its models were fitted from, so `eval` can reuse the models
+`train` wrote for the same gallery instead of fitting them again.
 """
 
 import hashlib
 import io
+import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -15,15 +21,16 @@ import numpy as np
 
 from .atomic import write_atomic
 from .config import PipelineConfig
-from .errors import BiofuseError, ManifestError
+from .errors import BiofuseError, ManifestError, ModelFormatError
 from .gabor import ChannelScaler, ObservationSet, sampled_responses
-from .gmm import GmmModel, em_fit, match_score
+from .gmm import (MODEL_FORMAT_VERSION, GmmModel, em_fit, load_model,
+                  match_score)
 from .pgm import load_pgm
 from .preprocess import (BACKGROUND_ID, geometric_normalize,
                          histogram_equalize)
 
 MODALITIES = ("face", "ear")
-STATS_FORMAT_VERSION = 1
+STATS_FORMAT_VERSION = 2
 FEATURE_VERSION = 2  # bump when the observation arithmetic changes
 
 
@@ -106,6 +113,30 @@ class ModalityArtifacts:
     background: GmmModel
     scaler: ChannelScaler
     calibration: tuple         # (lo, hi) gallery score bounds
+    fingerprint: str | None = None  # gallery_fingerprint of the fit
+
+
+def gallery_fingerprint(modality: str, images,
+                        config: PipelineConfig) -> str:
+    """sha256 hex digest of what one modality's training depends on.
+
+    images is the modality's gallery as (entry, prepped image) pairs in
+    manifest order; each contributes its modality, subject id, shape,
+    dtype and pixel bytes. The settings that shape the fit (config.gabor,
+    the stride, config.gmm[modality], the seed) and the feature, model
+    and stats format versions are hashed too.
+    """
+    digest = hashlib.sha256(
+        f"{config.gabor!r};stride={config.stride};"
+        f"{config.gmm[modality]!r};seed={config.eval.seed};"
+        f"features=v{FEATURE_VERSION};models=v{MODEL_FORMAT_VERSION};"
+        f"stats=v{STATS_FORMAT_VERSION}".encode())
+    for entry, img in images:
+        img = np.ascontiguousarray(img)
+        digest.update(f"|{entry.modality};{entry.subject_id!r};"
+                      f"{img.shape};{img.dtype};".encode())
+        digest.update(img.tobytes())
+    return digest.hexdigest()
 
 
 def _fit_seed(base_seed: int, index: int) -> int:
@@ -146,27 +177,46 @@ def train_modality(modality: str, gallery_obs: dict,
                    calibration=(float(scores.min()), float(scores.max())))
 
 
-def train_gallery(entries, config: PipelineConfig, observations_for):
+def train_gallery(entries, config: PipelineConfig, image_for, bank,
+                  cache_dir=None, model_dir=None):
     """Train each modality from the session-1 (gallery) entries, yielding
     (modality, ModalityArtifacts) as each finishes.
 
-    observations_for(entry) returns the entry's ObservationSet. Every
-    subject in entries needs gallery images of every modality.
+    image_for(entry) returns the entry's prepped image; each image is
+    loaded once, for the fingerprint and for its observations. Every
+    subject in entries needs gallery images of every modality. With
+    model_dir, a modality whose stored artifacts (load_artifacts) carry
+    this gallery's fingerprint is served from there and not fitted; any
+    stored file that is missing, unreadable or of another gallery or
+    version means it is trained. Nothing is written to model_dir.
     """
     gallery, _ = split_by_session(entries)
     subjects = sorted({e.subject_id for e in entries})
     for modality in MODALITIES:
-        gallery_obs = {}
-        for entry in gallery:
-            if entry.modality == modality:
-                gallery_obs.setdefault(entry.subject_id, []).append(
-                    observations_for(entry).observations)
+        images = [(entry, image_for(entry)) for entry in gallery
+                  if entry.modality == modality]
+        have = {entry.subject_id for entry, _ in images}
         for sid in subjects:
-            if sid not in gallery_obs:
+            if sid not in have:
                 raise ManifestError(
                     f"subject {sid} has no gallery (session 1) "
                     f"{modality} images")
-        yield modality, train_modality(modality, gallery_obs, config)
+        fingerprint = gallery_fingerprint(modality, images, config)
+        if model_dir is not None:
+            try:
+                stored = load_artifacts(model_dir, modality, subjects)
+            except (BiofuseError, OSError, ValueError):
+                stored = None
+            if stored is not None and stored.fingerprint == fingerprint:
+                yield modality, stored
+                continue
+        gallery_obs = {}
+        for entry, img in images:
+            gallery_obs.setdefault(entry.subject_id, []).append(
+                image_observations(img, bank, config,
+                                   cache_dir=cache_dir).observations)
+        artifacts = train_modality(modality, gallery_obs, config)
+        yield modality, replace(artifacts, fingerprint=fingerprint)
 
 
 def probe_score(artifacts: ModalityArtifacts,
@@ -186,19 +236,28 @@ def stats_to_dict(modality: str, artifacts: ModalityArtifacts) -> dict:
     return {
         "format_version": STATS_FORMAT_VERSION,
         "modality": modality,
+        "fingerprint": artifacts.fingerprint,
         "scaler": artifacts.scaler.to_dict(),
         "calibration": [artifacts.calibration[0], artifacts.calibration[1]],
     }
 
 
 def stats_from_dict(doc: dict):
-    """(modality, scaler, calibration); ValueError on a bad document."""
+    """(modality, scaler, calibration, fingerprint); ValueError on a bad
+    document, a non-finite number or another format version."""
     try:
         if int(doc["format_version"]) != STATS_FORMAT_VERSION:
-            raise ValueError(f"format_version {doc['format_version']!r}")
+            raise ValueError(f"format_version {doc['format_version']!r}, "
+                             f"expected {STATS_FORMAT_VERSION}; run `train` "
+                             f"again")
         scaler = ChannelScaler.from_dict(doc["scaler"])
-        lo, hi = doc["calibration"]
-        return doc["modality"], scaler, (float(lo), float(hi))
+        lo, hi = (float(bound) for bound in doc["calibration"])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"calibration [{lo}, {hi}] is not finite")
+        fingerprint = doc["fingerprint"]
+        if not isinstance(fingerprint, str):
+            raise ValueError(f"fingerprint {fingerprint!r} is not a string")
+        return doc["modality"], scaler, (lo, hi), fingerprint
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad stats document: {exc!r}") from exc
 
@@ -209,3 +268,34 @@ def model_filename(modality: str, subject_id: str) -> str:
 
 def stats_filename(modality: str) -> str:
     return f"{modality}_stats.json"
+
+
+def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
+    """One modality's stored artifacts with the client models of ids, as
+    `train` wrote them into model_dir. A missing, malformed or misplaced
+    model or stats file raises an error naming it."""
+    models = {}
+    for sid in (*ids, BACKGROUND_ID):
+        path = os.path.join(model_dir, model_filename(modality, sid))
+        if not os.path.exists(path):
+            raise BiofuseError(f"no {modality} model for id {sid!r} ({path} "
+                               f"missing); run `train` first")
+        model, got_modality, got_sid = load_model(path)
+        if (got_modality, got_sid) != (modality, sid):
+            raise ModelFormatError(
+                f"{path}: holds the {got_modality} model of {got_sid!r}, "
+                f"not the {modality} model of {sid!r}")
+        models[sid] = model
+    background = models.pop(BACKGROUND_ID)
+    stats_path = os.path.join(model_dir, stats_filename(modality))
+    with open(stats_path, encoding="utf-8") as fh:
+        try:
+            got_modality, scaler, calibration, fingerprint = \
+                stats_from_dict(json.load(fh))
+            if got_modality != modality:
+                raise ValueError(f"holds the {got_modality} stats, not the "
+                                 f"{modality} stats")
+        except ValueError as exc:
+            raise ValueError(f"{stats_path}: {exc}") from exc
+    return ModalityArtifacts(models, background, scaler, calibration,
+                             fingerprint)

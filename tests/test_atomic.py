@@ -3,7 +3,7 @@ import stat
 
 import pytest
 
-from biofuse.atomic import write_atomic
+from biofuse.atomic import write_atomic, write_json
 
 
 def test_replaces_the_file_with_open_permissions(tmp_path):
@@ -29,4 +29,11 @@ def test_failed_rename_leaves_no_temp_file(tmp_path):
 def test_failed_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(TypeError):
         write_atomic(tmp_path / "out.bin", "text, not bytes")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_json_refuses_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "out.json", {"calibration": [0.0, value]})
     assert os.listdir(tmp_path) == []

@@ -258,6 +258,52 @@ class TestVerify:
         assert "bad model document" in captured.err
         assert "ear_alice.json" in captured.err
 
+    def test_non_finite_model_exits_2(self, trained, toy_corpus, tmp_path,
+                                      capsys):
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        client = models / "face_alice.json"
+        doc = json.loads(client.read_text())
+        doc["variances"][0][0] = float("nan")
+        client.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "alice", session=1)
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "face_alice.json" in captured.err
+        assert "finite" in captured.err
+
+    @pytest.mark.parametrize("path,value", [
+        (("scaler", "mean"), float("nan")),
+        (("scaler", "std"), float("inf")),
+        (("calibration",), float("nan")),
+    ], ids=["scaler-mean", "scaler-std", "calibration"])
+    def test_non_finite_stats_exits_2(self, trained, toy_corpus, tmp_path,
+                                      capsys, path, value):
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        stats = models / "ear_stats.json"
+        doc = json.loads(stats.read_text())
+        field = doc
+        for key in path:
+            field = field[key]
+        field[0] = value
+        stats.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "alice", session=1)
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad stats document" in captured.err
+        assert "ear_stats.json" in captured.err
+
     @pytest.mark.parametrize("source,target", [
         ("face_bob.json", "face_alice.json"),         # another subject
         ("ear_alice.json", "face_alice.json"),        # another modality

@@ -186,6 +186,32 @@ def test_bad_fusion_settings_exit_2_before_training(tmp_path, capsys, text,
     assert not (tmp_path / "models").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[gmm_face]\ncov_floor = nan\n",
+     "[gmm_face] cov_floor must be positive and finite, got nan"),
+    ("[gmm_face]\ntol = nan\n",
+     "[gmm_face] tol must be positive and finite, got nan"),
+    ("[gmm_ear]\ntol = inf\n",
+     "[gmm_ear] tol must be positive and finite, got inf"),
+    ("[gmm_ear]\nrestarts = 0\n", "[gmm_ear] restarts must be at least 1"),
+    ("[gabor]\nsigma = nan\n", "[gabor] sigma must be finite and exceed 0"),
+    ("[gabor]\nk_max = inf\n", "[gabor] k_max must be finite and exceed 0"),
+    ("[gabor]\nfreq_spacing = nan\n",
+     "[gabor] freq_spacing must be finite and exceed 1"),
+    ("[gabor]\nnum_orientations = 0\n",
+     "[gabor] num_orientations must be at least 1"),
+], ids=["cov_floor-nan", "tol-nan", "tol-inf", "restarts-0", "sigma-nan",
+        "k_max-inf", "freq_spacing-nan", "orientations-0"])
+def test_bad_fit_settings_exit_2_before_training(tmp_path, capsys, text,
+                                                 message):
+    path = _write(tmp_path, "[paths]\nmodel_dir = models\n" + text)
+    assert main(["--config", str(path), "train"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not (tmp_path / "models").exists()
+
+
 def test_threshold_above_one_is_legal(tmp_path):
     cfg = load_config(_write(tmp_path, "[fusion]\nthreshold = 1.5\n"))
     assert cfg.fusion.threshold == 1.5

@@ -52,6 +52,11 @@ class TestBank:
         dict(k_max=-1.0),
         dict(sigma=0.0),
         dict(kernel_radius=0),
+        dict(sigma=math.nan),
+        dict(k_max=math.inf),
+        dict(k_max=math.nan),
+        dict(freq_spacing=math.nan),
+        dict(freq_spacing=math.inf),
     ])
     def test_invalid_params(self, bad):
         with pytest.raises(InvalidParams):
@@ -235,3 +240,12 @@ class TestChannelScaler:
         clone = ChannelScaler.from_dict(scaler.to_dict())
         assert np.array_equal(clone.mean, scaler.mean)
         assert np.array_equal(clone.std, scaler.std)
+
+    @pytest.mark.parametrize("key, value", [
+        ("mean", math.nan), ("mean", math.inf), ("std", math.nan),
+        ("std", math.inf), ("std", 0.0)])
+    def test_from_dict_rejects_non_finite_values(self, key, value):
+        payload = {"mean": [0.0, 1.0], "std": [1.0, 2.0]}
+        payload[key][1] = value
+        with pytest.raises(ValueError, match="invalid scaler payload"):
+            ChannelScaler.from_dict(payload)

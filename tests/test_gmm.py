@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -245,6 +246,14 @@ class TestEmFit:
         with pytest.raises(ValueError):
             em_fit(np.zeros((5, 1)), EmConfig(tol=0.0))
 
+    @pytest.mark.parametrize("key", ["tol", "cov_floor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_settings_rejected(self, key, value):
+        # a NaN compares False with everything, so `x <= 0` let it through
+        with pytest.raises(ValueError, match=f"{key} must be positive and "
+                                             f"finite"):
+            em_fit(np.zeros((5, 1)), EmConfig(n_components=1, **{key: value}))
+
 
 class TestLogLikelihood:
     def test_standard_normal_at_mode(self):
@@ -449,6 +458,18 @@ class TestPersistence:
         doc["variances"] = [[0.0]]
         with pytest.raises(ModelFormatError):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("variances", [[math.nan]]), ("variances", [[math.inf]]),
+        ("means", [[math.nan]]), ("means", [[-math.inf]]),
+        ("weights", [math.nan])])
+    def test_rejects_non_finite_values(self, tmp_path, key, value):
+        doc = model_to_dict(_simple_model([1.0], [0.0], [1.0]), "face", "x")
+        doc[key] = value
+        path = tmp_path / "face_x.json"
+        path.write_text(json.dumps(doc))   # json.dumps spells NaN as NaN
+        with pytest.raises(ModelFormatError, match=str(path)):
+            load_model(path)
 
     def test_rejects_wrong_version(self):
         doc = model_to_dict(_simple_model([1.0], [0.0], [1.0]), "face", "x")

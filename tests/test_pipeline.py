@@ -7,8 +7,11 @@ import biofuse.pipeline as pipeline
 from biofuse.config import PipelineConfig
 from biofuse.gabor import (ChannelScaler, GaborParams, build_bank,
                            sampled_responses)
-from biofuse.gmm import GmmModel, match_score
-from biofuse.pipeline import ModalityArtifacts, image_observations, probe_score
+from biofuse.atomic import write_json
+from biofuse.gmm import GmmModel, match_score, save_model
+from biofuse.pipeline import (ModalityArtifacts, image_observations,
+                              load_artifacts, model_filename, probe_score,
+                              stats_filename, stats_to_dict)
 
 CONFIG = PipelineConfig(gabor=GaborParams(num_frequencies=1,
                                           num_orientations=2,
@@ -82,3 +85,39 @@ def test_probe_score_scores_every_client_in_sorted_order():
     want = [match_score(clients[sid], background, scaler.transform(obs))
             for sid in ("alice", "bob", "carol")]
     assert got.tolist() == want
+
+
+def _awkward(rng, shape):
+    """float64 values whose shortest repr needs all 17 digits, spread over
+    600 decades, with a subnormal among them."""
+    x = rng.random(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    x.flat[0] = 5e-324
+    return x
+
+
+def test_model_and_stats_files_round_trip_bit_exactly(tmp_path):
+    rng = np.random.default_rng(11)
+    weights = rng.dirichlet(np.ones(3))
+    models = {sid: GmmModel(weights, _awkward(rng, (3, 4)) - 1e-3,
+                            _awkward(rng, (3, 4)))
+              for sid in ("alice", "background")}
+    scaler = ChannelScaler(mean=_awkward(rng, 4) - 0.5,
+                           std=_awkward(rng, 4))
+    stored = ModalityArtifacts({"alice": models["alice"]},
+                               models["background"], scaler,
+                               (0.1 + 0.2, 1.0 / 3.0), "f" * 64)
+    for sid, model in models.items():
+        save_model(model, tmp_path / model_filename("ear", sid), "ear", sid)
+    write_json(tmp_path / stats_filename("ear"),
+               stats_to_dict("ear", stored))
+    loaded = load_artifacts(str(tmp_path), "ear", ["alice"])
+
+    def bits(artifacts):
+        return [a.tobytes() for m in (*artifacts.clients.values(),
+                                      artifacts.background)
+                for a in (m.weights, m.means, m.variances)] + [
+            artifacts.scaler.mean.tobytes(), artifacts.scaler.std.tobytes(),
+            np.array(artifacts.calibration).tobytes()]
+
+    assert bits(loaded) == bits(stored)
+    assert loaded.fingerprint == stored.fingerprint
