@@ -7,7 +7,6 @@ atomic (write to a temp file, then rename).
 """
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -20,12 +19,11 @@ from .evaluate import (fused_genuine_mass, run_fusion_experiment,
                        run_image_experiment)
 from .gabor import build_bank
 # match_score is unused here; perfbench's tracer tests check this import site
-from .gmm import MODEL_FORMAT_VERSION, match_score, save_model  # noqa: F401
+from .gmm import MODEL_FORMAT_VERSION, match_score  # noqa: F401
 from .pgm import load_pgm, write_pgm
-from .pipeline import (BACKGROUND_ID, check_canonical_size,
-                       image_observations, load_artifacts, load_entry_image,
-                       model_filename, prep_image, probe_score,
-                       stats_filename, stats_to_dict, train_gallery)
+from .pipeline import (check_canonical_size, image_observations,
+                       load_artifacts, load_entry_image, prep_image,
+                       probe_score, save_artifacts, train_gallery)
 from .preprocess import load_manifest
 
 
@@ -66,35 +64,21 @@ def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
 
 def cmd_train(config: PipelineConfig, manifest_path) -> int:
     """Fit client and background mixtures from session-1 (gallery) images
-    of a prepped manifest and persist them with the per-modality stats."""
+    of a prepped manifest and persist them with the per-modality stats.
+    Every modality is trained before anything is written, so a failure
+    to train leaves model_dir as it was."""
     entries = load_manifest(manifest_path)
-    bank = build_bank(config.gabor)
-    model_dir = config.paths.model_dir
-    os.makedirs(model_dir, exist_ok=True)
 
     def image_for(entry):
         return check_canonical_size(
             load_entry_image(entry), config,
             f"{entry.modality} gallery image {entry.image_path}")
 
-    # train every modality before writing, so a failure writes no model
-    trained = list(train_gallery(entries, config, image_for, bank,
-                                 cache_dir=_cache_dir(config)))
-    # a stats file vouches for the models beside it (eval reuses them when
-    # its fingerprint matches), so the old one goes first and the new one
-    # is written last: a write that fails midway leaves no stats file
-    for modality, _ in trained:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(model_dir, stats_filename(modality)))
-    for modality, artifacts in trained:
-        models = [*sorted(artifacts.clients.items()),
-                  (BACKGROUND_ID, artifacts.background)]
-        for sid, model in models:
-            save_model(model, os.path.join(model_dir,
-                                           model_filename(modality, sid)),
-                       modality, sid)
-        write_json(os.path.join(model_dir, stats_filename(modality)),
-                   stats_to_dict(modality, artifacts))
+    trained = train_gallery(entries, config, image_for,
+                            build_bank(config.gabor),
+                            cache_dir=_cache_dir(config))
+    save_artifacts(config.paths.model_dir, trained)
+    for modality, artifacts in trained.items():
         print(f"trained {len(artifacts.clients)} {modality} client models "
               f"+ background")
     return 0
@@ -102,9 +86,6 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
 
 def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
     """Score one prepped face/ear probe pair against a claimed identity."""
-    if claimed_id == BACKGROUND_ID:
-        raise BiofuseError(f"claimed id {claimed_id!r} is reserved for "
-                           f"the background model")
     bank = build_bank(config.gabor)
     artifacts = {}
     scores = {}
@@ -211,6 +192,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else PipelineConfig()
         if args.seed is not None:
+            if args.seed < 0:
+                raise ValueError(
+                    f"--seed must be non-negative, got {args.seed}")
             config = config.with_seed(args.seed)
 
         if args.command == "prep":

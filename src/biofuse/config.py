@@ -41,6 +41,17 @@ class EvalSettings:
     n_genuine: int = 10000
     n_impostor: int = 10000
 
+    def validate(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.num_thresholds < 2:
+            raise ValueError(f"num_thresholds must be at least 2, got "
+                             f"{self.num_thresholds}")
+        for key in ("n_genuine", "n_impostor"):
+            if getattr(self, key) < 1:
+                raise ValueError(
+                    f"{key} must be at least 1, got {getattr(self, key)}")
+
 
 @dataclass(frozen=True)
 class SynthModality:
@@ -177,6 +188,9 @@ def load_config(path) -> PipelineConfig:
         return _validated(name, _apply(default, values(name)))
 
     gabor = values("gabor")
+    stride = gabor.get("stride", _DEFAULT.stride)
+    if stride < 1:
+        raise ValueError(f"[gabor] stride must be at least 1, got {stride}")
     paths = _apply(_DEFAULT.paths, values("paths"))
     base_dir = os.path.dirname(os.path.abspath(path))
     # join keeps an absolute path as it is
@@ -185,11 +199,11 @@ def load_config(path) -> PipelineConfig:
         for f in fields(paths)})
     return PipelineConfig(
         gabor=_validated("gabor", _apply(_DEFAULT.gabor, gabor)),
-        stride=gabor.get("stride", _DEFAULT.stride),
+        stride=stride,
         layout=_apply(_DEFAULT.layout, values("canonical")),
         gmm={m: settings(f"gmm_{m}", em) for m, em in _DEFAULT.gmm.items()},
         fusion=settings("fusion", _DEFAULT.fusion),
-        eval=_apply(_DEFAULT.eval, values("eval")),
+        eval=settings("eval", _DEFAULT.eval),
         synth={m: settings(f"synth_{m}", spec)
                for m, spec in _DEFAULT.synth.items()},
         paths=paths)

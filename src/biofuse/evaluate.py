@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .dempster import CONFLICT_EPS
-from .errors import DegenerateCalibration, EmptyScoreList, ManifestError
+from .errors import DegenerateCalibration, EmptyScoreList
 from .gabor import build_bank
 from .pipeline import (MODALITIES, check_protocol, image_observations,
                        load_entry_image, prep_image, probe_score,
@@ -251,18 +251,11 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
     def image_for(entry):
         return prep_image(load_entry_image(entry), entry.landmarks, config)
 
-    artifacts = dict(train_gallery(entries, config, image_for, bank,
-                                   cache_dir=cache_dir, model_dir=model_dir))
-
-    probe_obs = {}
-    for entry in probes:
-        key = (entry.subject_id, entry.modality)
-        if key in probe_obs:
-            raise ManifestError(
-                f"subject {entry.subject_id} has multiple session-2 "
-                f"{entry.modality} images; one probe per modality expected")
-        probe_obs[key] = image_observations(
-            image_for(entry), bank, config, cache_dir=cache_dir).observations
+    artifacts = train_gallery(entries, config, image_for, bank,
+                              cache_dir=cache_dir, model_dir=model_dir)
+    probe_obs = {(entry.subject_id, entry.modality): image_observations(
+        image_for(entry), bank, config, cache_dir=cache_dir).observations
+        for entry in probes}
 
     pairs = [(true_sid, claimed) for true_sid in subjects
              for claimed in subjects]

@@ -86,11 +86,10 @@ def load_pgm(path) -> np.ndarray:
                 raise TruncatedData(
                     f"expected {count} samples, found {len(values)}") from None
             raise
-        if any(v < 0 or v > maxval for v in values):
-            raise MalformedHeader("sample outside [0, maxval]")
-        pixels = np.array(values, dtype=np.uint8)
-
-    return pixels.reshape(height, width)
+        pixels = np.array(values)
+    if pixels.min() < 0 or pixels.max() > maxval:
+        raise MalformedHeader("sample outside [0, maxval]")
+    return pixels.astype(np.uint8, copy=False).reshape(height, width)
 
 
 def write_pgm(img: np.ndarray, path) -> None:

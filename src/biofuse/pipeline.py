@@ -7,24 +7,28 @@ only, never from probes.
 
 Each modality's stats file carries a fingerprint of the gallery and the
 settings its models were fitted from, so `eval` can reuse the models
-`train` wrote for the same gallery instead of fitting them again.
+`train` wrote for the same gallery instead of fitting them again. Only
+this module names the files in model_dir: save_artifacts writes them and
+load_artifacts reads them.
 """
 
+import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import write_atomic, write_json
 from .config import PipelineConfig
 from .errors import BiofuseError, ManifestError, ModelFormatError
 from .gabor import ChannelScaler, ObservationSet, sampled_responses
 from .gmm import (MODEL_FORMAT_VERSION, GmmModel, em_fit, load_model,
-                  match_score)
+                  match_score, save_model)
 from .pgm import load_pgm
 from .preprocess import (BACKGROUND_ID, geometric_normalize,
                          histogram_equalize)
@@ -91,18 +95,23 @@ def split_by_session(entries):
 
 def check_protocol(entries):
     """Enforce the verification protocol: >= 2 subjects, each with both
-    modalities in both sessions."""
+    modalities in both sessions and one session-2 image (the probe) per
+    modality."""
     subjects = sorted({e.subject_id for e in entries})
     if len(subjects) < 2:
         raise ManifestError("protocol needs at least 2 subjects")
-    have = {(e.subject_id, e.modality, e.session) for e in entries}
+    count = Counter((e.subject_id, e.modality, e.session) for e in entries)
     for sid in subjects:
         for modality in MODALITIES:
             for session in (1, 2):
-                if (sid, modality, session) not in have:
+                if not count[sid, modality, session]:
                     raise ManifestError(
                         f"subject {sid} has no {modality} image "
                         f"in session {session}")
+            if count[sid, modality, 2] > 1:
+                raise ManifestError(
+                    f"subject {sid} has multiple session-2 {modality} "
+                    f"images; one probe per modality expected")
     return subjects
 
 
@@ -178,9 +187,9 @@ def train_modality(modality: str, gallery_obs: dict,
 
 
 def train_gallery(entries, config: PipelineConfig, image_for, bank,
-                  cache_dir=None, model_dir=None):
-    """Train each modality from the session-1 (gallery) entries, yielding
-    (modality, ModalityArtifacts) as each finishes.
+                  cache_dir=None, model_dir=None) -> dict:
+    """{modality: ModalityArtifacts} trained from the session-1 (gallery)
+    entries.
 
     image_for(entry) returns the entry's prepped image; each image is
     loaded once, for the fingerprint and for its observations. Every
@@ -192,6 +201,7 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
     """
     gallery, _ = split_by_session(entries)
     subjects = sorted({e.subject_id for e in entries})
+    trained = {}
     for modality in MODALITIES:
         images = [(entry, image_for(entry)) for entry in gallery
                   if entry.modality == modality]
@@ -208,7 +218,7 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
             except (BiofuseError, OSError, ValueError):
                 stored = None
             if stored is not None and stored.fingerprint == fingerprint:
-                yield modality, stored
+                trained[modality] = stored
                 continue
         gallery_obs = {}
         for entry, img in images:
@@ -216,7 +226,8 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
                 image_observations(img, bank, config,
                                    cache_dir=cache_dir).observations)
         artifacts = train_modality(modality, gallery_obs, config)
-        yield modality, replace(artifacts, fingerprint=fingerprint)
+        trained[modality] = replace(artifacts, fingerprint=fingerprint)
+    return trained
 
 
 def probe_score(artifacts: ModalityArtifacts,
@@ -232,36 +243,6 @@ def probe_score(artifacts: ModalityArtifacts,
 
 # --- persistence of per-modality training artifacts ---
 
-def stats_to_dict(modality: str, artifacts: ModalityArtifacts) -> dict:
-    return {
-        "format_version": STATS_FORMAT_VERSION,
-        "modality": modality,
-        "fingerprint": artifacts.fingerprint,
-        "scaler": artifacts.scaler.to_dict(),
-        "calibration": [artifacts.calibration[0], artifacts.calibration[1]],
-    }
-
-
-def stats_from_dict(doc: dict):
-    """(modality, scaler, calibration, fingerprint); ValueError on a bad
-    document, a non-finite number or another format version."""
-    try:
-        if int(doc["format_version"]) != STATS_FORMAT_VERSION:
-            raise ValueError(f"format_version {doc['format_version']!r}, "
-                             f"expected {STATS_FORMAT_VERSION}; run `train` "
-                             f"again")
-        scaler = ChannelScaler.from_dict(doc["scaler"])
-        lo, hi = (float(bound) for bound in doc["calibration"])
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"calibration [{lo}, {hi}] is not finite")
-        fingerprint = doc["fingerprint"]
-        if not isinstance(fingerprint, str):
-            raise ValueError(f"fingerprint {fingerprint!r} is not a string")
-        return doc["modality"], scaler, (lo, hi), fingerprint
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad stats document: {exc!r}") from exc
-
-
 def model_filename(modality: str, subject_id: str) -> str:
     return f"{modality}_{subject_id}.json"
 
@@ -270,10 +251,39 @@ def stats_filename(modality: str) -> str:
     return f"{modality}_stats.json"
 
 
+def save_artifacts(model_dir, trained: dict) -> None:
+    """Write {modality: ModalityArtifacts} into model_dir for load_artifacts.
+    A stats file vouches for the models beside it (eval reuses them when
+    its fingerprint matches), so every old one goes first and each new one
+    is written last: a write that fails midway leaves no stats file."""
+    os.makedirs(model_dir, exist_ok=True)
+    for modality in trained:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(model_dir, stats_filename(modality)))
+    for modality, artifacts in trained.items():
+        for sid, model in (*sorted(artifacts.clients.items()),
+                           (BACKGROUND_ID, artifacts.background)):
+            save_model(model, os.path.join(model_dir,
+                                           model_filename(modality, sid)),
+                       modality, sid)
+        write_json(os.path.join(model_dir, stats_filename(modality)), {
+            "format_version": STATS_FORMAT_VERSION,
+            "modality": modality,
+            "fingerprint": artifacts.fingerprint,
+            "scaler": artifacts.scaler.to_dict(),
+            "calibration": [artifacts.calibration[0],
+                            artifacts.calibration[1]],
+        })
+
+
 def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
     """One modality's stored artifacts with the client models of ids, as
-    `train` wrote them into model_dir. A missing, malformed or misplaced
-    model or stats file raises an error naming it."""
+    save_artifacts wrote them into model_dir. The reserved background id,
+    and a missing, malformed or misplaced model or stats file (another
+    version, a non-finite number), raise an error naming it."""
+    if BACKGROUND_ID in ids:
+        raise BiofuseError(f"id {BACKGROUND_ID!r} is reserved for the "
+                           f"background model")
     models = {}
     for sid in (*ids, BACKGROUND_ID):
         path = os.path.join(model_dir, model_filename(modality, sid))
@@ -290,12 +300,24 @@ def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
     stats_path = os.path.join(model_dir, stats_filename(modality))
     with open(stats_path, encoding="utf-8") as fh:
         try:
-            got_modality, scaler, calibration, fingerprint = \
-                stats_from_dict(json.load(fh))
-            if got_modality != modality:
-                raise ValueError(f"holds the {got_modality} stats, not the "
-                                 f"{modality} stats")
-        except ValueError as exc:
-            raise ValueError(f"{stats_path}: {exc}") from exc
-    return ModalityArtifacts(models, background, scaler, calibration,
+            doc = json.load(fh)
+            if int(doc["format_version"]) != STATS_FORMAT_VERSION:
+                raise ValueError(f"format_version {doc['format_version']!r}, "
+                                 f"expected {STATS_FORMAT_VERSION}; run "
+                                 f"`train` again")
+            if doc["modality"] != modality:
+                raise ValueError(f"holds the {doc['modality']} stats, not "
+                                 f"the {modality} stats")
+            scaler = ChannelScaler.from_dict(doc["scaler"])
+            lo, hi = (float(bound) for bound in doc["calibration"])
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"calibration [{lo}, {hi}] is not finite")
+            fingerprint = doc["fingerprint"]
+            if not isinstance(fingerprint, str):
+                raise ValueError(f"fingerprint {fingerprint!r} is not a "
+                                 f"string")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{stats_path}: bad stats document: "
+                             f"{exc!r}") from exc
+    return ModalityArtifacts(models, background, scaler, (lo, hi),
                              fingerprint)

@@ -104,7 +104,7 @@ class TestTrain:
                      "--manifest", trained["prepped_manifest"]])
         assert code == 2
         assert "stride must be at least 1" in capsys.readouterr().err
-        assert os.listdir(tmp_path / "models") == []
+        assert not (tmp_path / "models").exists()
 
     def test_background_subject_exits_2(self, trained, toy_corpus, tmp_path,
                                         capsys):
@@ -145,7 +145,7 @@ class TestTrain:
         assert "trained" not in captured.out
         assert small in captured.err
         assert "110x100" in captured.err and "220x200" in captured.err
-        assert os.listdir(tmp_path / "models") == []
+        assert not (tmp_path / "models").exists()
 
     def test_subject_without_gallery_exits_2(self, trained, tmp_path, capsys):
         records = json.load(open(trained["prepped_manifest"]))

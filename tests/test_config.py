@@ -212,6 +212,38 @@ def test_bad_fit_settings_exit_2_before_training(tmp_path, capsys, text,
     assert not (tmp_path / "models").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[gabor]\nstride = 0\n", "[gabor] stride must be at least 1, got 0"),
+    ("[gabor]\nstride = -1\n", "[gabor] stride must be at least 1, got -1"),
+    ("[eval]\nseed = -3\n", "[eval] seed must be non-negative, got -3"),
+    ("[eval]\nnum_thresholds = 1\n",
+     "[eval] num_thresholds must be at least 2, got 1"),
+    ("[eval]\nn_genuine = 0\n", "[eval] n_genuine must be at least 1, got 0"),
+    ("[eval]\nn_impostor = -2\n",
+     "[eval] n_impostor must be at least 1, got -2"),
+], ids=["stride-0", "stride-negative", "seed-negative", "thresholds-1",
+        "genuine-0", "impostor-negative"])
+@pytest.mark.parametrize("command", ["train", "eval", "synth-eval"])
+def test_bad_stride_and_eval_settings_exit_2_at_load(tmp_path, capsys, text,
+                                                    message, command):
+    # no manifest exists, so only a check at load can name the key
+    path = _write(tmp_path, "[paths]\nmodel_dir = models\n" + text)
+    assert main(["--config", str(path), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not (tmp_path / "models").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "synth-eval"])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
+    path = _write(tmp_path, "[paths]\nmodel_dir = models\n")
+    assert main(["--seed", "-4", "--config", str(path), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be non-negative, got -4" in captured.err
+
+
 def test_threshold_above_one_is_legal(tmp_path):
     cfg = load_config(_write(tmp_path, "[fusion]\nthreshold = 1.5\n"))
     assert cfg.fusion.threshold == 1.5

@@ -316,3 +316,20 @@ class TestImageExperiment:
         manifest.write_text(json.dumps(records))
         with pytest.raises(ManifestError, match="bob"):
             run_image_experiment(str(manifest), PipelineConfig())
+
+    def test_second_probe_rejected_before_training(self, toy_corpus,
+                                                   tmp_path, monkeypatch):
+        import biofuse.pipeline as pipeline
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the protocol check must precede training")
+
+        monkeypatch.setattr(pipeline, "train_modality", no_training)
+        probe = next(r for r in toy_corpus["records"]
+                     if r["subject_id"] == "bob" and r["session"] == 2
+                     and r["modality"] == "face")
+        manifest = tmp_path / "twoprobes.json"
+        manifest.write_text(json.dumps([*toy_corpus["records"], probe]))
+        with pytest.raises(ManifestError,
+                           match="subject bob has multiple session-2 face"):
+            run_image_experiment(str(manifest), PipelineConfig())

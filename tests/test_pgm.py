@@ -79,6 +79,13 @@ def test_p2_sample_out_of_range(tmp_path):
         load_pgm(path)
 
 
+def test_p5_sample_above_maxval(tmp_path):
+    path = tmp_path / "r.pgm"
+    path.write_bytes(b"P5\n2 1\n15\n" + bytes([3, 200]))
+    with pytest.raises(MalformedHeader, match=r"sample outside \[0, maxval\]"):
+        load_pgm(path)
+
+
 def test_small_maxval_values_kept_raw(tmp_path):
     path = tmp_path / "dim.pgm"
     path.write_bytes(b"P5\n2 1\n15\n" + bytes([3, 15]))

@@ -7,11 +7,9 @@ import biofuse.pipeline as pipeline
 from biofuse.config import PipelineConfig
 from biofuse.gabor import (ChannelScaler, GaborParams, build_bank,
                            sampled_responses)
-from biofuse.atomic import write_json
-from biofuse.gmm import GmmModel, match_score, save_model
+from biofuse.gmm import GmmModel, match_score
 from biofuse.pipeline import (ModalityArtifacts, image_observations,
-                              load_artifacts, model_filename, probe_score,
-                              stats_filename, stats_to_dict)
+                              load_artifacts, probe_score, save_artifacts)
 
 CONFIG = PipelineConfig(gabor=GaborParams(num_frequencies=1,
                                           num_orientations=2,
@@ -106,10 +104,7 @@ def test_model_and_stats_files_round_trip_bit_exactly(tmp_path):
     stored = ModalityArtifacts({"alice": models["alice"]},
                                models["background"], scaler,
                                (0.1 + 0.2, 1.0 / 3.0), "f" * 64)
-    for sid, model in models.items():
-        save_model(model, tmp_path / model_filename("ear", sid), "ear", sid)
-    write_json(tmp_path / stats_filename("ear"),
-               stats_to_dict("ear", stored))
+    save_artifacts(str(tmp_path), {"ear": stored})
     loaded = load_artifacts(str(tmp_path), "ear", ["alice"])
 
     def bits(artifacts):

@@ -195,3 +195,36 @@ def test_missing_client_model_retrains(base, tmp_path, monkeypatch):
     outputs, trained = _eval(cfg, models, monkeypatch)
     assert trained == ["ear"]
     assert outputs == base["outputs"]
+
+
+def test_train_failing_midway_leaves_no_stats_file(base, tmp_path,
+                                                   monkeypatch):
+    # a train with another seed dies after writing one model, so model_dir
+    # mixes old and new models; with no stats file to vouch for them, eval
+    # with the old settings trains again instead of reusing them
+    models = str(tmp_path / "models")
+    shutil.copytree(base["model_dir"], models)
+    cfg = _config(str(tmp_path), base["manifest"], model_dir=models)
+    prepped = os.path.join(os.path.dirname(base["model_dir"]), "prepped",
+                           "manifest.json")
+    save = pipeline.save_model
+    written = []
+
+    def fail_after_first(*args):
+        if written:
+            raise OSError("disk full")
+        written.append(args[1])
+        save(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "save_model", fail_after_first)
+        assert main(["--seed", "7", "--config", cfg, "train",
+                     "--manifest", prepped]) == 2
+    names = set(os.listdir(models))
+    assert names == set(os.listdir(base["model_dir"])) - {
+        "face_stats.json", "ear_stats.json"}
+    first = os.path.basename(written[0])
+    assert _files(models, [first]) != _files(base["model_dir"], [first])
+    outputs, trained = _eval(cfg, models, monkeypatch)
+    assert trained == ["face", "ear"]
+    assert outputs == base["outputs"]
