@@ -9,6 +9,7 @@ scores are average log-likelihood ratios against a pooled background
 model.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,6 +21,9 @@ from .errors import (DimensionMismatch, EmptyObservationSet, ModelFormatError,
                      NumericalCollapse, TooFewObservations)
 
 MODEL_FORMAT_VERSION = 1
+# the fit's arithmetic: bumped whenever a change moves the float rounding of
+# fitted models, so that galleries trained before it are fitted again
+FIT_VERSION = 2
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -81,50 +85,80 @@ class EmConfig:
                     f"{key} must be positive and finite, got {value}")
 
 
-def _as_data(obs, dim=None) -> np.ndarray:
+def _as_data(obs) -> np.ndarray:
     x = np.asarray(getattr(obs, "observations", obs), dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected an (n, dim) observation matrix")
-    if dim is not None and x.shape[1] != dim:
-        raise DimensionMismatch(
-            f"observation dim {x.shape[1]} != model dim {dim}")
+    if not np.all(np.isfinite(x)):
+        row = int(np.argmin(np.all(np.isfinite(x), axis=1)))
+        raise ValueError(f"observations must be finite; row {row} holds "
+                         f"{x[row][~np.isfinite(x[row])][0]}")
     return x
 
 
-def _quad_form(data: np.ndarray, means: np.ndarray,
-               inv_var: np.ndarray) -> np.ndarray:
-    """(n, M) matrix of sum_d (x_nd - mu_md)^2 inv_var_md as matrix
-    products, taken about the mean of the means so that an offset shared
-    by the data and the means cancels before anything is squared."""
-    centre = means.mean(axis=0)
-    x = data - centre
-    mu = means - centre
-    return ((x * x) @ inv_var.T - 2.0 * (x @ (mu * inv_var).T)
-            + np.sum(mu * mu * inv_var, axis=1))
+class _Design:
+    """Observations x centred once about their mean c, as the design
+    z = [(x-c)^2, x-c] with one row per observation. Every squared
+    distance to a mixture's means is then linear in a row of z, so an
+    E-step is one GEMM with z, an M-step's sufficient statistics are
+    resp^T z, and an offset shared by the data and the means cancels
+    before anything is squared. z is kept as its transpose zt, one
+    contiguous (2d, n) array, so that the products with it and every
+    reduction over components run along n."""
+
+    def __init__(self, x: np.ndarray):
+        n, d = x.shape
+        self.x, self.dim = x, d
+        self.centre = x.mean(axis=0) if n else np.zeros(d)
+        self.zt = np.empty((2 * d, n))
+        self.lin = self.zt[d:]
+        np.subtract(x.T, self.centre[:, None], out=self.lin)
+        np.square(self.lin, out=self.zt[:d])
+
+    @functools.cached_property
+    def row_norms(self) -> np.ndarray:
+        """(n,) squared distances |x - c|^2."""
+        return self.zt[:self.dim].sum(axis=0)
 
 
-def _log_joint(data: np.ndarray, model: GmmModel) -> np.ndarray:
-    """(n, M) matrix of log w_m + log N(x_n; mu_m, diag var_m)."""
+def _log_joint(design: _Design, model: GmmModel) -> np.ndarray:
+    """(M, n) matrix of log w_m + log N(x_n; mu_m, diag var_m), as
+    [-1/(2 var), (mu-c)/var] @ z^T plus a per-component constant."""
+    if model.dim != design.dim:
+        raise DimensionMismatch(
+            f"observation dim {design.dim} != model dim {model.dim}")
+    inv_var = 1.0 / model.variances
+    mu = model.means - design.centre
     with np.errstate(divide="ignore"):
         logw = np.log(model.weights)
-    logdet = np.sum(np.log(model.variances), axis=1)
-    quad = _quad_form(data, model.means, 1.0 / model.variances)
-    return logw - 0.5 * (quad + logdet + data.shape[1] * _LOG_2PI)
+    const = logw - 0.5 * (np.sum(mu * mu * inv_var, axis=1)
+                          + np.sum(np.log(model.variances), axis=1)
+                          + design.dim * _LOG_2PI)
+    lj = np.concatenate([-0.5 * inv_var, mu * inv_var], axis=1) @ design.zt
+    lj += const[:, None]
+    return lj
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp)), safe against underflow and -inf rows."""
-    amax = np.max(a, axis=1)
-    shift = np.where(np.isfinite(amax), amax, 0.0)
+def _e_step(design: _Design, model: GmmModel):
+    """(n, M) responsibilities (a transposed view) and the (n,) per-row
+    log-likelihoods, from one exp of the log joint shifted by its maximum
+    over the components (an observation at -inf under every component
+    keeps a zero shift), so no finite input underflows to -inf."""
+    e = _log_joint(design, model)
+    top = np.max(e, axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    e -= shift
+    np.exp(e, out=e)
+    total = e.sum(axis=0)
+    e /= total
     with np.errstate(divide="ignore"):
-        return shift + np.log(np.sum(np.exp(a - shift[:, None]), axis=1))
+        return e.T, shift + np.log(total)
 
 
 def log_likelihood_many(model: GmmModel, data) -> np.ndarray:
     """log p(x) for each row of data, computed with log-sum-exp so no
     finite input underflows to -inf."""
-    x = _as_data(data, model.dim)
-    return _logsumexp_rows(_log_joint(x, model))
+    return _e_step(_Design(_as_data(data)), model)[1]
 
 
 def log_likelihood(model: GmmModel, x) -> float:
@@ -135,47 +169,44 @@ def log_likelihood(model: GmmModel, x) -> float:
     return float(log_likelihood_many(model, v[None, :])[0])
 
 
-def _e_step(data: np.ndarray, model: GmmModel):
-    """(n, M) responsibilities and the (n,) per-row log-likelihoods."""
-    lj = _log_joint(data, model)
-    lse = _logsumexp_rows(lj)
-    return np.exp(lj - lse[:, None]), lse
-
-
 def responsibilities(model: GmmModel, data) -> np.ndarray:
     """(n, M) posterior component probabilities; rows sum to 1."""
-    return _e_step(_as_data(data, model.dim), model)[0]
+    return _e_step(_Design(_as_data(data)), model)[0]
 
 
-def _mass_means(data: np.ndarray, resp: np.ndarray):
-    """(M,) responsibility mass and (M, d) weighted means; a component
-    without mass gets a zero mean."""
+def _m_step(design: _Design, resp: np.ndarray):
+    """Mass, means and variances (not yet floored) of the weighted data.
+    One GEMM resp^T z gives each component's weighted means of (x-c)^2
+    and x-c about the data mean c; the variance is their difference
+    resp^T (x-c)^2 / n_k - (mu-c)^2, so the cancellation is only as large
+    as the spread of the data. A component without mass gets mean c."""
     nk = resp.sum(axis=0)
-    return nk, (resp.T @ data) / np.where(nk > 0.0, nk, 1.0)[:, None]
+    stats = (resp.T @ design.zt.T) / np.where(nk > 0.0, nk, 1.0)[:, None]
+    mu = stats[:, design.dim:]
+    return nk, design.centre + mu, stats[:, :design.dim] - mu * mu
 
 
-def _m_step(data: np.ndarray, resp: np.ndarray):
-    """Mass, means and variances (not yet floored) of the weighted data,
-    as resp^T (x-c)^2 / n_k - (mu-c)^2 about the data mean c, so that the
-    cancellation is only as large as the spread of the data."""
-    centre = data.mean(axis=0)
-    x = data - centre
-    nk, mu = _mass_means(x, resp)
-    safe_nk = np.where(nk > 0.0, nk, 1.0)[:, None]
-    return nk, centre + mu, (resp.T @ (x * x)) / safe_nk - mu * mu
+def _sq_dists(design: _Design, centers: np.ndarray) -> np.ndarray:
+    """(k, n) squared distances |x - center|^2 from the row norms, as
+    |x-c|^2 - 2 (x-c).(center-c) + |center-c|^2."""
+    mu = centers - design.centre
+    return (design.row_norms - 2.0 * (mu @ design.lin)
+            + np.sum(mu * mu, axis=1)[:, None])
 
 
-def _kmeans_pp(data: np.ndarray, k: int, rng) -> np.ndarray:
-    n = data.shape[0]
+def _kmeans_pp(design: _Design, k: int, rng) -> np.ndarray:
+    n = design.x.shape[0]
     chosen = [int(rng.integers(n))]
     d2 = np.inf
     for _ in range(1, k):
-        last = data[chosen[-1:]]
-        d2 = np.minimum(d2, _quad_form(data, last, np.ones_like(last))[:, 0])
+        # clamped: the expansion puts the picked point itself at about
+        # -1e-16, which rng.choice refuses as a probability
+        last = np.maximum(_sq_dists(design, design.x[chosen[-1:]])[0], 0.0)
+        d2 = np.minimum(d2, last)
         total = float(d2.sum())
         chosen.append(int(rng.choice(n, p=d2 / total)) if total > 0.0
                       else int(rng.integers(n)))
-    return data[chosen]
+    return design.x[chosen]
 
 
 def kmeans_init(data, n_components: int, seed: int,
@@ -183,46 +214,46 @@ def kmeans_init(data, n_components: int, seed: int,
     """k-means++ seeding plus Lloyd iterations; the M-step of the final
     hard (one-hot) assignment becomes the initial mixture, with each
     cluster's Lloyd centre as its mean. Deterministic given seed."""
-    x = _as_data(data)
-    n = x.shape[0]
+    # em_fit passes the design it built, shared by all of its restarts
+    design = data if isinstance(data, _Design) else _Design(_as_data(data))
+    n = design.x.shape[0]
     if n < n_components:
         raise TooFewObservations(
             f"{n} observations cannot seed {n_components} components")
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp(x, n_components, rng)
+    centers = _kmeans_pp(design, n_components, rng)
 
     assign = None
     for _ in range(50):
-        d2 = _quad_form(x, centers, np.ones_like(centers))
-        new_assign = np.argmin(d2, axis=1)
+        d2 = _sq_dists(design, centers)
+        new_assign = np.argmin(d2, axis=0)
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        onehot = (assign[:, None] == np.arange(n_components)).astype(
+        onehot = (np.arange(n_components)[:, None] == assign).astype(
             np.float64)
-        counts, centers = _mass_means(x, onehot)
+        counts, centers, variances = _m_step(design, onehot.T)
         # re-seed an empty cluster at the worst-covered point
-        centers[counts == 0.0] = x[int(np.argmax(np.min(d2, axis=1)))]
+        centers[counts == 0.0] = design.x[int(np.argmax(np.min(d2, axis=0)))]
 
     # an empty cluster keeps its re-seeded centre, weight 0 and the floor
-    counts, _, variances = _m_step(x, onehot)
     return GmmModel(weights=counts / n, means=centers,
                     variances=np.maximum(variances, cov_floor))
 
 
-def _em_run(data: np.ndarray, config: EmConfig, init: GmmModel):
+def _em_run(design: _Design, config: EmConfig, init: GmmModel):
     model = init
     trace = []
     reseeded = False
     for _ in range(config.max_iters):
-        resp, lse = _e_step(data, model)
+        resp, lse = _e_step(design, model)
         loglik = float(np.sum(lse))
         trace.append(loglik)
         if len(trace) > 1:
             prev = trace[-2]
             if loglik - prev < config.tol * max(1.0, abs(prev)):
                 break
-        nk, means, variances = _m_step(data, resp)
+        nk, means, variances = _m_step(design, resp)
 
         # a component whose responsibility mass underflowed to zero has no
         # statistics left; re-seed it once at the worst-explained point.
@@ -236,8 +267,8 @@ def _em_run(data: np.ndarray, config: EmConfig, init: GmmModel):
                     f"responsibility mass after a re-seed")
             reseeded = True
             worst = np.argsort(lse)
-            means[collapsed] = data[worst[:collapsed.size]]
-            variances[collapsed] = np.maximum(data.var(axis=0),
+            means[collapsed] = design.x[worst[:collapsed.size]]
+            variances[collapsed] = np.maximum(design.x.var(axis=0),
                                               config.cov_floor)
             nk[collapsed] = 1.0
 
@@ -260,20 +291,19 @@ def em_fit(data, config: EmConfig, init: GmmModel | None = None):
         raise TooFewObservations(
             f"{x.shape[0]} observations cannot fit "
             f"{config.n_components} components")
+    design = _Design(x)
 
     if init is not None:
-        if init.dim != x.shape[1]:
-            raise DimensionMismatch("init model dim != data dim")
-        return _em_run(x, config, init)
+        return _em_run(design, config, init)
 
     best = None
     failure = None
     for ss in np.random.SeedSequence(config.seed).spawn(config.restarts):
         seed = int(ss.generate_state(1)[0])
         try:
-            start = kmeans_init(x, config.n_components, seed,
+            start = kmeans_init(design, config.n_components, seed,
                                 cov_floor=config.cov_floor)
-            model, trace = _em_run(x, config, start)
+            model, trace = _em_run(design, config, start)
         except NumericalCollapse as exc:
             failure = exc
             continue
@@ -290,9 +320,10 @@ def match_score(client: GmmModel, background: GmmModel | None, obs) -> float:
     x = _as_data(obs)
     if x.shape[0] == 0:
         raise EmptyObservationSet("no observations to score")
-    score = float(np.mean(log_likelihood_many(client, x)))
+    design = _Design(x)
+    score = float(np.mean(_e_step(design, client)[1]))
     if background is not None:
-        score -= float(np.mean(log_likelihood_many(background, x)))
+        score -= float(np.mean(_e_step(design, background)[1]))
     return score
 
 

@@ -27,8 +27,8 @@ from .atomic import write_atomic, write_json
 from .config import PipelineConfig
 from .errors import BiofuseError, ManifestError, ModelFormatError
 from .gabor import ChannelScaler, ObservationSet, sampled_responses
-from .gmm import (MODEL_FORMAT_VERSION, GmmModel, em_fit, load_model,
-                  match_score, save_model)
+from .gmm import (FIT_VERSION, MODEL_FORMAT_VERSION, GmmModel, em_fit,
+                  load_model, match_score, save_model)
 from .pgm import load_pgm
 from .preprocess import (BACKGROUND_ID, geometric_normalize,
                          histogram_equalize)
@@ -132,13 +132,15 @@ def gallery_fingerprint(modality: str, images,
     images is the modality's gallery as (entry, prepped image) pairs in
     manifest order; each contributes its modality, subject id, shape,
     dtype and pixel bytes. The settings that shape the fit (config.gabor,
-    the stride, config.gmm[modality], the seed) and the feature, model
-    and stats format versions are hashed too.
+    the stride, config.gmm[modality], the seed), the fit's arithmetic
+    version and the feature, model and stats format versions are hashed
+    too.
     """
     digest = hashlib.sha256(
         f"{config.gabor!r};stride={config.stride};"
         f"{config.gmm[modality]!r};seed={config.eval.seed};"
-        f"features=v{FEATURE_VERSION};models=v{MODEL_FORMAT_VERSION};"
+        f"features=v{FEATURE_VERSION};fit=v{FIT_VERSION};"
+        f"models=v{MODEL_FORMAT_VERSION};"
         f"stats=v{STATS_FORMAT_VERSION}".encode())
     for entry, img in images:
         img = np.ascontiguousarray(img)

@@ -7,6 +7,7 @@ Each test prints a PASS line with its headline numbers (visible under
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ def test_end_to_end_toy_run(tmp_path):
 
 
 def _read_all(directory, suffix):
-    return {name: open(os.path.join(directory, name), "rb").read()
+    return {name: Path(directory, name).read_bytes()
             for name in sorted(os.listdir(directory))
             if name.endswith(suffix)}
 

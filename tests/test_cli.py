@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def trained(tmp_path_factory, toy_corpus):
 
 class TestPrep:
     def test_outputs_are_canonical_size(self, trained, toy_corpus):
-        entries = json.load(open(trained["prepped_manifest"]))
+        entries = json.loads(Path(trained["prepped_manifest"]).read_text())
         assert len(entries) == len(toy_corpus["records"])
         for rec in entries:
             img = load_pgm(rec["image_path"])
@@ -52,8 +53,8 @@ class TestPrep:
         assert main(["--config", cfg, "prep",
                      "--manifest", trained["prepped_manifest"],
                      "--out-dir", second]) == 0
-        first = json.load(open(trained["prepped_manifest"]))
-        again = json.load(open(os.path.join(second, "manifest.json")))
+        first = json.loads(Path(trained["prepped_manifest"]).read_text())
+        again = json.loads(Path(second, "manifest.json").read_text())
         for a, b in zip(first, again):
             img_a = load_pgm(a["image_path"]).astype(int)
             img_b = load_pgm(b["image_path"]).astype(int)
@@ -86,11 +87,11 @@ class TestTrain:
 
     def test_rerun_is_byte_identical(self, trained):
         model_dir = trained["model_dir"]
-        before = {n: open(os.path.join(model_dir, n), "rb").read()
+        before = {n: Path(model_dir, n).read_bytes()
                   for n in os.listdir(model_dir)}
         assert main(["--config", trained["config"], "train",
                      "--manifest", trained["prepped_manifest"]]) == 0
-        after = {n: open(os.path.join(model_dir, n), "rb").read()
+        after = {n: Path(model_dir, n).read_bytes()
                  for n in os.listdir(model_dir)}
         assert before == after
 
@@ -109,7 +110,7 @@ class TestTrain:
     def test_background_subject_exits_2(self, trained, toy_corpus, tmp_path,
                                         capsys):
         # a subject named like the background model would overwrite it
-        records = json.load(open(trained["prepped_manifest"]))
+        records = json.loads(Path(trained["prepped_manifest"]).read_text())
         for rec in records:
             if rec["subject_id"] == "bob":
                 rec["subject_id"] = "background"
@@ -130,7 +131,7 @@ class TestTrain:
     @pytest.mark.parametrize("modality", ["face", "ear"])
     def test_wrong_size_gallery_image_exits_2(self, trained, toy_corpus,
                                               tmp_path, capsys, modality):
-        records = json.load(open(trained["prepped_manifest"]))
+        records = json.loads(Path(trained["prepped_manifest"]).read_text())
         first = next(r for r in records if r["modality"] == modality)
         small = str(tmp_path / "small.pgm")
         write_pgm(load_pgm(first["image_path"])[:110, :100], small)
@@ -148,7 +149,7 @@ class TestTrain:
         assert not (tmp_path / "models").exists()
 
     def test_subject_without_gallery_exits_2(self, trained, tmp_path, capsys):
-        records = json.load(open(trained["prepped_manifest"]))
+        records = json.loads(Path(trained["prepped_manifest"]).read_text())
         kept = [r for r in records
                 if not (r["subject_id"] == "bob" and r["session"] == 1)]
         bad = tmp_path / "nogallery.json"
@@ -161,7 +162,7 @@ class TestTrain:
 
 class TestVerify:
     def _probe(self, trained, subject, session=2):
-        entries = json.load(open(trained["prepped_manifest"]))
+        entries = json.loads(Path(trained["prepped_manifest"]).read_text())
         picks = {}
         for rec in entries:
             if rec["subject_id"] == subject and rec["session"] == session:
@@ -400,14 +401,14 @@ class TestSynthEval:
                        "[eval]\nn_genuine = 400\nn_impostor = 400\n")
         main(["--config", str(cfg), "--seed", "77", "synth-eval"])
         out_dir = tmp_path / "out"
-        first = {n: open(os.path.join(out_dir, n), "rb").read()
+        first = {n: Path(out_dir, n).read_bytes()
                  for n in os.listdir(out_dir)}
         main(["--config", str(cfg), "--seed", "77", "synth-eval"])
-        second = {n: open(os.path.join(out_dir, n), "rb").read()
+        second = {n: Path(out_dir, n).read_bytes()
                   for n in os.listdir(out_dir)}
         assert first == second
         main(["--config", str(cfg), "--seed", "78", "synth-eval"])
-        third = {n: open(os.path.join(out_dir, n), "rb").read()
+        third = {n: Path(out_dir, n).read_bytes()
                  for n in os.listdir(out_dir)}
         assert first != third
 
@@ -415,7 +416,8 @@ class TestSynthEval:
         cfg = tmp_path / "synth.ini"
         cfg.write_text(f"[paths]\noutput_dir = {tmp_path}/out\n")
         assert main(["--config", str(cfg), "synth-eval"]) == 0
-        lines = open(tmp_path / "out" / "synth_report.csv").read().splitlines()
+        report = tmp_path / "out" / "synth_report.csv"
+        lines = report.read_text().splitlines()
         eers = {row.split(",")[0]: float(row.split(",")[3])
                 for row in lines[1:]}
         assert eers["fusion"] < min(eers["face"], eers["ear"])
@@ -429,7 +431,7 @@ class TestEval:
         out_dir = tmp_path / "out"
         assert sorted(n for n in os.listdir(out_dir) if n.endswith(".csv")) \
             == ["report.csv", "roc_ear.csv", "roc_face.csv", "roc_fusion.csv"]
-        rows = open(out_dir / "report.csv").read().splitlines()[1:]
+        rows = (out_dir / "report.csv").read_text().splitlines()[1:]
         fused = [r for r in rows if r.startswith("fusion")][0]
         assert float(fused.split(",")[3]) == 0.0  # EER column
 

@@ -4,6 +4,7 @@ retrains on any difference, and never writes model_dir."""
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,7 @@ def _config(work, manifest, model_dir=None, sections=BASE):
 
 
 def _files(directory, names=None):
-    return {name: open(os.path.join(directory, name), "rb").read()
+    return {name: Path(directory, name).read_bytes()
             for name in names or sorted(os.listdir(directory))}
 
 
@@ -119,7 +120,7 @@ def test_changed_seed_retrains(base, tmp_path, monkeypatch):
 
 
 def test_changed_gallery_pixel_retrains(base, tmp_path, monkeypatch):
-    records = json.load(open(base["manifest"]))
+    records = json.loads(Path(base["manifest"]).read_text())
     rec = next(r for r in records
                if r["modality"] == "face" and r["session"] == 1)
     img = load_pgm(rec["image_path"]).copy()
@@ -152,9 +153,17 @@ def test_changed_gabor_setting_retrains(base, tmp_path, monkeypatch, gabor):
     assert outputs == _fresh(tmp_path, base["manifest"], sections)
 
 
+def test_changed_fit_version_retrains(base, tmp_path, monkeypatch):
+    # models fitted by another EM arithmetic are fitted again, not reused
+    monkeypatch.setattr(pipeline, "FIT_VERSION", pipeline.FIT_VERSION - 1)
+    outputs, trained = _stale_eval(tmp_path, base, monkeypatch)
+    assert trained == ["face", "ear"]
+    assert outputs == base["outputs"]
+
+
 def test_swapped_subject_ids_retrain(base, tmp_path, monkeypatch):
     swap = {"alice": "bob", "bob": "alice"}
-    records = json.load(open(base["manifest"]))
+    records = json.loads(Path(base["manifest"]).read_text())
     for rec in records:
         rec["subject_id"] = swap[rec["subject_id"]]
     manifest = tmp_path / "swapped.json"
