@@ -27,10 +27,6 @@ from .pipeline import (check_canonical_size, image_observations,
 from .preprocess import load_manifest
 
 
-def _cache_dir(config):
-    return os.path.join(config.paths.output_dir, "cache")
-
-
 def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
     """Normalize every manifest image to the canonical frame and write the
     results plus an updated manifest (landmarks moved to their canonical
@@ -75,8 +71,7 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
             f"{entry.modality} gallery image {entry.image_path}")
 
     trained = train_gallery(entries, config, image_for,
-                            build_bank(config.gabor),
-                            cache_dir=_cache_dir(config))
+                            build_bank(config.gabor))
     save_artifacts(config.paths.model_dir, trained)
     for modality, artifacts in trained.items():
         print(f"trained {len(artifacts.clients)} {modality} client models "
@@ -85,7 +80,8 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
 
 
 def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
-    """Score one prepped face/ear probe pair against a claimed identity."""
+    """Score one prepped face/ear probe pair against a claimed identity.
+    The probes' observations are cached under <output_dir>/cache."""
     bank = build_bank(config.gabor)
     artifacts = {}
     scores = {}
@@ -94,8 +90,9 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
                                              modality, [claimed_id])
         img = check_canonical_size(load_pgm(path), config,
                                    f"{modality} probe {path}")
-        obs = image_observations(img, bank, config,
-                                 cache_dir=_cache_dir(config))
+        obs = image_observations(
+            img, bank, config,
+            cache_dir=os.path.join(config.paths.output_dir, "cache"))
         scores[modality] = probe_score(artifacts[modality],
                                        obs.observations).item()
 
@@ -138,8 +135,7 @@ def cmd_eval(config: PipelineConfig, manifest_path) -> int:
     models `train` wrote are reused when they were fitted from the same
     gallery and settings; model_dir is never written."""
     report, rocs, _ = run_image_experiment(
-        manifest_path, config, cache_dir=_cache_dir(config),
-        model_dir=config.paths.model_dir)
+        manifest_path, config, model_dir=config.paths.model_dir)
     _emit_report(report, rocs, config.paths.output_dir)
     return 0
 

@@ -160,8 +160,9 @@ def _validated(section: str, settings):
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse an INI config file; malformed INI, unknown sections or keys
-    raise ValueError."""
+    """Parse an INI config file; malformed INI, unknown sections or keys,
+    and values that do not parse raise ValueError (the last two naming the
+    section and key)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -181,8 +182,14 @@ def load_config(path) -> PipelineConfig:
 
     def values(name):
         sec = raw.get(name, {})
-        return {key: cast(sec[key])
-                for key, cast in _KNOWN[name].items() if key in sec}
+        parsed = {}
+        for key, cast in _KNOWN[name].items():
+            if key in sec:
+                try:
+                    parsed[key] = cast(sec[key])
+                except ValueError as exc:
+                    raise ValueError(f"[{name}] {key}: {exc}") from exc
+        return parsed
 
     def settings(name, default):
         return _validated(name, _apply(default, values(name)))

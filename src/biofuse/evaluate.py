@@ -231,14 +231,15 @@ def run_fusion_experiment(matchers: dict, alpha_face: float, alpha_ear: float,
 
 
 def run_image_experiment(manifest_path, config: PipelineConfig,
-                         cache_dir=None, model_dir=None):
+                         model_dir=None):
     """Full verification experiment over a dataset manifest.
 
     Session 1 trains and calibrates; session-2 probes claim every identity
-    (their own -> genuine trial, each other -> impostor trial). With
-    model_dir, a modality whose stored models were fitted from this same
-    gallery and settings is served from there instead of trained again
-    (see pipeline.train_gallery); model_dir is only read.
+    (their own -> genuine trial, each other -> impostor trial). Every image
+    is prepped and its observations computed in memory; nothing is cached.
+    With model_dir, a modality whose stored models were fitted from this
+    same gallery and settings is served from there instead of trained
+    again (see pipeline.train_gallery); model_dir is only read.
 
     Returns (ErrorReport, {method: RocCurve}, [TrialRecord, ...]).
     """
@@ -252,10 +253,9 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
         return prep_image(load_entry_image(entry), entry.landmarks, config)
 
     artifacts = train_gallery(entries, config, image_for, bank,
-                              cache_dir=cache_dir, model_dir=model_dir)
+                              model_dir=model_dir)
     probe_obs = {(entry.subject_id, entry.modality): image_observations(
-        image_for(entry), bank, config, cache_dir=cache_dir).observations
-        for entry in probes}
+        image_for(entry), bank, config).observations for entry in probes}
 
     pairs = [(true_sid, claimed) for true_sid in subjects
              for claimed in subjects]

@@ -89,10 +89,6 @@ def _as_data(obs) -> np.ndarray:
     x = np.asarray(getattr(obs, "observations", obs), dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected an (n, dim) observation matrix")
-    if not np.all(np.isfinite(x)):
-        row = int(np.argmin(np.all(np.isfinite(x), axis=1)))
-        raise ValueError(f"observations must be finite; row {row} holds "
-                         f"{x[row][~np.isfinite(x[row])][0]}")
     return x
 
 
@@ -104,16 +100,35 @@ class _Design:
     resp^T z, and an offset shared by the data and the means cancels
     before anything is squared. z is kept as its transpose zt, one
     contiguous (2d, n) array, so that the products with it and every
-    reduction over components run along n."""
+    reduction over components run along n. Observations that are not
+    finite, or whose square about c overflows, are refused with a
+    ValueError naming their row."""
 
     def __init__(self, x: np.ndarray):
         n, d = x.shape
         self.x, self.dim = x, d
-        self.centre = x.mean(axis=0) if n else np.zeros(d)
         self.zt = np.empty((2 * d, n))
         self.lin = self.zt[d:]
-        np.subtract(x.T, self.centre[:, None], out=self.lin)
-        np.square(self.lin, out=self.zt[:d])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.centre = x.mean(axis=0) if n else np.zeros(d)
+            np.subtract(x.T, self.centre[:, None], out=self.lin)
+            np.square(self.lin, out=self.zt[:d])
+        # a non-finite observation leaves a non-finite square too
+        if not np.isfinite(self.zt[:d]).all():
+            self._refuse()
+
+    def _refuse(self):
+        bad = ~np.isfinite(self.x)
+        if bad.any():
+            row = int(np.argmax(bad.any(axis=1)))
+            raise ValueError(f"observations must be finite; row {row} holds "
+                             f"{self.x[row][bad[row]][0]}")
+        # an outlier drags c along, so the row furthest from c is named
+        spread = np.abs(self.lin)
+        row = int(np.argmax(spread.max(axis=0)))
+        raise ValueError(f"observations overflow when squared about their "
+                         f"mean; row {row} holds "
+                         f"{self.x[row, np.argmax(spread[:, row])]}")
 
     @functools.cached_property
     def row_norms(self) -> np.ndarray:

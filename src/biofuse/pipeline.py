@@ -189,17 +189,18 @@ def train_modality(modality: str, gallery_obs: dict,
 
 
 def train_gallery(entries, config: PipelineConfig, image_for, bank,
-                  cache_dir=None, model_dir=None) -> dict:
+                  model_dir=None) -> dict:
     """{modality: ModalityArtifacts} trained from the session-1 (gallery)
     entries.
 
     image_for(entry) returns the entry's prepped image; each image is
-    loaded once, for the fingerprint and for its observations. Every
-    subject in entries needs gallery images of every modality. With
-    model_dir, a modality whose stored artifacts (load_artifacts) carry
-    this gallery's fingerprint is served from there and not fitted; any
-    stored file that is missing, unreadable or of another gallery or
-    version means it is trained. Nothing is written to model_dir.
+    loaded once, for the fingerprint and for its observations, which are
+    computed in memory and never cached. Every subject in entries needs
+    gallery images of every modality. With model_dir, a modality whose
+    stored artifacts (load_artifacts) carry this gallery's fingerprint is
+    served from there and not fitted; any stored file that is missing,
+    unreadable or of another gallery or version means it is trained.
+    Nothing is written to model_dir.
     """
     gallery, _ = split_by_session(entries)
     subjects = sorted({e.subject_id for e in entries})
@@ -225,8 +226,7 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
         gallery_obs = {}
         for entry, img in images:
             gallery_obs.setdefault(entry.subject_id, []).append(
-                image_observations(img, bank, config,
-                                   cache_dir=cache_dir).observations)
+                image_observations(img, bank, config).observations)
         artifacts = train_modality(modality, gallery_obs, config)
         trained[modality] = replace(artifacts, fingerprint=fingerprint)
     return trained

@@ -187,7 +187,8 @@ def load_manifest(path) -> list:
     {image_path, modality, subject_id, session, landmarks: {label: [x, y]}}.
 
     Raises ManifestError naming the offending record on any defect,
-    including a subject id equal to the reserved BACKGROUND_ID.
+    including a session other than the integer 1 (gallery) or 2 (probe)
+    and a subject id equal to the reserved BACKGROUND_ID.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -227,10 +228,11 @@ def load_manifest(path) -> list:
             except (TypeError, ValueError, IndexError):
                 raise ManifestError(
                     f"{where}: landmark {label!r} is not [x, y]") from None
-        try:
-            session = int(rec["session"])
-        except (TypeError, ValueError):
-            raise ManifestError(f"{where}: bad session") from None
+        session = rec["session"]
+        # JSON true and 1.0 compare equal to 1, so the type is checked too
+        if type(session) is not int or session not in (1, 2):
+            raise ManifestError(
+                f"{where}: session must be 1 or 2, got {session!r}")
         subject_id = str(rec["subject_id"])
         if subject_id == BACKGROUND_ID:
             raise ManifestError(

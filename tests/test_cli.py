@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import biofuse.pipeline as pipeline
 from biofuse.cli import main
 from biofuse.gmm import MODEL_FORMAT_VERSION
 from biofuse.pgm import load_pgm, write_pgm
@@ -374,6 +375,25 @@ class TestVerify:
         assert first == (f"ACCEPT m_genuine={detail['m_genuine']:.6f} "
                          f"conflict={detail['conflict']:.6f} threshold=0.5")
 
+    def test_repeat_is_served_from_the_cache(self, trained, tmp_path,
+                                             monkeypatch, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[paths]\nmodel_dir = {trained['model_dir']}\n"
+                       f"output_dir = {tmp_path}/out\n")
+        face, ear = self._probe(trained, "bob")
+        argv = ["--config", str(cfg), "verify", "--face", face, "--ear", ear,
+                "--claim", "bob"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert len(os.listdir(tmp_path / "out" / "cache")) == 2
+
+        def no_features(*args, **kwargs):
+            raise AssertionError("a cached probe must not be recomputed")
+
+        monkeypatch.setattr(pipeline, "sampled_responses", no_features)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
 
 class TestSynthEval:
     def test_writes_report_and_rocs(self, tmp_path, capsys):
@@ -434,6 +454,18 @@ class TestEval:
         rows = (out_dir / "report.csv").read_text().splitlines()[1:]
         fused = [r for r in rows if r.startswith("fusion")][0]
         assert float(fused.split(",")[3]) == 0.0  # EER column
+        assert not (out_dir / "cache").exists()
+
+    def test_train_and_eval_write_no_feature_cache(self, trained, toy_corpus,
+                                                   tmp_path):
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        assert main(["--config", cfg, "train",
+                     "--manifest", trained["prepped_manifest"]]) == 0
+        assert not (tmp_path / "out" / "cache").exists()
+        assert main(["--config", cfg, "eval"]) == 0
+        assert (tmp_path / "out" / "report.csv").exists()
+        assert not (tmp_path / "out" / "cache").exists()
 
     def test_unwritable_output_dir_exits_2(self, toy_corpus, tmp_path):
         blocker = tmp_path / "blocker"

@@ -154,6 +154,24 @@ def test_bad_values_are_rejected(tmp_path):
         load_config(_write(tmp_path, "[synth_ear]\nimpostor_std = 0\n"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[eval]\nseed = 1.5\n",
+     "[eval] seed: invalid literal for int() with base 10: '1.5'"),
+    ("[gmm_face]\ntol = abc\n",
+     "[gmm_face] tol: could not convert string to float: 'abc'"),
+    ("[canonical]\nface_left_eye = 1\n",
+     "[canonical] face_left_eye: expected 'x, y', got '1'"),
+], ids=["int", "float", "point"])
+def test_unparsable_value_names_section_and_key(tmp_path, capsys, text,
+                                                message):
+    path = _write(tmp_path, "[paths]\nmodel_dir = models\n" + text)
+    assert main(["--config", str(path), "train"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}\n" == captured.err
+    assert not (tmp_path / "models").exists()
+
+
 @pytest.mark.parametrize("text", [
     "seed = 3\n[eval]\n",                       # line before any section
     "[eval]\nseed = %d\n",                       # bad interpolation

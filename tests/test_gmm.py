@@ -489,10 +489,11 @@ _STANDARD = GmmModel(np.array([0.5, 0.5]), np.array([[0.0, 0.0], [1.0, 1.0]]),
 
 
 class TestNonFiniteObservations:
-    """A NaN or infinite observation is refused where it enters, with the
-    row that holds it; it never turns into a nan score or a bad fit."""
+    """A NaN or infinite observation, or a finite one whose square about
+    the data mean overflows, is refused where it enters, with the row that
+    holds it; it never turns into a nan score or a bad fit."""
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
     @pytest.mark.parametrize("entry", [
         lambda x: em_fit(x, EmConfig(n_components=2, restarts=1)),
         lambda x: kmeans_init(x, 2, seed=0),
@@ -504,8 +505,11 @@ class TestNonFiniteObservations:
     def test_rejected(self, entry, value):
         x = np.random.default_rng(0).normal(0.0, 1.0, (20, 2))
         x[7, 1] = value
+        message = ("observations overflow when squared about their mean"
+                   if math.isfinite(value)
+                   else "observations must be finite")
         with pytest.raises(ValueError, match=re.escape(
-                f"observations must be finite; row 7 holds {value}")):
+                f"{message}; row 7 holds {value}")):
             entry(x)
 
 

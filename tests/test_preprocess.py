@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,17 @@ class TestManifest:
             load_manifest(self._write(tmp_path, [{
                 "image_path": "x", "modality": "ear", "subject_id": "s",
                 "landmarks": {}}]))
+
+    @pytest.mark.parametrize("session", [3, 0, 1.7, 1.0, True, "1", None])
+    def test_session_other_than_1_or_2(self, tmp_path, session):
+        good = {"image_path": "a.pgm", "modality": "ear", "subject_id": "s",
+                "session": 2, "landmarks": EAR}
+        path = self._write(tmp_path, [good, {**good, "image_path": "b.pgm",
+                                             "session": session}])
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest record 1 (b.pgm): session must be 1 or 2, "
+                f"got {session!r}")):
+            load_manifest(path)
 
     def test_unknown_modality(self, tmp_path):
         with pytest.raises(ManifestError, match="gait"):
