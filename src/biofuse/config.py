@@ -207,7 +207,7 @@ def load_config(path) -> PipelineConfig:
     return PipelineConfig(
         gabor=_validated("gabor", _apply(_DEFAULT.gabor, gabor)),
         stride=stride,
-        layout=_apply(_DEFAULT.layout, values("canonical")),
+        layout=settings("canonical", _DEFAULT.layout),
         gmm={m: settings(f"gmm_{m}", em) for m, em in _DEFAULT.gmm.items()},
         fusion=settings("fusion", _DEFAULT.fusion),
         eval=settings("eval", _DEFAULT.eval),

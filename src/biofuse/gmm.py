@@ -6,7 +6,7 @@ alternates an E-step (posterior responsibilities) with an M-step
 nondecreasing across iterations. The k-means initialisation is the same
 M-step applied to hard (one-hot) cluster assignments. Per-image match
 scores are average log-likelihood ratios against a pooled background
-model.
+model; MixtureStack scores one image against many mixtures at once.
 """
 
 import functools
@@ -340,6 +340,66 @@ def match_score(client: GmmModel, background: GmmModel | None, obs) -> float:
     if background is not None:
         score -= float(np.mean(_e_step(design, background)[1]))
     return score
+
+
+class MixtureStack:
+    """Mixtures of one component count M and dimension d, stacked once so
+    that observations are scored against all of them together: row
+    k * M + m of each array belongs to component m of mixture k."""
+
+    def __init__(self, models):
+        shape = models[0].means.shape
+        for model in models:
+            if model.means.shape != shape:
+                raise ValueError(
+                    f"stacked mixtures must share their component count "
+                    f"and dimension: {model.means.shape} != {shape}")
+        self.n_mixtures = len(models)
+        self.n_components, self.dim = shape
+        variances = np.concatenate([m.variances for m in models])
+        self.means = np.concatenate([m.means for m in models])
+        self.inv_var = 1.0 / variances
+        self.neg_half_inv_var = -0.5 * self.inv_var
+        with np.errstate(divide="ignore"):
+            self.logw = np.log(np.concatenate([m.weights for m in models]))
+        self.sum_log_var = np.sum(np.log(variances), axis=1)
+
+    def mean_log_likelihoods(self, obs) -> np.ndarray:
+        """(K,) average log-likelihoods of obs under each stacked mixture.
+
+        One design about the observations' centre and one (K·M, 2d)
+        coefficient block, multiplied with it in one batched matmul, give
+        every mixture's log joint. The arithmetic is _log_joint's and
+        _e_step's, term for term (less the responsibilities, which a score
+        does not need), so entry k equals
+        np.mean(log_likelihood_many(models[k], obs)) bit for bit. Errors
+        are match_score's: EmptyObservationSet, a ValueError naming a
+        non-finite row, then DimensionMismatch."""
+        x = _as_data(obs)
+        if x.shape[0] == 0:
+            raise EmptyObservationSet("no observations to score")
+        design = _Design(x)
+        if self.dim != design.dim:
+            raise DimensionMismatch(
+                f"observation dim {design.dim} != model dim {self.dim}")
+        mu = self.means - design.centre
+        const = self.logw - 0.5 * (np.sum(mu * mu * self.inv_var, axis=1)
+                                   + self.sum_log_var
+                                   + design.dim * _LOG_2PI)
+        coeff = np.concatenate([self.neg_half_inv_var, mu * self.inv_var],
+                               axis=1)
+        # one batched product hands BLAS each mixture's (M, 2d) block on
+        # its own, as _log_joint does; a single (K*M, 2d) GEMM would round
+        # differently where M = 1, which BLAS takes as a vector product
+        shape = (self.n_mixtures, self.n_components, -1)
+        e = coeff.reshape(shape) @ design.zt
+        e += const.reshape(shape)
+        top = np.max(e, axis=1)
+        shift = np.where(np.isfinite(top), top, 0.0)
+        e -= shift[:, None]
+        np.exp(e, out=e)
+        with np.errstate(divide="ignore"):
+            return np.mean(shift + np.log(e.sum(axis=1)), axis=1)
 
 
 def model_to_dict(model: GmmModel, modality: str, subject_id: str) -> dict:

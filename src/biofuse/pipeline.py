@@ -13,6 +13,7 @@ load_artifacts reads them.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -27,8 +28,10 @@ from .atomic import write_atomic, write_json
 from .config import PipelineConfig
 from .errors import BiofuseError, ManifestError, ModelFormatError
 from .gabor import ChannelScaler, ObservationSet, sampled_responses
-from .gmm import (FIT_VERSION, MODEL_FORMAT_VERSION, GmmModel, em_fit,
-                  load_model, match_score, save_model)
+from .gmm import (FIT_VERSION, MODEL_FORMAT_VERSION, GmmModel, MixtureStack,
+                  em_fit, load_model, save_model)
+# match_score is unused here; perfbench's tracer tests check this import site
+from .gmm import match_score  # noqa: F401
 from .pgm import load_pgm
 from .preprocess import (BACKGROUND_ID, geometric_normalize,
                          histogram_equalize)
@@ -123,6 +126,15 @@ class ModalityArtifacts:
     scaler: ChannelScaler
     calibration: tuple         # (lo, hi) gallery score bounds
     fingerprint: str | None = None  # gallery_fingerprint of the fit
+
+    @functools.cached_property
+    def stack(self) -> MixtureStack:
+        """The background, then the clients in sorted id order, stacked
+        once for probe_score; clients is not to change after its first
+        use."""
+        return MixtureStack([self.background,
+                             *(self.clients[sid]
+                               for sid in sorted(self.clients))])
 
 
 def gallery_fingerprint(modality: str, images,
@@ -236,11 +248,12 @@ def probe_score(artifacts: ModalityArtifacts,
                 obs_matrix: np.ndarray) -> np.ndarray:
     """Scores of one image's raw observations against every client, in
     sorted id order: match_score(client, background, transformed obs),
-    with the transform and the background term taken once."""
-    x = artifacts.scaler.transform(obs_matrix)
-    background = match_score(artifacts.background, None, x)
-    return np.array([match_score(artifacts.clients[sid], None, x) - background
-                     for sid in sorted(artifacts.clients)])
+    bit for bit. The image is scored against artifacts.stack, every
+    mixture of the modality at once, with one design and one batched
+    matrix product."""
+    means = artifacts.stack.mean_log_likelihoods(
+        artifacts.scaler.transform(obs_matrix))
+    return means[1:] - means[0]
 
 
 # --- persistence of per-modality training artifacts ---
@@ -282,7 +295,8 @@ def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
     """One modality's stored artifacts with the client models of ids, as
     save_artifacts wrote them into model_dir. The reserved background id,
     and a missing, malformed or misplaced model or stats file (another
-    version, a non-finite number), raise an error naming it."""
+    version, a non-finite number, a client whose component count or
+    dimension differs from the background's), raise an error naming it."""
     if BACKGROUND_ID in ids:
         raise BiofuseError(f"id {BACKGROUND_ID!r} is reserved for the "
                            f"background model")
@@ -299,6 +313,14 @@ def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
                 f"not the {modality} model of {sid!r}")
         models[sid] = model
     background = models.pop(BACKGROUND_ID)
+    for sid, model in models.items():
+        # probe_score stacks every mixture of a modality
+        if model.means.shape != background.means.shape:
+            raise ModelFormatError(
+                f"{os.path.join(model_dir, model_filename(modality, sid))}: "
+                f"{model.n_components} components of dim {model.dim}, but "
+                f"the background has {background.n_components} of dim "
+                f"{background.dim}")
     stats_path = os.path.join(model_dir, stats_filename(modality))
     with open(stats_path, encoding="utf-8") as fh:
         try:

@@ -7,6 +7,7 @@ functions are pure; none mutate their inputs.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,19 @@ class CanonicalLayout:
         "antitragus": (100.0, 160.0),
     })
 
+    def validate(self):
+        """The frame is at least 1x1 and every landmark target is finite;
+        a ValueError names the offending config key."""
+        for key in ("width", "height"):
+            if getattr(self, key) < 1:
+                raise ValueError(
+                    f"{key} must be at least 1, got {getattr(self, key)}")
+        for modality in _LABELS:
+            for label, xy in self.positions(modality).items():
+                if not all(math.isfinite(v) for v in xy):
+                    raise ValueError(f"{modality}_{label} must be finite, "
+                                     f"got {xy[0]}, {xy[1]}")
+
     def positions(self, modality: str) -> dict:
         if modality == "face":
             return self.face
@@ -82,39 +96,55 @@ def _similarity_fit(src: np.ndarray, dst: np.ndarray):
     """Least-squares similarity transform z -> a*z + b (complex form).
 
     Exact for two points; least-squares for three or more. Rotation and
-    uniform scale only, never a reflection.
+    uniform scale only, never a reflection. A fit that is not finite (a
+    target that is not, or one so large that the fit overflows) raises
+    ValueError.
     """
-    src_mean = src.mean()
-    dst_mean = dst.mean()
-    zc = src - src_mean
-    wc = dst - dst_mean
-    denom = np.sum((zc * np.conj(zc)).real)
-    if denom <= 0.0:
-        raise DegenerateLandmarks("all landmarks coincide")
-    a = np.sum(wc * np.conj(zc)) / denom
-    if abs(a) < 1e-12:
-        raise DegenerateLandmarks("fitted scale is zero")
-    b = dst_mean - a * src_mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        src_mean = src.mean()
+        dst_mean = dst.mean()
+        zc = src - src_mean
+        wc = dst - dst_mean
+        denom = np.sum((zc * np.conj(zc)).real)
+        if denom <= 0.0:
+            raise DegenerateLandmarks("all landmarks coincide")
+        a = np.sum(wc * np.conj(zc)) / denom
+        if abs(a) < 1e-12:
+            raise DegenerateLandmarks("fitted scale is zero")
+        b = dst_mean - a * src_mean
+    # a non-finite fit would send every sample to an arbitrary pixel
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError(f"similarity fit is not finite (scale-rotation "
+                         f"{a}, offset {b}); landmark targets must be "
+                         f"finite")
     return a, b
 
 
 def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample img at float coords, zero outside the source plane."""
+    """Sample img at finite float coords, zero outside the source plane.
+
+    The image is copied once into a float64 plane with a 2-pixel zero
+    border. Each sample's top-left corner is clipped to [-2, w] x [-2, h],
+    so all four of its corners read from that plane, through one flat
+    index each: a corner off the image, however far, lands in the border
+    and reads 0. The corners are weighted and summed in a fixed order.
+    """
     h, w = img.shape
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
+    stride = w + 4
+    plane = np.zeros((h + 4, stride), dtype=np.float64)
+    plane[2:h + 2, 2:w + 2] = img
+    flat = plane.ravel()
+    x0 = np.floor(xs)
+    y0 = np.floor(ys)
     dx = xs - x0
     dy = ys - y0
+    base = ((y0.clip(-2, h).astype(np.int64) + 2) * stride
+            + x0.clip(-2, w).astype(np.int64) + 2)
 
     out = np.zeros(xs.shape, dtype=np.float64)
-    vals = img.astype(np.float64)
     for oy, wy in ((0, 1.0 - dy), (1, dy)):
         for ox, wx in ((0, 1.0 - dx), (1, dx)):
-            xi = x0 + ox
-            yi = y0 + oy
-            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            sample = np.where(
-                valid, vals[yi.clip(0, h - 1), xi.clip(0, w - 1)], 0.0)
+            sample = flat.take(base + (oy * stride + ox))
             out += wx * wy * sample
     return out
 

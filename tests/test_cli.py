@@ -9,7 +9,7 @@ import pytest
 
 import biofuse.pipeline as pipeline
 from biofuse.cli import main
-from biofuse.gmm import MODEL_FORMAT_VERSION
+from biofuse.gmm import MODEL_FORMAT_VERSION, GmmModel, save_model
 from biofuse.pgm import load_pgm, write_pgm
 
 
@@ -278,6 +278,27 @@ class TestVerify:
         assert captured.out == ""
         assert "face_alice.json" in captured.err
         assert "finite" in captured.err
+
+    def test_client_of_another_component_count_exits_2(self, trained,
+                                                      toy_corpus, tmp_path,
+                                                      capsys):
+        # a valid mixture on its own, but it cannot be scored beside the
+        # background's components
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        client = models / "ear_alice.json"
+        dim = len(json.loads(client.read_text())["means"][0])
+        save_model(GmmModel(np.full(4, 0.25), np.zeros((4, dim)),
+                            np.ones((4, dim))), str(client), "ear", "alice")
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "alice", session=1)
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ear_alice.json: 4 components" in captured.err
 
     @pytest.mark.parametrize("path,value", [
         (("scaler", "mean"), float("nan")),

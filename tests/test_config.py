@@ -253,6 +253,28 @@ def test_bad_stride_and_eval_settings_exit_2_at_load(tmp_path, capsys, text,
     assert not (tmp_path / "models").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("width = 0\n", "[canonical] width must be at least 1, got 0"),
+    ("width = -5\n", "[canonical] width must be at least 1, got -5"),
+    ("height = 0\n", "[canonical] height must be at least 1, got 0"),
+    ("face_left_eye = nan, 70\n",
+     "[canonical] face_left_eye must be finite, got nan, 70.0"),
+    ("ear_antitragus = 100, inf\n",
+     "[canonical] ear_antitragus must be finite, got 100.0, inf"),
+], ids=["width-0", "width-negative", "height-0", "point-nan", "point-inf"])
+def test_bad_canonical_layout_exits_2_before_prep_writes(tmp_path, capsys,
+                                                         toy_corpus, text,
+                                                         message):
+    path = _write(tmp_path, f"[paths]\nmanifest = {toy_corpus['manifest']}\n"
+                            f"[canonical]\n{text}")
+    out = tmp_path / "prepped"
+    assert main(["--config", str(path), "prep", "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "synth-eval"])
 def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
     path = _write(tmp_path, "[paths]\nmodel_dir = models\n")

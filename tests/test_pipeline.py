@@ -1,13 +1,18 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biofuse.pipeline as pipeline
 from biofuse.config import PipelineConfig
 from biofuse.gabor import (ChannelScaler, GaborParams, build_bank,
                            sampled_responses)
-from biofuse.gmm import GmmModel, match_score
+from biofuse.errors import (BiofuseError, DimensionMismatch,
+                            EmptyObservationSet, ModelFormatError)
+from biofuse.gmm import GmmModel, match_score, save_model
 from biofuse.pipeline import (ModalityArtifacts, image_observations,
                               load_artifacts, probe_score, save_artifacts)
 
@@ -83,6 +88,81 @@ def test_probe_score_scores_every_client_in_sorted_order():
     want = [match_score(clients[sid], background, scaler.transform(obs))
             for sid in ("alice", "bob", "carol")]
     assert got.tolist() == want
+
+
+def _outcome(score):
+    """score()'s list of floats, or the type and text of what it raised."""
+    try:
+        return list(score())
+    except (BiofuseError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n_clients=st.integers(min_value=1, max_value=6),
+       m=st.integers(min_value=1, max_value=5),
+       d=st.integers(min_value=1, max_value=6),
+       n=st.integers(min_value=1, max_value=60),
+       offset=st.floats(min_value=0.0, max_value=1e3),
+       defect=st.sampled_from([None, "empty", "dimension", "nan"]))
+def test_probe_score_equals_match_score_per_client(seed, n_clients, m, d, n,
+                                                   offset, defect):
+    rng = np.random.default_rng(seed)
+    clients = {f"s{i}": _random_model(rng, m, d)
+               for i in rng.permutation(n_clients)}
+    background = _random_model(rng, m, d)
+    dim = d + 1 if defect == "dimension" else d
+    scaler = ChannelScaler(mean=rng.normal(0.0, 5.0, dim),
+                           std=rng.uniform(0.1, 3.0, dim))
+    # up to 1e3 scaler standard deviations away from the scaler's mean
+    shift = offset * rng.uniform(-1.0, 1.0, dim)
+    obs = scaler.mean + scaler.std * (rng.normal(0.0, 1.0, (n, dim)) + shift)
+    if defect == "empty":
+        obs = obs[:0]
+    elif defect == "nan":
+        obs[rng.integers(n), rng.integers(dim)] = np.nan
+    artifacts = ModalityArtifacts(clients, background, scaler, (0.0, 1.0))
+
+    got = _outcome(lambda: probe_score(artifacts, obs))
+    want = _outcome(lambda: [
+        match_score(clients[sid], background, scaler.transform(obs))
+        for sid in sorted(clients)])
+    assert got == want
+    if defect is None:
+        assert isinstance(got, list)
+    else:
+        assert got[0] is {"empty": EmptyObservationSet,
+                          "dimension": DimensionMismatch,
+                          "nan": ValueError}[defect]
+    if defect == "nan":
+        assert re.search(r"row \d+ holds nan", got[1])
+
+
+def test_mixtures_of_another_shape_cannot_be_stacked():
+    rng = np.random.default_rng(4)
+    scaler = ChannelScaler(mean=np.zeros(4), std=np.ones(4))
+    for odd in (_random_model(rng, m=4), _random_model(rng, d=3)):
+        artifacts = ModalityArtifacts({"alice": _random_model(rng),
+                                       "bob": odd},
+                                      _random_model(rng), scaler, (0.0, 1.0))
+        with pytest.raises(ValueError, match="share their component count"):
+            probe_score(artifacts, rng.normal(0.0, 1.0, (5, 4)))
+
+
+def test_client_of_another_component_count_is_refused(tmp_path):
+    rng = np.random.default_rng(3)
+    scaler = ChannelScaler(mean=np.zeros(4), std=np.ones(4))
+    stored = ModalityArtifacts({"alice": _random_model(rng)},
+                               _random_model(rng), scaler, (0.0, 1.0),
+                               "f" * 64)
+    save_artifacts(str(tmp_path), {"face": stored})
+    path = tmp_path / "face_alice.json"
+    save_model(_random_model(rng, m=4), str(path), "face", "alice")
+    with pytest.raises(ModelFormatError, match=f"{path}: 4 components of "
+                                               f"dim 4, but the background "
+                                               f"has 3 of dim 4"):
+        load_artifacts(str(tmp_path), "face", ["alice"])
 
 
 def _awkward(rng, shape):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biofuse.errors import DegenerateLandmarks, ManifestError
-from biofuse.preprocess import (CanonicalLayout, LandmarkSet,
+from biofuse.preprocess import (CanonicalLayout, LandmarkSet, _bilinear,
                                 geometric_normalize, histogram_equalize,
                                 load_manifest)
 
@@ -118,6 +118,72 @@ class TestGeometricNormalize:
         assert out[0, 0] == 0       # corner maps outside the source
         assert out[110, 100] == 200  # center stays inside
         assert out.max() == 200
+
+    @pytest.mark.parametrize("target", [(float("nan"), 70.0),
+                                        (60.0, float("inf")),
+                                        (1e308, 70.0)],
+                             ids=["nan", "inf", "overflow"])
+    def test_non_finite_layout_is_refused(self, target):
+        layout = CanonicalLayout(face={**FACE, "left_eye": target})
+        src = np.zeros((230, 210), dtype=np.uint8)
+        with pytest.raises(ValueError, match="similarity fit is not finite"):
+            geometric_normalize(src, LandmarkSet("face", FACE), layout)
+
+
+def _bilinear_reference(img, xs, ys):
+    """The masked warp _bilinear replaced, kept as its oracle."""
+    h, w = img.shape
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    dx = xs - x0
+    dy = ys - y0
+
+    out = np.zeros(xs.shape, dtype=np.float64)
+    vals = img.astype(np.float64)
+    for oy, wy in ((0, 1.0 - dy), (1, dy)):
+        for ox, wx in ((0, 1.0 - dx), (1, dx)):
+            xi = x0 + ox
+            yi = y0 + oy
+            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            sample = np.where(
+                valid, vals[yi.clip(0, h - 1), xi.clip(0, w - 1)], 0.0)
+            out += wx * wy * sample
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       h=st.integers(min_value=1, max_value=40),
+       w=st.integers(min_value=1, max_value=40))
+def test_bilinear_equals_the_masked_reference(seed, h, w):
+    rng = np.random.default_rng(seed)
+    img = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    # a random similarity map of a 30x30 output grid, as in
+    # geometric_normalize; small scales spread it far beyond the plane
+    a = 10.0 ** rng.uniform(-2.0, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    b = complex(*rng.uniform(-50.0, 50.0, 2))
+    ys_c, xs_c = np.mgrid[0:30, 0:30]
+    z = ((xs_c + 1j * ys_c - b) / a).ravel()
+    # points 3 px to 1e4 px off each side of the plane
+    far = 3.0 + 10.0 ** rng.uniform(0.0, 4.0, 8)
+    inside_x = rng.uniform(0.0, w - 1, 8)
+    inside_y = rng.uniform(0.0, h - 1, 8)
+    off = np.concatenate([-far[:2] + 1j * inside_y[:2],
+                          w - 1 + far[2:4] + 1j * inside_y[2:4],
+                          inside_x[4:6] - 1j * far[4:6],
+                          inside_x[6:] + 1j * (h - 1 + far[6:])])
+    # exactly on the last row and column, and just below 0
+    below = -np.array([5e-324, 1e-12, 0.5])
+    edge = np.concatenate([(w - 1) + 1j * inside_y[:3],
+                           inside_x[:3] + 1j * (h - 1),
+                           [(w - 1) + 1j * (h - 1)],
+                           below + 1j * inside_y[:3],
+                           inside_x[:3] + 1j * below,
+                           below + 1j * below])
+    points = np.concatenate([z, off, edge])
+    got = _bilinear(img, points.real, points.imag)
+    assert np.array_equal(got, _bilinear_reference(img, points.real,
+                                                   points.imag))
 
 
 class TestHistogramEqualize:

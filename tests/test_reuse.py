@@ -6,10 +6,12 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import biofuse.pipeline as pipeline
 from biofuse.cli import main
+from biofuse.gmm import GmmModel, save_model
 from biofuse.pgm import load_pgm, write_pgm
 
 # one EM start per fit keeps the many trainings below cheap
@@ -200,6 +202,21 @@ def test_missing_client_model_retrains(base, tmp_path, monkeypatch):
     models = str(tmp_path / "models")
     shutil.copytree(base["model_dir"], models)
     os.remove(os.path.join(models, "ear_bob.json"))
+    cfg = _config(str(tmp_path), base["manifest"], model_dir=models)
+    outputs, trained = _eval(cfg, models, monkeypatch)
+    assert trained == ["ear"]
+    assert outputs == base["outputs"]
+
+
+def test_client_of_another_component_count_retrains(base, tmp_path,
+                                                     monkeypatch):
+    models = str(tmp_path / "models")
+    shutil.copytree(base["model_dir"], models)
+    client = os.path.join(models, "ear_bob.json")
+    with open(client, encoding="utf-8") as fh:
+        dim = len(json.load(fh)["means"][0])
+    save_model(GmmModel(np.full(4, 0.25), np.zeros((4, dim)),
+                        np.ones((4, dim))), client, "ear", "bob")
     cfg = _config(str(tmp_path), base["manifest"], model_dir=models)
     outputs, trained = _eval(cfg, models, monkeypatch)
     assert trained == ["ear"]
