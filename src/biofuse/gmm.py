@@ -23,9 +23,13 @@ from .errors import (DimensionMismatch, EmptyObservationSet, ModelFormatError,
 MODEL_FORMAT_VERSION = 1
 # the fit's arithmetic: bumped whenever a change moves the float rounding of
 # fitted models, so that galleries trained before it are fitted again
-FIT_VERSION = 2
+FIT_VERSION = 3
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# the smallest normal double and its log: exp(x) is normal exactly when
+# x >= _LOG_TINY
+_TINY = np.finfo(np.float64).tiny
+_LOG_TINY = math.log(_TINY)
 
 
 @dataclass(frozen=True)
@@ -154,18 +158,40 @@ def _log_joint(design: _Design, model: GmmModel) -> np.ndarray:
     return lj
 
 
+def _shifted_exp(e: np.ndarray, axis: int):
+    """Shift log joints e in place by their maximum over the components
+    on `axis` and exponentiate them; returns the shift and the sum of the
+    exponentials, both without `axis`. An observation at -inf under every
+    component keeps a zero shift, so no finite input underflows to -inf.
+
+    An entry whose shifted log joint lies below log(tiny) is written as an
+    exact 0 without passing through exp: its exp would be subnormal or 0,
+    which numpy's exp, and BLAS downstream, compute far off their fast
+    path. Such a term is below 2^-1022 and joins a sum that holds an exact
+    1.0, so the sums are those of a plain exp (but for a last-bit tie
+    among the other terms). The entry is set to 0
+    before the exp and again after it, rather than masked by a product,
+    which would turn the -inf of a zero-weight component into NaN."""
+    top = np.max(e, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    e -= shift
+    under = e < _LOG_TINY
+    np.copyto(e, 0.0, where=under)
+    np.exp(e, out=e)
+    np.copyto(e, 0.0, where=under)
+    return np.squeeze(shift, axis=axis), e.sum(axis=axis)
+
+
 def _e_step(design: _Design, model: GmmModel):
     """(n, M) responsibilities (a transposed view) and the (n,) per-row
     log-likelihoods, from one exp of the log joint shifted by its maximum
-    over the components (an observation at -inf under every component
-    keeps a zero shift), so no finite input underflows to -inf."""
+    over the components. Every responsibility is 0 or at least tiny: one
+    that only the division by its row total takes below tiny is written
+    as 0 too."""
     e = _log_joint(design, model)
-    top = np.max(e, axis=0)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    e -= shift
-    np.exp(e, out=e)
-    total = e.sum(axis=0)
+    shift, total = _shifted_exp(e, axis=0)
     e /= total
+    np.copyto(e, 0.0, where=e < _TINY)
     with np.errstate(divide="ignore"):
         return e.T, shift + np.log(total)
 
@@ -270,8 +296,9 @@ def _em_run(design: _Design, config: EmConfig, init: GmmModel):
                 break
         nk, means, variances = _m_step(design, resp)
 
-        # a component whose responsibility mass underflowed to zero has no
-        # statistics left; re-seed it once at the worst-explained point.
+        # a component whose every responsibility fell below tiny (and so
+        # was written as 0) has no statistics left; re-seed it once at the
+        # worst-explained point.
         # (variances merely estimated under the floor are clamped by the
         # floor itself -- the constrained M-step keeps EM monotone.)
         collapsed = np.flatnonzero(nk == 0.0)
@@ -394,12 +421,9 @@ class MixtureStack:
         shape = (self.n_mixtures, self.n_components, -1)
         e = coeff.reshape(shape) @ design.zt
         e += const.reshape(shape)
-        top = np.max(e, axis=1)
-        shift = np.where(np.isfinite(top), top, 0.0)
-        e -= shift[:, None]
-        np.exp(e, out=e)
+        shift, total = _shifted_exp(e, axis=1)
         with np.errstate(divide="ignore"):
-            return np.mean(shift + np.log(e.sum(axis=1)), axis=1)
+            return np.mean(shift + np.log(total), axis=1)
 
 
 def model_to_dict(model: GmmModel, modality: str, subject_id: str) -> dict:

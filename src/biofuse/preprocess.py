@@ -6,6 +6,7 @@ positions, cropped to a canonical frame, and histogram-equalized. All
 functions are pure; none mutate their inputs.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -69,17 +70,36 @@ class CanonicalLayout:
     })
 
     def validate(self):
-        """The frame is at least 1x1 and every landmark target is finite;
-        a ValueError names the offending config key."""
+        """The frame is at least 1x1, and each modality's landmark targets
+        are finite, pairwise distinct and spread little enough that their
+        squared spread about their mean is finite, so a similarity fit
+        onto them neither collapses nor overflows. A ValueError names the
+        offending config key."""
         for key in ("width", "height"):
             if getattr(self, key) < 1:
                 raise ValueError(
                     f"{key} must be at least 1, got {getattr(self, key)}")
         for modality in _LABELS:
-            for label, xy in self.positions(modality).items():
-                if not all(math.isfinite(v) for v in xy):
-                    raise ValueError(f"{modality}_{label} must be finite, "
-                                     f"got {xy[0]}, {xy[1]}")
+            points = self.positions(modality)
+            keys = [f"{modality}_{label}" for label in points]
+            xy = [(float(x), float(y)) for x, y in points.values()]
+            for key, (x, y) in zip(keys, xy):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"{key} must be finite, got {x}, {y}")
+            for i, j in itertools.combinations(range(len(xy)), 2):
+                if xy[i] == xy[j]:
+                    raise ValueError(f"{keys[i]} and {keys[j]} coincide at "
+                                     f"{xy[i][0]}, {xy[i][1]}")
+            # float sums and products overflow to inf (or NaN), not raise
+            cx = sum(x for x, _ in xy) / len(xy)
+            cy = sum(y for _, y in xy) / len(xy)
+            spread = sum((x - cx) * (x - cx) + (y - cy) * (y - cy)
+                         for x, y in xy)
+            if not math.isfinite(spread):
+                far = max(range(len(xy)), key=lambda i: max(map(abs, xy[i])))
+                raise ValueError(f"{keys[far]} is too far from the other "
+                                 f"{modality} targets: their squared spread "
+                                 f"overflows")
 
     def positions(self, modality: str) -> dict:
         if modality == "face":
@@ -155,8 +175,10 @@ def geometric_normalize(img: np.ndarray, marks: LandmarkSet,
     crop to the canonical frame.
 
     Bilinear resampling; samples falling outside the source are 0.
-    Output is always exactly (layout.height, layout.width) uint8.
+    Output is always exactly (layout.height, layout.width) uint8. A layout
+    that fails its validate() raises that ValueError.
     """
+    layout.validate()
     a = np.asarray(img)
     if a.ndim != 2:
         raise ValueError("expected a 2D grayscale image")

@@ -261,7 +261,16 @@ def test_bad_stride_and_eval_settings_exit_2_at_load(tmp_path, capsys, text,
      "[canonical] face_left_eye must be finite, got nan, 70.0"),
     ("ear_antitragus = 100, inf\n",
      "[canonical] ear_antitragus must be finite, got 100.0, inf"),
-], ids=["width-0", "width-negative", "height-0", "point-nan", "point-inf"])
+    ("face_left_eye = 1e308, 70\n",
+     "[canonical] face_left_eye is too far from the other face targets: "
+     "their squared spread overflows"),
+    ("face_left_eye = 9, 9\nface_right_eye = 9, 9\nface_mouth_center = 9, 9\n",
+     "[canonical] face_left_eye and face_right_eye coincide at 9.0, 9.0"),
+    ("ear_antitragus = 100, 60\n",
+     "[canonical] ear_triangular_fossa and ear_antitragus coincide at "
+     "100.0, 60.0"),
+], ids=["width-0", "width-negative", "height-0", "point-nan", "point-inf",
+        "point-overflow", "face-coincide", "ear-coincide"])
 def test_bad_canonical_layout_exits_2_before_prep_writes(tmp_path, capsys,
                                                          toy_corpus, text,
                                                          message):

@@ -5,17 +5,19 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biofuse.errors import (DimensionMismatch, EmptyObservationSet,
                             ModelFormatError, TooFewObservations)
-from biofuse.gmm import (EmConfig, GmmModel, _Design, _kmeans_pp, _m_step,
-                         em_fit, kmeans_init, load_model, log_likelihood,
+from biofuse.gmm import (EmConfig, GmmModel, MixtureStack, _Design,
+                         _e_step, _kmeans_pp, _log_joint, _m_step, em_fit,
+                         kmeans_init, load_model, log_likelihood,
                          log_likelihood_many, match_score, model_from_dict,
                          model_to_dict, responsibilities, save_model)
 
 EPS = np.finfo(np.float64).eps
+TINY = np.finfo(np.float64).tiny
 
 
 def _simple_model(weights, means, variances):
@@ -207,6 +209,22 @@ class TestEmFit:
                           init=init)
         assert np.all(model.weights > 0)
         assert np.all(np.abs(model.means) < 10.0)
+
+    def test_quasi_dead_component_reseeded(self):
+        # the far component's log joint sits 714-730 below the near one's
+        # at every point, so a plain exp gives it only subnormal
+        # responsibilities; they are written as 0, so it has no mass and
+        # is re-seeded into the data instead of keeping a subnormal weight
+        data = np.linspace(-0.2, 0.2, 41)[:, None]
+        init = _simple_model([0.5, 0.5], [[0.0], [38.0]], [[1.0], [1.0]])
+        e = _log_joint(_Design(data), init)
+        plain = np.exp(e - e.max(axis=0))[1]
+        assert np.all((plain > 0.0) & (plain < TINY))
+        assert np.all(responsibilities(init, data)[:, 1] == 0.0)
+        model, _ = em_fit(data, EmConfig(n_components=2, restarts=1, seed=0),
+                          init=init)
+        assert np.all(model.weights >= TINY)
+        assert np.all(np.abs(model.means) <= 0.2)
 
     def test_constant_data_converges_to_floor(self):
         # all-identical observations: the variance floor is the constrained
@@ -447,6 +465,92 @@ class TestEmAgainstTwoPass:
                       <= bound * np.sqrt(want.variances))
         assert np.all(np.abs(got.variances - want.variances)
                       <= bound * want.variances)
+
+
+def _e_step_plain(design, model):
+    """_e_step as it was before sub-normal terms were written as 0: one
+    plain exp of the shifted log joint, then the division by the row
+    total."""
+    e = _log_joint(design, model)
+    top = np.max(e, axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    e -= shift
+    np.exp(e, out=e)
+    total = e.sum(axis=0)
+    e /= total
+    with np.errstate(divide="ignore"):
+        return e.T, shift + np.log(total)
+
+
+def _band_models(rng, k, m, d):
+    """k mixtures of m components in d dimensions for data within about
+    0.05 of the origin. Component m's log joint sits about gap_m below
+    component 0's: near it (so row totals exceed 1), at the edge of the
+    sub-normal band [-745, -708.4] (where only the division by the row
+    total takes a responsibility below tiny), or across the band. Some
+    components beyond the first have weight 0 (a log joint of -inf)."""
+    models = []
+    for _ in range(k):
+        near, edge, across = (rng.uniform(lo, hi, m) for lo, hi in
+                              ((0.0, 2.0), (707.0, 710.0), (690.0, 760.0)))
+        gap = np.choose(rng.integers(0, 3, m), [near, edge, across])
+        gap[0] = 0.0
+        var = rng.uniform(0.5, 2.0, m)
+        direction = rng.normal(size=(m, d))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        means = direction * np.sqrt(2.0 * gap * var)[:, None]
+        weights = rng.dirichlet(np.ones(m))
+        weights[1:][rng.random(m - 1) < 0.3] = 0.0
+        models.append(GmmModel(weights / weights.sum(), means,
+                               np.repeat(var[:, None], d, axis=1)))
+    return models
+
+
+class TestUnderflowFlush:
+    """Shifted log joints below log(tiny) are written as exact zeros
+    instead of going through exp: per-row log-likelihoods and scores are
+    those of a plain exp bit for bit, and a responsibility changes only
+    where the plain route left it below tiny, which is now 0."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+           m=st.integers(1, 5), d=st.integers(1, 4), n=st.integers(1, 30))
+    @example(seed=7, k=2, m=4, d=2, n=1)
+    def test_equals_plain_exp(self, seed, k, m, d, n):
+        rng = np.random.default_rng(seed)
+        models = _band_models(rng, k, m, d)
+        x = rng.normal(0.0, 0.02, (n, d))
+        design = _Design(x)
+        for model in models:
+            resp, ll = _e_step(design, model)
+            want_resp, want_ll = _e_step_plain(design, model)
+            assert np.array_equal(ll, want_ll)
+            normal = want_resp >= TINY
+            assert np.array_equal(resp[normal], want_resp[normal])
+            assert np.all(resp[~normal] == 0.0)
+            assert np.all((resp == 0.0) | (resp >= TINY))
+        want = [np.mean(_e_step_plain(design, model)[1]) for model in models]
+        assert np.array_equal(MixtureStack(models).mean_log_likelihoods(x),
+                              want)
+
+    def test_cases_reach_the_band(self):
+        # the property above is not vacuous: its inputs put plain-exp
+        # responsibilities in the sub-normal band, at exact 0 from both
+        # underflow and zero weights, and below tiny only after the
+        # division by a row total above 1
+        subnormal = divided = underflow = dead = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            model, = _band_models(rng, 1, 4, 2)
+            e = _log_joint(_Design(rng.normal(0.0, 0.02, (20, 2))), model)
+            plain = np.exp(e - e.max(axis=0))
+            resp = plain / plain.sum(axis=0)
+            subnormal += np.count_nonzero((resp > 0.0) & (resp < TINY))
+            divided += np.count_nonzero((plain >= TINY) & (resp < TINY))
+            live = model.weights > 0.0
+            underflow += np.count_nonzero(resp[live] == 0.0)
+            dead += np.count_nonzero(~live)
+        assert min(subnormal, divided, underflow, dead) > 0
 
 
 class TestMatchScore:

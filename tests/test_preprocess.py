@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biofuse.config import PipelineConfig
 from biofuse.errors import DegenerateLandmarks, ManifestError
+from biofuse.pipeline import prep_image
 from biofuse.preprocess import (CanonicalLayout, LandmarkSet, _bilinear,
-                                geometric_normalize, histogram_equalize,
-                                load_manifest)
+                                _similarity_fit, geometric_normalize,
+                                histogram_equalize, load_manifest)
 
 FACE = {"left_eye": (60.0, 70.0), "right_eye": (140.0, 70.0),
         "mouth_center": (100.0, 170.0)}
@@ -119,15 +121,39 @@ class TestGeometricNormalize:
         assert out[110, 100] == 200  # center stays inside
         assert out.max() == 200
 
-    @pytest.mark.parametrize("target", [(float("nan"), 70.0),
-                                        (60.0, float("inf")),
-                                        (1e308, 70.0)],
-                             ids=["nan", "inf", "overflow"])
-    def test_non_finite_layout_is_refused(self, target):
+    @pytest.mark.parametrize("target, message", [
+        ((float("nan"), 70.0), "face_left_eye must be finite, got nan, 70.0"),
+        ((60.0, float("inf")), "face_left_eye must be finite, got 60.0, inf"),
+        ((1e308, 70.0), "face_left_eye is too far from the other face "
+                        "targets: their squared spread overflows"),
+    ], ids=["nan", "inf", "overflow"])
+    def test_non_finite_layout_is_refused(self, target, message):
         layout = CanonicalLayout(face={**FACE, "left_eye": target})
         src = np.zeros((230, 210), dtype=np.uint8)
-        with pytest.raises(ValueError, match="similarity fit is not finite"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             geometric_normalize(src, LandmarkSet("face", FACE), layout)
+
+    @pytest.mark.parametrize("layout, message", [
+        (CanonicalLayout(width=0), "width must be at least 1, got 0"),
+        (CanonicalLayout(height=-3), "height must be at least 1, got -3"),
+        (CanonicalLayout(face={k: (5.0, 5.0) for k in FACE}),
+         "face_left_eye and face_right_eye coincide at 5.0, 5.0"),
+        (CanonicalLayout(ear={**EAR, "antitragus": EAR["triangular_fossa"]}),
+         "ear_triangular_fossa and ear_antitragus coincide at 100.0, 60.0"),
+    ], ids=["width-0", "height-negative", "face-coincide", "ear-coincide"])
+    def test_library_layout_is_validated(self, layout, message):
+        # a layout that never passed through load_config is checked too
+        src = np.zeros((230, 210), dtype=np.uint8)
+        marks = LandmarkSet("face", FACE)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            prep_image(src, marks, PipelineConfig(layout=layout))
+
+    def test_overflowing_fit_is_refused(self):
+        # valid targets can still overflow the fit when the source
+        # landmarks are almost coincident
+        with pytest.raises(ValueError, match="similarity fit is not finite"):
+            _similarity_fit(np.array([0.0, 1e-150j]),
+                            np.array([0.0, 1e160 + 0.0j]))
 
 
 def _bilinear_reference(img, xs, ys):
