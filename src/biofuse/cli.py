@@ -40,8 +40,9 @@ def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
             prepped = prep_image(img, entry.landmarks, config)
         except ManifestError:
             raise
-        except BiofuseError as exc:
-            raise type(exc)(f"{entry.image_path}: {exc}") from exc
+        except (BiofuseError, ValueError) as exc:
+            raise type(exc)(f"manifest record {i} ({entry.image_path}): "
+                            f"{exc}") from exc
         name = f"{i:04d}_{entry.subject_id}_{entry.modality}_s{entry.session}.pgm"
         out_path = os.path.join(out_dir, name)
         write_pgm(prepped, out_path)

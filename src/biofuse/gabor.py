@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyBank, InvalidParams
+from .errors import DimensionMismatch, EmptyBank, InvalidParams
 
 
 @dataclass(frozen=True)
@@ -250,6 +250,10 @@ class ChannelScaler:
 
     def transform(self, data: np.ndarray) -> np.ndarray:
         x = np.asarray(data, dtype=np.float64)
+        if x.shape[-1:] != self.mean.shape:
+            raise DimensionMismatch(
+                f"observations of shape {x.shape} do not match the "
+                f"scaler's dim {self.mean.shape[0]}")
         return (x - self.mean) / self.std
 
     def to_dict(self) -> dict:

@@ -35,7 +35,9 @@ _LOG_TINY = math.log(_TINY)
 @dataclass(frozen=True)
 class GmmModel:
     """weights (M,), means (M, d), variances (M, d); weights on the simplex,
-    means finite, variances strictly positive and finite."""
+    means finite, variances strictly positive and finite. The arrays that
+    _log_joint reads, 1/var, -1/(2 var), log w and sum_j log var_j, are
+    derived once, at construction."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -58,6 +60,14 @@ class GmmModel:
             raise ValueError("means must be finite")
         if not np.all((var > 0) & np.isfinite(var)):
             raise ValueError("variances must be strictly positive and finite")
+        # a zero weight's log is -inf; a subnormal variance's inverse, inf
+        with np.errstate(divide="ignore", over="ignore"):
+            inv_var = 1.0 / var
+            logw = np.log(w)
+        object.__setattr__(self, "inv_var", inv_var)
+        object.__setattr__(self, "neg_half_inv_var", -0.5 * inv_var)
+        object.__setattr__(self, "logw", logw)
+        object.__setattr__(self, "sum_log_var", np.sum(np.log(var), axis=1))
 
     @property
     def n_components(self) -> int:
@@ -140,29 +150,32 @@ class _Design:
         return self.zt[:self.dim].sum(axis=0)
 
 
-def _log_joint(design: _Design, model: GmmModel) -> np.ndarray:
-    """(M, n) matrix of log w_m + log N(x_n; mu_m, diag var_m), as
-    [-1/(2 var), (mu-c)/var] @ z^T plus a per-component constant."""
-    if model.dim != design.dim:
+def _log_joint(design: _Design, mixture) -> np.ndarray:
+    """log w_m + log N(x_n; mu_m, diag var_m), as
+    [-1/(2 var), (mu-c)/var] @ z^T plus a per-component constant: (M, n)
+    for a GmmModel, (K, M, n) for a MixtureStack of K mixtures. A stack is
+    one batched product, which hands BLAS each mixture's (M, 2d) block on
+    its own; a single (K*M, 2d) GEMM would round differently where M = 1,
+    which BLAS takes as a vector product."""
+    if mixture.dim != design.dim:
         raise DimensionMismatch(
-            f"observation dim {design.dim} != model dim {model.dim}")
-    inv_var = 1.0 / model.variances
-    mu = model.means - design.centre
-    with np.errstate(divide="ignore"):
-        logw = np.log(model.weights)
-    const = logw - 0.5 * (np.sum(mu * mu * inv_var, axis=1)
-                          + np.sum(np.log(model.variances), axis=1)
-                          + design.dim * _LOG_2PI)
-    lj = np.concatenate([-0.5 * inv_var, mu * inv_var], axis=1) @ design.zt
-    lj += const[:, None]
+            f"observation dim {design.dim} != model dim {mixture.dim}")
+    mu = mixture.means - design.centre
+    const = mixture.logw - 0.5 * (np.sum(mu * mu * mixture.inv_var, axis=-1)
+                                  + mixture.sum_log_var
+                                  + design.dim * _LOG_2PI)
+    lj = np.concatenate([mixture.neg_half_inv_var, mu * mixture.inv_var],
+                        axis=-1) @ design.zt
+    lj += const[..., None]
     return lj
 
 
 def _shifted_exp(e: np.ndarray, axis: int):
     """Shift log joints e in place by their maximum over the components
-    on `axis` and exponentiate them; returns the shift and the sum of the
-    exponentials, both without `axis`. An observation at -inf under every
-    component keeps a zero shift, so no finite input underflows to -inf.
+    on `axis` and exponentiate them; returns the log-sum-exp and the sum
+    of the exponentials, both without `axis`. An observation at -inf under
+    every component keeps a zero shift, so no finite input underflows to
+    -inf.
 
     An entry whose shifted log joint lies below log(tiny) is written as an
     exact 0 without passing through exp: its exp would be subnormal or 0,
@@ -179,7 +192,9 @@ def _shifted_exp(e: np.ndarray, axis: int):
     np.copyto(e, 0.0, where=under)
     np.exp(e, out=e)
     np.copyto(e, 0.0, where=under)
-    return np.squeeze(shift, axis=axis), e.sum(axis=axis)
+    total = e.sum(axis=axis)
+    with np.errstate(divide="ignore"):
+        return np.squeeze(shift, axis=axis) + np.log(total), total
 
 
 def _e_step(design: _Design, model: GmmModel):
@@ -189,11 +204,10 @@ def _e_step(design: _Design, model: GmmModel):
     that only the division by its row total takes below tiny is written
     as 0 too."""
     e = _log_joint(design, model)
-    shift, total = _shifted_exp(e, axis=0)
+    lse, total = _shifted_exp(e, axis=0)
     e /= total
     np.copyto(e, 0.0, where=e < _TINY)
-    with np.errstate(divide="ignore"):
-        return e.T, shift + np.log(total)
+    return e.T, lse
 
 
 def log_likelihood_many(model: GmmModel, data) -> np.ndarray:
@@ -371,8 +385,8 @@ def match_score(client: GmmModel, background: GmmModel | None, obs) -> float:
 
 class MixtureStack:
     """Mixtures of one component count M and dimension d, stacked once so
-    that observations are scored against all of them together: row
-    k * M + m of each array belongs to component m of mixture k."""
+    that observations are scored against all of them together: entry k of
+    each array's leading axis belongs to mixture k."""
 
     def __init__(self, models):
         shape = models[0].means.shape
@@ -381,49 +395,23 @@ class MixtureStack:
                 raise ValueError(
                     f"stacked mixtures must share their component count "
                     f"and dimension: {model.means.shape} != {shape}")
-        self.n_mixtures = len(models)
-        self.n_components, self.dim = shape
-        variances = np.concatenate([m.variances for m in models])
-        self.means = np.concatenate([m.means for m in models])
-        self.inv_var = 1.0 / variances
-        self.neg_half_inv_var = -0.5 * self.inv_var
-        with np.errstate(divide="ignore"):
-            self.logw = np.log(np.concatenate([m.weights for m in models]))
-        self.sum_log_var = np.sum(np.log(variances), axis=1)
+        self.dim = shape[1]
+        for name in ("means", "inv_var", "neg_half_inv_var", "logw",
+                     "sum_log_var"):
+            setattr(self, name, np.array([getattr(m, name) for m in models]))
 
     def mean_log_likelihoods(self, obs) -> np.ndarray:
-        """(K,) average log-likelihoods of obs under each stacked mixture.
-
-        One design about the observations' centre and one (K·M, 2d)
-        coefficient block, multiplied with it in one batched matmul, give
-        every mixture's log joint. The arithmetic is _log_joint's and
-        _e_step's, term for term (less the responsibilities, which a score
-        does not need), so entry k equals
+        """(K,) average log-likelihoods of obs under each stacked mixture:
+        one design about the observations' centre, _log_joint of the whole
+        stack and one log-sum-exp, so entry k equals
         np.mean(log_likelihood_many(models[k], obs)) bit for bit. Errors
         are match_score's: EmptyObservationSet, a ValueError naming a
         non-finite row, then DimensionMismatch."""
         x = _as_data(obs)
         if x.shape[0] == 0:
             raise EmptyObservationSet("no observations to score")
-        design = _Design(x)
-        if self.dim != design.dim:
-            raise DimensionMismatch(
-                f"observation dim {design.dim} != model dim {self.dim}")
-        mu = self.means - design.centre
-        const = self.logw - 0.5 * (np.sum(mu * mu * self.inv_var, axis=1)
-                                   + self.sum_log_var
-                                   + design.dim * _LOG_2PI)
-        coeff = np.concatenate([self.neg_half_inv_var, mu * self.inv_var],
-                               axis=1)
-        # one batched product hands BLAS each mixture's (M, 2d) block on
-        # its own, as _log_joint does; a single (K*M, 2d) GEMM would round
-        # differently where M = 1, which BLAS takes as a vector product
-        shape = (self.n_mixtures, self.n_components, -1)
-        e = coeff.reshape(shape) @ design.zt
-        e += const.reshape(shape)
-        shift, total = _shifted_exp(e, axis=1)
-        with np.errstate(divide="ignore"):
-            return np.mean(shift + np.log(total), axis=1)
+        lse, _ = _shifted_exp(_log_joint(_Design(x), self), axis=1)
+        return np.mean(lse, axis=1)
 
 
 def model_to_dict(model: GmmModel, modality: str, subject_id: str) -> dict:

@@ -270,7 +270,14 @@ def save_artifacts(model_dir, trained: dict) -> None:
     """Write {modality: ModalityArtifacts} into model_dir for load_artifacts.
     A stats file vouches for the models beside it (eval reuses them when
     its fingerprint matches), so every old one goes first and each new one
-    is written last: a write that fails midway leaves no stats file."""
+    is written last: a write that fails midway leaves no stats file.
+    Artifacts without a fingerprint (train_modality's own) are refused
+    before anything is touched: load_artifacts would refuse their stats."""
+    for modality, artifacts in trained.items():
+        if not isinstance(artifacts.fingerprint, str):
+            raise ValueError(f"{modality} artifacts carry no gallery "
+                             f"fingerprint ({artifacts.fingerprint!r}); "
+                             f"nothing written")
     os.makedirs(model_dir, exist_ok=True)
     for modality in trained:
         with contextlib.suppress(FileNotFoundError):
@@ -296,7 +303,8 @@ def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
     save_artifacts wrote them into model_dir. The reserved background id,
     and a missing, malformed or misplaced model or stats file (another
     version, a non-finite number, a client whose component count or
-    dimension differs from the background's), raise an error naming it."""
+    dimension differs from the background's, a scaler of another
+    dimension), raise an error naming it."""
     if BACKGROUND_ID in ids:
         raise BiofuseError(f"id {BACKGROUND_ID!r} is reserved for the "
                            f"background model")
@@ -333,6 +341,9 @@ def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
                 raise ValueError(f"holds the {doc['modality']} stats, not "
                                  f"the {modality} stats")
             scaler = ChannelScaler.from_dict(doc["scaler"])
+            if scaler.mean.shape != (background.dim,):
+                raise ValueError(f"scaler of dim {scaler.mean.shape[0]}, but "
+                                 f"the models have dim {background.dim}")
             lo, hi = (float(bound) for bound in doc["calibration"])
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"calibration [{lo}, {hi}] is not finite")

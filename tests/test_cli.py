@@ -74,6 +74,22 @@ class TestPrep:
         err = capsys.readouterr().err
         assert records[0]["image_path"] in err
 
+    def test_landmark_outside_image_names_record_and_image(
+            self, trained, toy_corpus, tmp_path, capsys):
+        records = [dict(r) for r in toy_corpus["records"]]
+        i = next(i for i, r in enumerate(records) if r["modality"] == "ear")
+        records[i]["landmarks"] = {**records[i]["landmarks"],
+                                   "antitragus": [100.0, 500.0]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(records))
+        code = main(["--config", trained["config"], "prep",
+                     "--manifest", str(bad),
+                     "--out-dir", str(tmp_path / "prepped")])
+        assert code == 2
+        assert (f"error: manifest record {i} ({records[i]['image_path']}): "
+                f"landmark antitragus at (100.0, 500.0) outside 200x220 "
+                f"image") in capsys.readouterr().err
+
 
 class TestTrain:
     def test_model_files_on_disk(self, trained):
@@ -240,6 +256,44 @@ class TestVerify:
         assert captured.out == ""
         assert "bad stats document" in captured.err
         assert "face_stats.json" in captured.err
+
+    @pytest.mark.parametrize("channels", [1, 5])
+    def test_scaler_of_another_dimension_exits_2(self, trained, toy_corpus,
+                                                 tmp_path, capsys, channels):
+        # a 1-channel scaler would broadcast against the 40 channels
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        stats = models / "face_stats.json"
+        doc = json.loads(stats.read_text())
+        doc["scaler"] = {key: values[:channels]
+                         for key, values in doc["scaler"].items()}
+        stats.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "bob")
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "bob"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{stats}: bad stats document" in captured.err
+        assert (f"scaler of dim {channels}, but the models have dim 40"
+                in captured.err)
+
+    def test_probe_features_of_another_dimension_exit_2(self, trained,
+                                                        tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[paths]\nmodel_dir = {trained['model_dir']}\n"
+                       f"output_dir = {tmp_path}/out\n"
+                       f"[gabor]\nnum_orientations = 4\n")
+        face, ear = self._probe(trained, "bob")
+        code = main(["--config", str(cfg), "verify",
+                     "--face", face, "--ear", ear, "--claim", "bob"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: observations of shape (440, 20) do not match the "
+                "scaler's dim 40") in captured.err
 
     def test_malformed_model_exits_2(self, trained, toy_corpus, tmp_path,
                                      capsys):
@@ -487,6 +541,30 @@ class TestEval:
         assert main(["--config", cfg, "eval"]) == 0
         assert (tmp_path / "out" / "report.csv").exists()
         assert not (tmp_path / "out" / "cache").exists()
+
+    def test_stored_scaler_of_another_dimension_is_fitted_again(
+            self, trained, toy_corpus, tmp_path):
+        # eval refuses the stored face stats and fits that modality again,
+        # so its output is that of eval beside the intact models
+        broken = tmp_path / "broken"
+        shutil.copytree(trained["model_dir"], broken)
+        stats = broken / "face_stats.json"
+        doc = json.loads(stats.read_text())
+        doc["scaler"] = {key: values[:1]
+                         for key, values in doc["scaler"].items()}
+        stats.write_text(json.dumps(doc))
+        outputs = {}
+        for name, model_dir in (("intact", trained["model_dir"]),
+                                ("broken", broken)):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(f"[paths]\nmodel_dir = {model_dir}\n"
+                           f"output_dir = {tmp_path}/{name}\n")
+            assert main(["--config", str(cfg), "eval",
+                         "--manifest", toy_corpus["manifest"]]) == 0
+            outputs[name] = {n: (tmp_path / name / n).read_bytes()
+                             for n in ("report.csv", "roc_face.csv",
+                                       "roc_ear.csv", "roc_fusion.csv")}
+        assert outputs["broken"] == outputs["intact"]
 
     def test_unwritable_output_dir_exits_2(self, toy_corpus, tmp_path):
         blocker = tmp_path / "blocker"

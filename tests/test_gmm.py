@@ -553,6 +553,82 @@ class TestUnderflowFlush:
         assert min(subnormal, divided, underflow, dead) > 0
 
 
+def _log_joint_reference(design, model):
+    """_log_joint as it was for one mixture, before a MixtureStack shared
+    it: every derived array computed inline."""
+    if model.dim != design.dim:
+        raise DimensionMismatch(
+            f"observation dim {design.dim} != model dim {model.dim}")
+    inv_var = 1.0 / model.variances
+    mu = model.means - design.centre
+    with np.errstate(divide="ignore"):
+        logw = np.log(model.weights)
+    const = logw - 0.5 * (np.sum(mu * mu * inv_var, axis=1)
+                          + np.sum(np.log(model.variances), axis=1)
+                          + design.dim * math.log(2.0 * math.pi))
+    lj = np.concatenate([-0.5 * inv_var, mu * inv_var], axis=1) @ design.zt
+    lj += const[:, None]
+    return lj
+
+
+def _stack_mean_log_likelihoods_reference(models, x):
+    """MixtureStack(models).mean_log_likelihoods(x) as it was with its own
+    copy of the mixture arithmetic: the models' parameters concatenated
+    into (K*M, .) arrays, one (K*M, 2d) coefficient block, one batched
+    product and the flushed log-sum-exp over each mixture's M rows."""
+    variances = np.concatenate([m.variances for m in models])
+    means = np.concatenate([m.means for m in models])
+    inv_var = 1.0 / variances
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.concatenate([m.weights for m in models]))
+    sum_log_var = np.sum(np.log(variances), axis=1)
+    design = _Design(x)
+    mu = means - design.centre
+    const = logw - 0.5 * (np.sum(mu * mu * inv_var, axis=1) + sum_log_var
+                          + design.dim * math.log(2.0 * math.pi))
+    coeff = np.concatenate([-0.5 * inv_var, mu * inv_var], axis=1)
+    shape = (len(models), models[0].n_components, -1)
+    e = coeff.reshape(shape) @ design.zt
+    e += const.reshape(shape)
+    top = np.max(e, axis=1, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    e -= shift
+    under = e < math.log(TINY)
+    np.copyto(e, 0.0, where=under)
+    np.exp(e, out=e)
+    np.copyto(e, 0.0, where=under)
+    with np.errstate(divide="ignore"):
+        return np.mean(shift[:, 0] + np.log(e.sum(axis=1)), axis=1)
+
+
+class TestOneLogJointFormula:
+    """EM and stacked scoring share _log_joint; each keeps the result of
+    the separate code it replaced bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5),
+           m=st.integers(1, 5), d=st.integers(1, 6), n=st.integers(1, 60),
+           offset=st.floats(min_value=0.0, max_value=1e3))
+    @example(seed=3, k=4, m=1, d=3, n=40, offset=1e3)  # M = 1: a gemv
+    def test_equals_the_separate_code(self, seed, k, m, d, n, offset):
+        rng = np.random.default_rng(seed)
+        models = []
+        for _ in range(k):
+            weights = rng.dirichlet(np.ones(m))
+            weights[1:][rng.random(m - 1) < 0.3] = 0.0
+            models.append(GmmModel(weights / weights.sum(),
+                                   rng.normal(0.0, 1.0, (m, d)),
+                                   rng.uniform(0.3, 2.0, (m, d))))
+        # up to 1e3 away from every mean
+        x = rng.normal(0.0, 1.0, (n, d)) + offset * rng.uniform(-1.0, 1.0, d)
+        design = _Design(x)
+        for model in models:
+            assert np.array_equal(_log_joint(design, model),
+                                  _log_joint_reference(design, model))
+        assert np.array_equal(MixtureStack(models).mean_log_likelihoods(x),
+                              _stack_mean_log_likelihoods_reference(models, x))
+
+
 class TestMatchScore:
     def test_identical_models_score_zero(self):
         rng = np.random.default_rng(51)

@@ -165,6 +165,26 @@ def test_client_of_another_component_count_is_refused(tmp_path):
         load_artifacts(str(tmp_path), "face", ["alice"])
 
 
+def test_artifacts_without_a_fingerprint_are_not_saved(tmp_path):
+    # train_modality's own artifacts carry none; load_artifacts would
+    # refuse a stats file holding "fingerprint": null
+    rng = np.random.default_rng(6)
+    scaler = ChannelScaler(mean=np.zeros(4), std=np.ones(4))
+    stored = ModalityArtifacts({"alice": _random_model(rng)},
+                               _random_model(rng), scaler, (0.0, 1.0),
+                               "f" * 64)
+    save_artifacts(str(tmp_path), {"face": stored})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    unsaved = {"face": stored, "ear": replace(stored, fingerprint=None)}
+    with pytest.raises(ValueError, match="ear artifacts carry no gallery "
+                                         "fingerprint"):
+        save_artifacts(str(tmp_path), unsaved)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    with pytest.raises(ValueError, match="ear artifacts"):
+        save_artifacts(str(tmp_path / "new"), unsaved)
+    assert not (tmp_path / "new").exists()
+
+
 def _awkward(rng, shape):
     """float64 values whose shortest repr needs all 17 digits, spread over
     600 decades, with a subnormal among them."""
