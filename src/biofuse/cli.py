@@ -21,9 +21,9 @@ from .gabor import build_bank
 # match_score is unused here; perfbench's tracer tests check this import site
 from .gmm import MODEL_FORMAT_VERSION, match_score  # noqa: F401
 from .pgm import load_pgm, write_pgm
-from .pipeline import (check_canonical_size, image_observations,
-                       load_artifacts, load_entry_image, prep_image,
-                       probe_score, save_artifacts, train_gallery)
+from .pipeline import (check_canonical_size, check_features,
+                       image_observations, load_artifacts, load_entry_image,
+                       prep_image, probe_score, save_artifacts, train_gallery)
 from .preprocess import load_manifest
 
 
@@ -96,6 +96,10 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
             cache_dir=os.path.join(config.paths.output_dir, "cache"))
         scores[modality] = probe_score(artifacts[modality],
                                        obs.observations).item()
+        # after scoring, so features of another channel count fail at the
+        # scaler with their shape
+        check_features(artifacts[modality], config.paths.model_dir,
+                       modality, config)
 
     fusion = config.fusion
     genuine_mass, impostor_mass, conflict, flagged = (

@@ -9,7 +9,11 @@ keeps the same grid points.
 
 Each kernel is a Gaussian-enveloped complex harmonic with the envelope-
 weighted mean of the harmonic subtracted, so the kernel has exactly zero
-response to a constant image.
+response to a constant image. Envelope and harmonic both factor into an
+x-factor times a y-factor, so build_bank samples 1-D factors and forms
+each kernel's taps from their outer products. The bank it returns also
+holds the GEMM operand sampled_responses multiplies by, built once per
+bank rather than once per image.
 """
 
 import math
@@ -55,32 +59,66 @@ class GaborKernel:
     taps: np.ndarray  # complex128, (2*radius+1, 2*radius+1)
 
 
-def build_bank(params: GaborParams = GaborParams()) -> list:
+def _gemm_operand(kernels) -> np.ndarray:
+    """The (kh*kw, 2K) real operand [Re | Im] of sampled_responses' GEMM:
+    column c holds kernel c's taps, flipped and raveled. All kernels must
+    have taps of one shape."""
+    shapes = {kernel.taps.shape for kernel in kernels}
+    if len(shapes) != 1:
+        raise ValueError(f"kernel taps differ in shape: {sorted(shapes)}")
+    flipped = np.stack([kernel.taps for kernel in kernels])[:, ::-1, ::-1]
+    flipped = flipped.reshape(len(kernels), -1)
+    return np.ascontiguousarray(
+        np.concatenate([flipped.real, flipped.imag]).T)
+
+
+class GaborBank(tuple):
+    """The kernels of build_bank in channel order, c = nu * O + mu, with
+    their GEMM operand (_gemm_operand) built once. Immutable, taps
+    included, so the operand cannot go stale; a slice or any other
+    sequence of kernels is a plain one, whose operand sampled_responses
+    builds per call."""
+
+    def __new__(cls, kernels):
+        bank = super().__new__(cls, kernels)
+        bank.operand = _gemm_operand(bank)
+        return bank
+
+
+def build_bank(params: GaborParams = GaborParams()) -> GaborBank:
     """Sample every (scale, orientation) kernel of the bank.
 
-    Kernel (nu, mu) has center frequency k_max / freq_spacing**nu at
-    orientation pi * mu / num_orientations. DC-corrected on its sampled
-    support: sum of taps is zero to machine precision.
+    Kernel (nu, mu) has center frequency k = k_max / freq_spacing**nu at
+    orientation phi = pi * mu / num_orientations. From the 1-D Gaussian
+    g(t) = exp(-k^2 t^2 / (2 sigma^2)), t = -r..r, and its harmonics
+    hx = g exp(i k cos(phi) t) along x and hy = g exp(i k sin(phi) t)
+    along y, the taps are (k^2 / sigma^2) (hy (x) hx - dc g (x) g) with
+    dc = sum(hy) sum(hx) / sum(g)^2, the envelope-weighted mean of the
+    harmonic: rows are y, columns x, and the sum of the taps is zero to
+    machine precision. The returned bank holds its GEMM operand too.
     """
     params.validate()
-    r = params.kernel_radius
-    coords = np.arange(-r, r + 1, dtype=np.float64)
-    xs, ys = np.meshgrid(coords, coords)  # xs varies along columns
-    rsq = xs * xs + ys * ys
-
-    kernels = []
-    for nu in range(params.num_frequencies):
-        k = params.k_max / params.freq_spacing ** nu
-        envelope = (k * k / (params.sigma ** 2)) * np.exp(
-            -k * k * rsq / (2.0 * params.sigma ** 2))
-        env_total = envelope.sum()
-        for mu in range(params.num_orientations):
-            phi = math.pi * mu / params.num_orientations
-            harmonic = np.exp(1j * k * (xs * math.cos(phi) + ys * math.sin(phi)))
-            dc = np.sum(envelope * harmonic) / env_total
-            taps = envelope * (harmonic - dc)
-            kernels.append(GaborKernel(nu, mu, taps))
-    return kernels
+    t = np.arange(-params.kernel_radius, params.kernel_radius + 1,
+                  dtype=np.float64)
+    k = params.k_max / params.freq_spacing ** np.arange(
+        params.num_frequencies, dtype=np.float64)
+    phi = math.pi * np.arange(params.num_orientations) \
+        / params.num_orientations
+    g = np.exp(np.multiply.outer(-k * k / (2.0 * params.sigma ** 2), t * t))
+    # (scale, orientation, t) factors; axes -2/-1 of the taps are y/x
+    hx, hy = (g[:, None, :] * np.exp(
+        1j * np.multiply.outer(np.multiply.outer(k, trig(phi)), t))
+        for trig in (np.cos, np.sin))
+    total = g.sum(axis=1)[:, None]
+    dc = hy.sum(axis=2) * hx.sum(axis=2) / (total * total)
+    envelope = g[:, :, None] * g[:, None, :]
+    taps = (k * k / params.sigma ** 2)[:, None, None, None] * (
+        hy[..., :, None] * hx[..., None, :]
+        - dc[..., None, None] * envelope[:, None])
+    taps.flags.writeable = False
+    return GaborBank(GaborKernel(nu, mu, taps[nu, mu])
+                     for nu in range(params.num_frequencies)
+                     for mu in range(params.num_orientations))
 
 
 @lru_cache(maxsize=None)
@@ -195,8 +233,9 @@ def sampled_responses(img: np.ndarray, bank, stride: int) -> ObservationSet:
     Equals downsample(convolve(img, bank), stride) up to float rounding:
     the same symmetric padding, the same observation count, row-major.
     Each grid point's window of the padded image is dotted with the flipped
-    taps in one real GEMM against [Re | Im], taken in blocks of grid rows.
-    All kernels must have taps of one shape.
+    taps in one real GEMM against [Re | Im], taken in blocks of grid rows:
+    a GaborBank's own operand, or one built for this call from any other
+    sequence of kernels, which must all have taps of one shape.
     """
     if not bank:
         raise EmptyBank("no kernels to convolve with")
@@ -205,16 +244,12 @@ def sampled_responses(img: np.ndarray, bank, stride: int) -> ObservationSet:
     a = np.asarray(img, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a 2D grayscale image")
-    shapes = {kernel.taps.shape for kernel in bank}
-    if len(shapes) != 1:
-        raise ValueError(f"kernel taps differ in shape: {sorted(shapes)}")
-    ((kh, kw),) = shapes
+    taps = bank.operand if isinstance(bank, GaborBank) \
+        else _gemm_operand(bank)
+    kh, kw = bank[0].taps.shape
     h, w = a.shape
     k = len(bank)
 
-    flipped = np.stack([kernel.taps[::-1, ::-1].ravel() for kernel in bank],
-                       axis=1)
-    taps = np.concatenate([flipped.real, flipped.imag], axis=1)
     padded = np.pad(a, ((kh // 2, kh // 2), (kw // 2, kw // 2)),
                     mode="symmetric")
     windows = sliding_window_view(padded, (kh, kw))[:h:stride, :w:stride]

@@ -289,7 +289,9 @@ def kmeans_init(data, n_components: int, seed: int,
             np.float64)
         counts, centers, variances = _m_step(design, onehot.T)
         # re-seed an empty cluster at the worst-covered point
-        centers[counts == 0.0] = design.x[int(np.argmax(np.min(d2, axis=0)))]
+        empty = counts == 0.0
+        if empty.any():
+            centers[empty] = design.x[int(np.argmax(np.min(d2, axis=0)))]
 
     # an empty cluster keeps its re-seeded centre, weight 0 and the floor
     return GmmModel(weights=counts / n, means=centers,

@@ -7,9 +7,10 @@ only, never from probes.
 
 Each modality's stats file carries a fingerprint of the gallery and the
 settings its models were fitted from, so `eval` can reuse the models
-`train` wrote for the same gallery instead of fitting them again. Only
-this module names the files in model_dir: save_artifacts writes them and
-load_artifacts reads them.
+`train` wrote for the same gallery instead of fitting them again, and the
+feature settings themselves, so `verify` can refuse probes computed with
+others. Only this module names the files in model_dir: save_artifacts
+writes them and load_artifacts reads them.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from .preprocess import (BACKGROUND_ID, geometric_normalize,
                          histogram_equalize)
 
 MODALITIES = ("face", "ear")
-STATS_FORMAT_VERSION = 2
-FEATURE_VERSION = 2  # bump when the observation arithmetic changes
+STATS_FORMAT_VERSION = 3
+FEATURE_VERSION = 3  # bump when the observation arithmetic changes
 
 
 def prep_image(img: np.ndarray, marks, config: PipelineConfig) -> np.ndarray:
@@ -69,6 +70,13 @@ def image_observations(img: np.ndarray, bank, config: PipelineConfig,
     np.save(buf, obs.observations)
     write_atomic(path, buf.getvalue())
     return obs
+
+
+def feature_settings(config: PipelineConfig) -> dict:
+    """What an image's observations depend on besides its pixels: the bank
+    parameters, the sampling stride and FEATURE_VERSION, as JSON values."""
+    return {"gabor": asdict(config.gabor), "stride": config.stride,
+            "feature_version": FEATURE_VERSION}
 
 
 def check_canonical_size(img: np.ndarray, config: PipelineConfig,
@@ -126,6 +134,7 @@ class ModalityArtifacts:
     scaler: ChannelScaler
     calibration: tuple         # (lo, hi) gallery score bounds
     fingerprint: str | None = None  # gallery_fingerprint of the fit
+    features: dict | None = None    # feature_settings of the fit
 
     @functools.cached_property
     def stack(self) -> MixtureStack:
@@ -240,7 +249,8 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
             gallery_obs.setdefault(entry.subject_id, []).append(
                 image_observations(img, bank, config).observations)
         artifacts = train_modality(modality, gallery_obs, config)
-        trained[modality] = replace(artifacts, fingerprint=fingerprint)
+        trained[modality] = replace(artifacts, fingerprint=fingerprint,
+                                    features=feature_settings(config))
     return trained
 
 
@@ -272,7 +282,9 @@ def save_artifacts(model_dir, trained: dict) -> None:
     its fingerprint matches), so every old one goes first and each new one
     is written last: a write that fails midway leaves no stats file.
     Artifacts without a fingerprint (train_modality's own) are refused
-    before anything is touched: load_artifacts would refuse their stats."""
+    before anything is touched: load_artifacts would refuse their stats.
+    Artifacts without feature settings are written with "features": null,
+    which check_features refuses."""
     for modality, artifacts in trained.items():
         if not isinstance(artifacts.fingerprint, str):
             raise ValueError(f"{modality} artifacts carry no gallery "
@@ -292,6 +304,7 @@ def save_artifacts(model_dir, trained: dict) -> None:
             "format_version": STATS_FORMAT_VERSION,
             "modality": modality,
             "fingerprint": artifacts.fingerprint,
+            "features": artifacts.features,
             "scaler": artifacts.scaler.to_dict(),
             "calibration": [artifacts.calibration[0],
                             artifacts.calibration[1]],
@@ -351,8 +364,25 @@ def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
             if not isinstance(fingerprint, str):
                 raise ValueError(f"fingerprint {fingerprint!r} is not a "
                                  f"string")
+            features = doc["features"]
+            if not isinstance(features, (dict, type(None))):
+                raise ValueError(f"features {features!r} are neither an "
+                                 f"object nor null")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{stats_path}: bad stats document: "
                              f"{exc!r}") from exc
     return ModalityArtifacts(models, background, scaler, (lo, hi),
-                             fingerprint)
+                             fingerprint, features)
+
+
+def check_features(artifacts: ModalityArtifacts, model_dir, modality: str,
+                   config: PipelineConfig) -> None:
+    """BiofuseError, naming the stats file and both settings, unless the
+    artifacts were fitted on observations computed as config computes
+    them: scores of features from another bank mean nothing."""
+    want = feature_settings(config)
+    if artifacts.features != want:
+        raise BiofuseError(
+            f"{os.path.join(model_dir, stats_filename(modality))}: the "
+            f"{modality} models were fitted on features {artifacts.features}"
+            f", but this config computes {want}; run `train` again")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -111,6 +112,18 @@ class TestTrain:
         after = {n: Path(model_dir, n).read_bytes()
                  for n in os.listdir(model_dir)}
         assert before == after
+
+    def test_stats_record_the_feature_settings(self, trained):
+        for modality in ("face", "ear"):
+            doc = json.loads(Path(trained["model_dir"],
+                                  f"{modality}_stats.json").read_text())
+            assert doc["format_version"] == 3
+            assert doc["features"] == {
+                "gabor": {"num_frequencies": 5, "num_orientations": 8,
+                          "k_max": math.pi / 2.0,
+                          "freq_spacing": math.sqrt(2.0),
+                          "sigma": 2.0 * math.pi, "kernel_radius": 16},
+                "stride": 10, "feature_version": 3}
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_invalid_stride_exits_2(self, trained, toy_corpus, tmp_path,
@@ -294,6 +307,69 @@ class TestVerify:
         assert captured.out == ""
         assert ("error: observations of shape (440, 20) do not match the "
                 "scaler's dim 40") in captured.err
+
+    def test_models_of_another_bank_of_equal_width_exit_2(self, trained,
+                                                          tmp_path, capsys):
+        # 10 scales x 4 orientations is 40 channels too: scored, an
+        # impostor's claim was accepted
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[paths]\nmodel_dir = {trained['model_dir']}\n"
+                       f"output_dir = {tmp_path}/out\n"
+                       f"[gabor]\nnum_frequencies = 10\n"
+                       f"num_orientations = 4\n")
+        face, ear = self._probe(trained, "bob")
+        code = main(["--config", str(cfg), "verify",
+                     "--face", face, "--ear", ear, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        stats = os.path.join(trained["model_dir"], "face_stats.json")
+        assert f"error: {stats}: the face models were fitted on features" \
+            in captured.err
+        assert "'num_frequencies': 5, 'num_orientations': 8" in captured.err
+        assert "'num_frequencies': 10, 'num_orientations': 4" \
+            in captured.err
+        assert "run `train` again" in captured.err
+
+    def test_format_2_stats_exit_2(self, trained, toy_corpus, tmp_path,
+                                   capsys):
+        # format 2 recorded no feature settings
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        stats = models / "face_stats.json"
+        doc = json.loads(stats.read_text())
+        del doc["features"]
+        stats.write_text(json.dumps(dict(doc, format_version=2)))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "bob")
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "bob"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{stats}: bad stats document" in captured.err
+        assert "format_version 2, expected 3; run `train` again" \
+            in captured.err
+
+    @pytest.mark.parametrize("features", [None, {"stride": 10}, "v3"],
+                             ids=["null", "partial", "ill-typed"])
+    def test_stats_without_these_feature_settings_exit_2(
+            self, trained, toy_corpus, tmp_path, capsys, features):
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        stats = models / "ear_stats.json"
+        doc = json.loads(stats.read_text())
+        stats.write_text(json.dumps(dict(doc, features=features)))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "bob")
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "bob"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {stats}: " in captured.err
 
     def test_malformed_model_exits_2(self, trained, toy_corpus, tmp_path,
                                      capsys):

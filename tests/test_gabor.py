@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biofuse.gabor as gabor
 from biofuse.errors import EmptyBank, InvalidParams
 from biofuse.gabor import (ChannelScaler, GaborKernel, GaborParams,
                            build_bank, convolve, downsample,
@@ -15,6 +16,106 @@ from biofuse.gabor import (ChannelScaler, GaborKernel, GaborParams,
 @pytest.fixture(scope="module")
 def default_bank():
     return build_bank(GaborParams())
+
+
+def _build_bank_reference(params):
+    """build_bank as it was before the separable build: one 2-D complex
+    exp per kernel, over the meshgrid of the support."""
+    params.validate()
+    r = params.kernel_radius
+    coords = np.arange(-r, r + 1, dtype=np.float64)
+    xs, ys = np.meshgrid(coords, coords)  # xs varies along columns
+    rsq = xs * xs + ys * ys
+
+    kernels = []
+    for nu in range(params.num_frequencies):
+        k = params.k_max / params.freq_spacing ** nu
+        envelope = (k * k / (params.sigma ** 2)) * np.exp(
+            -k * k * rsq / (2.0 * params.sigma ** 2))
+        env_total = envelope.sum()
+        for mu in range(params.num_orientations):
+            phi = math.pi * mu / params.num_orientations
+            harmonic = np.exp(1j * k * (xs * math.cos(phi) + ys * math.sin(phi)))
+            dc = np.sum(envelope * harmonic) / env_total
+            taps = envelope * (harmonic - dc)
+            kernels.append(GaborKernel(nu, mu, taps))
+    return kernels
+
+
+# the default bank, and 3 scales x 6 orientations on a radius-8 support
+BANK_PARAMS = [GaborParams(), GaborParams(num_frequencies=3,
+                                          num_orientations=6,
+                                          kernel_radius=8)]
+
+
+class TestSeparableBank:
+    """build_bank from 1-D factors against the 2-D reference. The two
+    differ in rounding only: measured, the largest |delta tap| of a
+    kernel is 1.05e-15 of its largest |tap| (0.94e-15 for the 3 x 6
+    bank), and features differ by at most 1.36e-15 of the largest
+    feature; both bounds below are 5e-15."""
+
+    @pytest.mark.parametrize("params", BANK_PARAMS, ids=["5x8", "3x6"])
+    def test_taps_agree_with_reference(self, params):
+        bank = build_bank(params)
+        reference = _build_bank_reference(params)
+        assert [(k.scale_index, k.orientation_index) for k in bank] == \
+            [(k.scale_index, k.orientation_index) for k in reference]
+        for got, want in zip(bank, reference):
+            assert got.taps.shape == want.taps.shape
+            rel = np.max(np.abs(got.taps - want.taps)) \
+                / np.max(np.abs(want.taps))
+            assert rel <= 5e-15, (got.scale_index, got.orientation_index,
+                                  rel)
+
+    @pytest.mark.parametrize("params", BANK_PARAMS, ids=["5x8", "3x6"])
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    def test_features_agree_with_reference_bank(self, params, stride):
+        img = np.random.default_rng(21).integers(
+            0, 256, (220, 200)).astype(np.uint8)
+        got = sampled_responses(img, build_bank(params), stride)
+        want = sampled_responses(img, _build_bank_reference(params), stride)
+        rel = np.max(np.abs(got.observations - want.observations)) \
+            / np.max(want.observations)
+        assert rel <= 5e-15, rel
+
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    def test_plain_sequences_give_the_same_features(self, default_bank,
+                                                    stride):
+        # a slice or a list gets an operand built per call, from the same
+        # code; its channels equal the bank's own, bit for bit
+        img = np.random.default_rng(22).integers(
+            0, 256, (220, 200)).astype(np.uint8)
+        whole = sampled_responses(img, default_bank, stride).observations
+        sliced = sampled_responses(img, list(default_bank)[::10], stride)
+        assert np.array_equal(sliced.observations, whole[:, ::10])
+        plain = sampled_responses(img, list(default_bank), stride)
+        assert np.array_equal(plain.observations, whole)
+
+    def test_operand_is_built_once_per_bank(self, monkeypatch):
+        built = []
+        operand = gabor._gemm_operand
+
+        def counting(kernels):
+            built.append(len(kernels))
+            return operand(kernels)
+
+        monkeypatch.setattr(gabor, "_gemm_operand", counting)
+        bank = build_bank(GaborParams(num_frequencies=2))
+        assert built == [16]
+        img = np.random.default_rng(23).random((12, 10))
+        for stride in (3, 5):
+            sampled_responses(img, bank, stride)
+        assert built == [16]
+        sampled_responses(img, list(bank)[:3], 3)
+        assert built == [16, 3]
+
+    def test_bank_and_taps_are_immutable(self, default_bank):
+        # the operand was built from these taps, so they may not change
+        with pytest.raises(ValueError, match="read-only"):
+            default_bank[0].taps[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            default_bank[0] = default_bank[1]
 
 
 class TestBank:

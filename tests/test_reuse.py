@@ -183,11 +183,19 @@ def _write_v1(path):
     path.write_text(json.dumps(dict(doc, format_version=1)))
 
 
+def _write_v2(path):
+    """Rewrite the stats file as format version 2 wrote it."""
+    doc = json.loads(path.read_text())
+    del doc["features"]
+    path.write_text(json.dumps(dict(doc, format_version=2)))
+
+
 @pytest.mark.parametrize("damage", [
     lambda path: path.unlink(),
     lambda path: path.write_text("{not json"),
     _write_v1,
-], ids=["missing", "malformed", "v1"])
+    _write_v2,
+], ids=["missing", "malformed", "v1", "v2"])
 def test_unusable_stats_file_retrains(base, tmp_path, monkeypatch, damage):
     models = str(tmp_path / "models")
     shutil.copytree(base["model_dir"], models)
