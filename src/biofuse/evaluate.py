@@ -13,6 +13,7 @@ mixture scoring -> evidence fusion) over a dataset manifest.
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .config import PipelineConfig
 from .dempster import CONFLICT_EPS
@@ -51,11 +52,28 @@ class RocCurve:
     frr: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["threshold,far,frr"]
-        for t, fa, fr in zip(self.thresholds.tolist(), self.far.tolist(),
-                             self.frr.tolist()):
-            lines.append(f"{t!r},{fa!r},{fr!r}")
-        return "\n".join(lines) + "\n"
+        """One `threshold,far,frr` row per threshold, each field the
+        float64 value's repr(). orjson spells the same shortest digits as
+        repr for 0 and every finite |x| in [1e-4, 1e16), so the curve is
+        dumped in one call and only the rows holding another value (a
+        NaN, an infinity, or a magnitude that repr writes with an
+        exponent) are written again with repr."""
+        rows = np.column_stack((self.thresholds, self.far, self.frr)
+                               ).astype(np.float64, copy=False)
+        if not len(rows):
+            return "threshold,far,frr\n"
+        # [[t,fa,fr],[t,fa,fr],...] -> one CSV row per threshold
+        body = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY
+                            )[2:-2].replace(b"],[", b"\n").decode()
+        mag = np.abs(rows)
+        plain = (mag == 0) | ((mag >= 1e-4) & (mag < 1e16))
+        odd = np.flatnonzero(~plain.all(axis=1)).tolist()
+        if odd:
+            lines = body.split("\n")
+            for i in odd:
+                lines[i] = ",".join(map(repr, rows[i].tolist()))
+            body = "\n".join(lines)
+        return f"threshold,far,frr\n{body}\n"
 
 
 def compute_roc(genuine, impostor, num_thresholds: int = 10001) -> RocCurve:

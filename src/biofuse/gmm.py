@@ -30,12 +30,15 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # x >= _LOG_TINY
 _TINY = np.finfo(np.float64).tiny
 _LOG_TINY = math.log(_TINY)
+# the smallest double whose inverse is finite, 2**-1024 plus one subnormal
+# step: a mixture holds no smaller variance, and no smaller cov_floor
+MIN_VARIANCE = float.fromhex("0x0.4000000000001p-1022")
 
 
 @dataclass(frozen=True)
 class GmmModel:
     """weights (M,), means (M, d), variances (M, d); weights on the simplex,
-    means finite, variances strictly positive and finite. The arrays that
+    means finite, variances finite and at least MIN_VARIANCE. The arrays that
     _log_joint reads, 1/var, -1/(2 var), log w and sum_j log var_j, are
     derived once, at construction."""
 
@@ -60,9 +63,13 @@ class GmmModel:
             raise ValueError("means must be finite")
         if not np.all((var > 0) & np.isfinite(var)):
             raise ValueError("variances must be strictly positive and finite")
-        # a zero weight's log is -inf; a subnormal variance's inverse, inf
-        with np.errstate(divide="ignore", over="ignore"):
-            inv_var = 1.0 / var
+        if not np.all(var >= MIN_VARIANCE):
+            raise ValueError(f"variances must be at least {MIN_VARIANCE!r}, "
+                             f"so that their inverse is finite; got "
+                             f"{float(var.min())!r}")
+        inv_var = 1.0 / var
+        # a zero weight's log is -inf
+        with np.errstate(divide="ignore"):
             logw = np.log(w)
         object.__setattr__(self, "inv_var", inv_var)
         object.__setattr__(self, "neg_half_inv_var", -0.5 * inv_var)
@@ -97,6 +104,10 @@ class EmConfig:
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(
                     f"{key} must be positive and finite, got {value}")
+        if self.cov_floor < MIN_VARIANCE:
+            raise ValueError(f"cov_floor must be at least {MIN_VARIANCE!r}, "
+                             f"the smallest variance a mixture holds, got "
+                             f"{self.cov_floor!r}")
 
 
 def _as_data(obs) -> np.ndarray:

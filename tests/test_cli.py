@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -409,6 +410,27 @@ class TestVerify:
         assert "face_alice.json" in captured.err
         assert "finite" in captured.err
 
+    def test_variance_without_finite_inverse_exits_2(self, trained,
+                                                     toy_corpus, tmp_path,
+                                                     capsys):
+        # 1/5e-324 is inf: the file is refused, where it used to score nan
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        client = models / "face_alice.json"
+        doc = json.loads(client.read_text())
+        doc["variances"][0][0] = 5e-324
+        client.write_text(json.dumps(doc))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "alice", session=1)
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "face_alice.json: variances must be at least" in captured.err
+        assert "NaN" not in captured.err
+
     def test_client_of_another_component_count_exits_2(self, trained,
                                                       toy_corpus, tmp_path,
                                                       capsys):
@@ -582,6 +604,28 @@ class TestSynthEval:
         third = {n: Path(out_dir, n).read_bytes()
                  for n in os.listdir(out_dir)}
         assert first != third
+
+    # sha256 of each output of `synth-eval` at the default config and
+    # seed, recorded when ROC fields were written one repr() at a time
+    PINNED = {
+        "synth_report.csv":
+            "e5c004fccd56cabd7f6417a2efcd18fff8632981ed490ef7b1a4db903e110ccc",
+        "synth_roc_ear.csv":
+            "8926e8fd7e3bbb68316672f31e983a5fffbf5f93e9dcceb41fc18fd81d71948d",
+        "synth_roc_face.csv":
+            "f1ffe64c623f2b048ef83ce13426346e57bdcf51ce97f972d011f2a47982ba3d",
+        "synth_roc_fusion.csv":
+            "0ac75f672a70d32fe857c1c9de6ca8b5b833254d4b02528a4de3ba90d50986e8",
+    }
+
+    def test_default_outputs_keep_their_bytes(self, tmp_path):
+        cfg = tmp_path / "synth.ini"
+        cfg.write_text(f"[paths]\noutput_dir = {tmp_path}/out\n")
+        assert main(["--config", str(cfg), "synth-eval"]) == 0
+        out_dir = tmp_path / "out"
+        digests = {n: hashlib.sha256(Path(out_dir, n).read_bytes()).hexdigest()
+                   for n in os.listdir(out_dir)}
+        assert digests == self.PINNED
 
     def test_fused_row_is_smallest(self, tmp_path):
         cfg = tmp_path / "synth.ini"

@@ -207,6 +207,8 @@ def test_bad_fusion_settings_exit_2_before_training(tmp_path, capsys, text,
 @pytest.mark.parametrize("text, message", [
     ("[gmm_face]\ncov_floor = nan\n",
      "[gmm_face] cov_floor must be positive and finite, got nan"),
+    ("[gmm_face]\ncov_floor = 1e-320\n",
+     "[gmm_face] cov_floor must be at least 5.56268464626801e-309"),
     ("[gmm_face]\ntol = nan\n",
      "[gmm_face] tol must be positive and finite, got nan"),
     ("[gmm_ear]\ntol = inf\n",
@@ -218,8 +220,9 @@ def test_bad_fusion_settings_exit_2_before_training(tmp_path, capsys, text,
      "[gabor] freq_spacing must be finite and exceed 1"),
     ("[gabor]\nnum_orientations = 0\n",
      "[gabor] num_orientations must be at least 1"),
-], ids=["cov_floor-nan", "tol-nan", "tol-inf", "restarts-0", "sigma-nan",
-        "k_max-inf", "freq_spacing-nan", "orientations-0"])
+], ids=["cov_floor-nan", "cov_floor-subnormal", "tol-nan", "tol-inf",
+        "restarts-0", "sigma-nan", "k_max-inf", "freq_spacing-nan",
+        "orientations-0"])
 def test_bad_fit_settings_exit_2_before_training(tmp_path, capsys, text,
                                                  message):
     path = _write(tmp_path, "[paths]\nmodel_dir = models\n" + text)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from biofuse.config import DEFAULT_SYNTH, PipelineConfig, SynthModality
 from biofuse.dempster import (GENUINE_MASK, IMPOSTOR_MASK, bpa_from_score,
                               combine_dempster)
 from biofuse.errors import (DegenerateCalibration, EmptyScoreList,
                             ManifestError, TotalConflict)
-from biofuse.evaluate import (TrialRecord, compute_roc, eer,
+from biofuse.evaluate import (RocCurve, TrialRecord, compute_roc, eer,
                               fused_genuine_mass, run_fusion_experiment,
                               run_image_experiment, synth_scores)
 
@@ -88,6 +89,62 @@ class TestRoc:
         rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
         assert rows == np.column_stack(
             [roc.thresholds, roc.far, roc.frr]).tolist()
+
+
+def _to_csv_reference(roc):
+    """RocCurve.to_csv as one repr per field: the byte oracle."""
+    lines = ["threshold,far,frr"]
+    for t, fa, fr in zip(roc.thresholds.tolist(), roc.far.tolist(),
+                         roc.frr.tolist()):
+        lines.append(f"{t!r},{fa!r},{fr!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _curve(columns):
+    thresholds, far, frr = (np.asarray(c, dtype=np.float64) for c in columns)
+    return RocCurve(thresholds=thresholds, far=far, frr=frr)
+
+
+# the edges of the magnitudes that orjson and repr spell alike, one ulp
+# either side, and the lowest threshold of a fused curve whose lowest mass
+# is 0
+_EDGES = [float(v) for x in (1e-4, 1e16, -1e-4, -1e16)
+          for v in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+_EDGES.append(-1e-06)
+
+
+class TestRocCsvBytes:
+    """to_csv equals the repr oracle byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=st.integers(0, 40).flatmap(lambda n: arrays(
+        np.float64, (3, n),
+        elements=st.one_of(
+            st.floats(),
+            st.integers(0, 159_600).map(lambda c: c / 159_600)))))
+    def test_arbitrary_columns(self, table):
+        roc = _curve(table)
+        assert roc.to_csv() == _to_csv_reference(roc)
+
+    @pytest.mark.parametrize("column", range(3))
+    def test_magnitude_edges(self, column):
+        columns = [np.full(len(_EDGES), 0.5) for _ in range(3)]
+        columns[column] = _EDGES
+        roc = _curve(columns)
+        assert roc.to_csv() == _to_csv_reference(roc)
+
+    @pytest.mark.parametrize("n", [10_000, 240, 159_600])
+    def test_count_fractions(self, n):
+        # FAR and FRR as compute_roc forms them, c / n for a count c
+        counts = np.arange(n + 1)
+        roc = _curve((np.linspace(-1e-06, 1.0, n + 1), (n - counts) / n,
+                      counts / n))
+        assert roc.to_csv() == _to_csv_reference(roc)
+
+    def test_signed_zeros_and_non_finite(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]
+        roc = _curve((values, values[::-1], values[3:] + values[:3]))
+        assert roc.to_csv() == _to_csv_reference(roc)
 
 
 class TestSynthScores:

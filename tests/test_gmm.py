@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from biofuse.errors import (DimensionMismatch, EmptyObservationSet,
                             ModelFormatError, TooFewObservations)
-from biofuse.gmm import (EmConfig, GmmModel, MixtureStack, _Design,
-                         _e_step, _kmeans_pp, _log_joint, _m_step, em_fit,
-                         kmeans_init, load_model, log_likelihood,
+from biofuse.gmm import (MIN_VARIANCE, EmConfig, GmmModel, MixtureStack,
+                         _Design, _e_step, _kmeans_pp, _log_joint, _m_step,
+                         em_fit, kmeans_init, load_model, log_likelihood,
                          log_likelihood_many, match_score, model_from_dict,
                          model_to_dict, responsibilities, save_model)
 
@@ -731,6 +731,17 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match=str(path)):
             load_model(path)
 
+    def test_rejects_variance_without_finite_inverse(self, tmp_path):
+        doc = model_to_dict(_simple_model([0.5, 0.5], [[0.0], [1.0]],
+                                          [[1.0], [1.0]]), "face", "x")
+        doc["variances"][1][0] = 5e-324
+        path = tmp_path / "face_x.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError,
+                           match=f"{re.escape(str(path))}: variances must be "
+                                 f"at least"):
+            load_model(path)
+
     def test_rejects_wrong_version(self):
         doc = model_to_dict(_simple_model([1.0], [0.0], [1.0]), "face", "x")
         doc["format_version"] = 99
@@ -756,3 +767,26 @@ class TestModelValidation:
     def test_nonpositive_variance(self):
         with pytest.raises(ValueError):
             GmmModel(np.array([1.0]), np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def test_min_variance_is_the_edge_of_a_finite_inverse(self):
+        below = np.nextafter(MIN_VARIANCE, 0.0)
+        assert math.isfinite(1.0 / MIN_VARIANCE)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float64(1.0) / below)
+        model = GmmModel(np.full(2, 0.5), np.zeros((2, 1)),
+                         np.array([[MIN_VARIANCE], [1.0]]))
+        assert np.all(np.isfinite(model.inv_var))
+
+    @pytest.mark.parametrize("variance", [5e-324, 1e-310,
+                                          np.nextafter(MIN_VARIANCE, 0.0)])
+    def test_variance_without_finite_inverse(self, variance):
+        # 1/var would be inf, and every score of the model nan
+        with pytest.raises(ValueError, match="inverse is finite"):
+            GmmModel(np.full(2, 0.5), np.zeros((2, 3)),
+                     np.array([[1.0, 1.0, 1.0], [1.0, variance, 1.0]]))
+
+    def test_cov_floor_below_min_variance(self):
+        EmConfig(cov_floor=MIN_VARIANCE).validate()
+        for floor in (np.nextafter(MIN_VARIANCE, 0.0), 1e-320, 5e-324):
+            with pytest.raises(ValueError, match="cov_floor must be at least"):
+                EmConfig(cov_floor=float(floor)).validate()

@@ -12,7 +12,7 @@ from biofuse.gabor import (ChannelScaler, GaborParams, build_bank,
                            sampled_responses)
 from biofuse.errors import (BiofuseError, DimensionMismatch,
                             EmptyObservationSet, ModelFormatError)
-from biofuse.gmm import GmmModel, match_score, save_model
+from biofuse.gmm import MIN_VARIANCE, GmmModel, match_score, save_model
 from biofuse.pipeline import (ModalityArtifacts, image_observations,
                               load_artifacts, probe_score, save_artifacts)
 
@@ -196,8 +196,9 @@ def _awkward(rng, shape):
 def test_model_and_stats_files_round_trip_bit_exactly(tmp_path):
     rng = np.random.default_rng(11)
     weights = rng.dirichlet(np.ones(3))
+    # a mixture's smallest variance, MIN_VARIANCE, is itself subnormal
     models = {sid: GmmModel(weights, _awkward(rng, (3, 4)) - 1e-3,
-                            _awkward(rng, (3, 4)))
+                            np.maximum(_awkward(rng, (3, 4)), MIN_VARIANCE))
               for sid in ("alice", "background")}
     scaler = ChannelScaler(mean=_awkward(rng, 4) - 0.5,
                            std=_awkward(rng, 4))
