@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .dempster import (Frame, FusionDecision, MassFunction, belief,
                        bpa_from_score, combine_dempster, decide, discount,
                        plausibility, vacuous)
-from .evaluate import (ErrorReport, RocCurve, TrialRecord, compute_roc, eer,
+from .evaluate import (ErrorReport, RocCurve, compute_roc, eer,
                        run_fusion_experiment, run_image_experiment,
                        synth_scores)
 from .gabor import (ChannelScaler, GaborKernel, GaborParams, ObservationSet,
@@ -28,7 +28,7 @@ from .preprocess import (CanonicalLayout, LandmarkSet, geometric_normalize,
 __all__ = [
     "Frame", "FusionDecision", "MassFunction", "belief", "bpa_from_score",
     "combine_dempster", "decide", "discount", "plausibility", "vacuous",
-    "ErrorReport", "RocCurve", "TrialRecord", "compute_roc", "eer",
+    "ErrorReport", "RocCurve", "compute_roc", "eer",
     "run_fusion_experiment", "run_image_experiment", "synth_scores",
     "ChannelScaler", "GaborKernel", "GaborParams", "ObservationSet",
     "build_bank", "convolve", "downsample", "sampled_responses",

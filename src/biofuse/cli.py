@@ -7,6 +7,7 @@ atomic (write to a temp file, then rename).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -34,27 +35,41 @@ def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
     entries = load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     records = []
-    for i, entry in enumerate(entries):
-        try:
-            img = load_entry_image(entry)
-            prepped = prep_image(img, entry.landmarks, config)
-        except ManifestError:
-            raise
-        except (BiofuseError, ValueError) as exc:
-            raise type(exc)(f"manifest record {i} ({entry.image_path}): "
-                            f"{exc}") from exc
-        name = f"{i:04d}_{entry.subject_id}_{entry.modality}_s{entry.session}.pgm"
-        out_path = os.path.join(out_dir, name)
-        write_pgm(prepped, out_path)
-        canonical = config.layout.positions(entry.modality)
-        records.append({
-            "image_path": out_path,
-            "modality": entry.modality,
-            "subject_id": entry.subject_id,
-            "session": entry.session,
-            "landmarks": {k: [v[0], v[1]] for k, v in canonical.items()},
-        })
-    write_json(os.path.join(out_dir, "manifest.json"), records)
+    created = []
+    try:
+        for i, entry in enumerate(entries):
+            try:
+                img = load_entry_image(entry)
+                prepped = prep_image(img, entry.landmarks, config)
+            except ManifestError:
+                raise
+            except (BiofuseError, ValueError) as exc:
+                raise type(exc)(f"manifest record {i} ({entry.image_path}): "
+                                f"{exc}") from exc
+            name = (f"{i:04d}_{entry.subject_id}_{entry.modality}"
+                    f"_s{entry.session}.pgm")
+            out_path = os.path.join(out_dir, name)
+            if not os.path.exists(out_path):
+                created.append(out_path)
+            write_pgm(prepped, out_path)
+            canonical = config.layout.positions(entry.modality)
+            records.append({
+                "image_path": out_path,
+                "modality": entry.modality,
+                "subject_id": entry.subject_id,
+                "session": entry.session,
+                "landmarks": {k: [v[0], v[1]]
+                              for k, v in canonical.items()},
+            })
+        write_json(os.path.join(out_dir, "manifest.json"), records)
+    except BaseException:
+        # a failed prep removes the images it created, so it leaves no
+        # partial set without a manifest. An image that replaced a file
+        # of the same name stays: an earlier manifest.json may name it.
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     print(f"prepped {len(records)} images -> {out_dir}")
     return 0
 
@@ -139,19 +154,15 @@ def cmd_eval(config: PipelineConfig, manifest_path) -> int:
     """Full image experiment: report.csv plus one ROC CSV per method. The
     models `train` wrote are reused when they were fitted from the same
     gallery and settings; model_dir is never written."""
-    report, rocs, _ = run_image_experiment(
-        manifest_path, config, model_dir=config.paths.model_dir)
+    # the scores are not kept while the report is written
+    report, rocs = run_image_experiment(manifest_path, config)[:2]
     _emit_report(report, rocs, config.paths.output_dir)
     return 0
 
 
 def cmd_synth_eval(config: PipelineConfig) -> int:
     """Synthetic-matcher experiment from the [synth_*] config sections."""
-    report, rocs = run_fusion_experiment(
-        config.synth, config.fusion.alpha_face, config.fusion.alpha_ear,
-        seed=config.eval.seed, n_genuine=config.eval.n_genuine,
-        n_impostor=config.eval.n_impostor,
-        num_thresholds=config.eval.num_thresholds)
+    report, rocs = run_fusion_experiment(config)[:2]
     _emit_report(report, rocs, config.paths.output_dir, prefix="synth_")
     return 0
 

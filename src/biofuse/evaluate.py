@@ -5,9 +5,12 @@ genuine scores < t, swept over a uniform threshold grid spanning the
 pooled score range. The equal-error rate is read off the FAR/FRR crossing
 by linear interpolation. Reported recognition rate is 100 - EER.
 
-Two experiment drivers: a synthetic-matcher run (seeded normal score
-generators per modality) and a full image run (prep -> filter bank ->
-mixture scoring -> evidence fusion) over a dataset manifest.
+Two experiments, a synthetic-matcher run (seeded normal score generators
+per modality) and a full image run (prep -> filter bank -> mixture
+scoring -> evidence fusion) over a dataset manifest, share one contract:
+each takes a PipelineConfig and returns (report, rocs, scores),
+where scores maps each method (face, ear, fusion) to the (genuine,
+impostor) score arrays the report and ROC curves were built from.
 """
 
 from dataclasses import dataclass
@@ -23,23 +26,6 @@ from .pipeline import (MODALITIES, check_protocol, image_observations,
                        load_entry_image, prep_image, probe_score,
                        split_by_session, train_gallery)
 from .preprocess import load_manifest
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    claimed_subject: str
-    true_subject: str
-    face_score: float
-    ear_score: float
-    fused_genuine_mass: float
-    label: str  # "genuine" | "impostor"
-
-    def __post_init__(self):
-        expected = "genuine" if self.claimed_subject == self.true_subject \
-            else "impostor"
-        if self.label != expected:
-            raise ValueError(
-                f"label {self.label!r} contradicts subject ids")
 
 
 @dataclass(frozen=True)
@@ -76,7 +62,7 @@ class RocCurve:
         return f"threshold,far,frr\n{body}\n"
 
 
-def compute_roc(genuine, impostor, num_thresholds: int = 10001) -> RocCurve:
+def compute_roc(genuine, impostor, num_thresholds: int) -> RocCurve:
     """Sweep a uniform threshold grid over [min - d, max + d] of the pooled
     scores and count error rates at each threshold."""
     g = np.asarray(genuine, dtype=np.float64)
@@ -226,40 +212,49 @@ def fused_genuine_mass(face, ear, calib_face, calib_ear, alpha_face,
             np.where(flagged, 1.0, conflict), flagged)
 
 
-def run_fusion_experiment(matchers: dict, alpha_face: float, alpha_ear: float,
-                          seed: int, n_genuine: int = 10000,
-                          n_impostor: int = 10000,
-                          num_thresholds: int = 10001):
-    """Synthetic-matcher experiment: unimodal rows from raw scores, the
-    fused row from combined genuine masses. Calibration bounds are the
-    min/max of each modality's pooled scores.
+def run_fusion_experiment(config: PipelineConfig):
+    """Synthetic-matcher experiment from config's [synth_*] matchers,
+    [fusion] alphas and [eval] seed, trial counts and threshold count:
+    unimodal rows from raw scores, the fused row from combined genuine
+    masses. Calibration bounds are the min/max of each modality's pooled
+    scores.
 
-    Returns (ErrorReport, {method: RocCurve}).
+    Returns (ErrorReport, {method: RocCurve}, {method: (genuine,
+    impostor)}): the float64 score arrays the report was built from,
+    methods in face, ear, fusion order.
     """
-    scores = synth_scores(matchers, n_genuine, n_impostor, seed)
+    settings = config.eval
+    drawn = synth_scores(config.synth, settings.n_genuine,
+                         settings.n_impostor, settings.seed)
     calib = {}
-    for modality, pair in scores.items():
+    for modality, pair in drawn.items():
         pool = np.concatenate(pair)
         calib[modality] = (float(pool.min()), float(pool.max()))
-    fused = tuple(fused_genuine_mass(face, ear, calib["face"], calib["ear"],
-                                     alpha_face, alpha_ear)[0]
-                  for face, ear in zip(scores["face"], scores["ear"]))
-    return _build_report({"face": scores["face"], "ear": scores["ear"],
-                          "fusion": fused}, num_thresholds)
+    # synth_scores orders the modalities by name; the report rows follow
+    # the order of this dict
+    scores = {"face": drawn["face"], "ear": drawn["ear"]}
+    scores["fusion"] = tuple(
+        fused_genuine_mass(face, ear, calib["face"], calib["ear"],
+                           config.fusion.alpha_face,
+                           config.fusion.alpha_ear)[0]
+        for face, ear in zip(drawn["face"], drawn["ear"]))
+    report, rocs = _build_report(scores, settings.num_thresholds)
+    return report, rocs, scores
 
 
-def run_image_experiment(manifest_path, config: PipelineConfig,
-                         model_dir=None):
+def run_image_experiment(manifest_path, config: PipelineConfig):
     """Full verification experiment over a dataset manifest.
 
     Session 1 trains and calibrates; session-2 probes claim every identity
     (their own -> genuine trial, each other -> impostor trial). Every image
     is prepped and its observations computed in memory; nothing is cached.
-    With model_dir, a modality whose stored models were fitted from this
+    A modality whose models in config.paths.model_dir were fitted from this
     same gallery and settings is served from there instead of trained
     again (see pipeline.train_gallery); model_dir is only read.
 
-    Returns (ErrorReport, {method: RocCurve}, [TrialRecord, ...]).
+    Returns (ErrorReport, {method: RocCurve}, {method: (genuine,
+    impostor)}): the float64 score arrays the report was built from,
+    methods in face, ear, fusion order.
     """
     entries = load_manifest(manifest_path)
     subjects = check_protocol(entries)
@@ -271,27 +266,21 @@ def run_image_experiment(manifest_path, config: PipelineConfig,
         return prep_image(load_entry_image(entry), entry.landmarks, config)
 
     artifacts = train_gallery(entries, config, image_for, bank,
-                              model_dir=model_dir)
+                              model_dir=config.paths.model_dir)
     probe_obs = {(entry.subject_id, entry.modality): image_observations(
         image_for(entry), bank, config).observations for entry in probes}
 
-    pairs = [(true_sid, claimed) for true_sid in subjects
-             for claimed in subjects]
-    scores = {modality: np.concatenate([
+    # one trial per (true, claimed) pair of subjects, row-major over the
+    # sorted subjects, so the genuine trials are the diagonal
+    trials = {modality: np.concatenate([
         probe_score(artifacts[modality], probe_obs[(true_sid, modality)])
         for true_sid in subjects]) for modality in MODALITIES}
-    scores["fusion"] = fused_genuine_mass(
-        scores["face"], scores["ear"], artifacts["face"].calibration,
+    trials["fusion"] = fused_genuine_mass(
+        trials["face"], trials["ear"], artifacts["face"].calibration,
         artifacts["ear"].calibration, config.fusion.alpha_face,
         config.fusion.alpha_ear)[0]
-
-    trials = [TrialRecord(claimed, true_sid, fs, es, mass,
-                          "genuine" if claimed == true_sid else "impostor")
-              for (true_sid, claimed), fs, es, mass in zip(
-                  pairs, scores["face"].tolist(), scores["ear"].tolist(),
-                  scores["fusion"].tolist())]
-    genuine = np.array([t.label == "genuine" for t in trials])
-    report, rocs = _build_report(
-        {method: (values[genuine], values[~genuine])
-         for method, values in scores.items()}, config.eval.num_thresholds)
-    return report, rocs, trials
+    genuine = np.eye(len(subjects), dtype=bool).ravel()
+    scores = {method: (values[genuine], values[~genuine])
+              for method, values in trials.items()}
+    report, rocs = _build_report(scores, config.eval.num_thresholds)
+    return report, rocs, scores

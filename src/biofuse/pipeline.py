@@ -34,8 +34,8 @@ from .gmm import (FIT_VERSION, MODEL_FORMAT_VERSION, GmmModel, MixtureStack,
 # match_score is unused here; perfbench's tracer tests check this import site
 from .gmm import match_score  # noqa: F401
 from .pgm import load_pgm
-from .preprocess import (BACKGROUND_ID, geometric_normalize,
-                         histogram_equalize)
+from .preprocess import (BACKGROUND_ID, check_subject_id,
+                         geometric_normalize, histogram_equalize)
 
 MODALITIES = ("face", "ear")
 STATS_FORMAT_VERSION = 3
@@ -313,14 +313,15 @@ def save_artifacts(model_dir, trained: dict) -> None:
 
 def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
     """One modality's stored artifacts with the client models of ids, as
-    save_artifacts wrote them into model_dir. The reserved background id,
-    and a missing, malformed or misplaced model or stats file (another
-    version, a non-finite number, a client whose component count or
-    dimension differs from the background's, a scaler of another
-    dimension), raise an error naming it."""
-    if BACKGROUND_ID in ids:
-        raise BiofuseError(f"id {BACKGROUND_ID!r} is reserved for the "
-                           f"background model")
+    save_artifacts wrote them into model_dir. An id that check_subject_id
+    refuses (the reserved background id, or one that is not a single
+    file-name component) raises before any file is read; a missing,
+    malformed or misplaced model or stats file (another version, a
+    non-finite number, a client whose component count or dimension
+    differs from the background's, a scaler of another dimension) raises
+    an error naming it."""
+    for sid in ids:
+        check_subject_id(sid)
     models = {}
     for sid in (*ids, BACKGROUND_ID):
         path = os.path.join(model_dir, model_filename(modality, sid))

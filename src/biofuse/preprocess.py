@@ -9,11 +9,12 @@ functions are pure; none mutate their inputs.
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLandmarks, ManifestError
+from .errors import BiofuseError, DegenerateLandmarks, ManifestError
 
 FACE_LABELS = ("left_eye", "right_eye", "mouth_center")
 EAR_LABELS = ("triangular_fossa", "antitragus")
@@ -23,6 +24,19 @@ _LABELS = {"face": FACE_LABELS, "ear": EAR_LABELS}
 # the pooled background model is stored under this id, so no subject may
 # take it
 BACKGROUND_ID = "background"
+
+
+def check_subject_id(subject_id: str) -> None:
+    """BiofuseError unless subject_id can name a subject's files: `train`
+    writes <modality>_<subject>.json and `prep` puts the id in each image
+    name, so it must be one file-name component (no '/', os.sep or NUL)
+    and not the reserved BACKGROUND_ID."""
+    if subject_id == BACKGROUND_ID:
+        raise BiofuseError(f"subject id {subject_id!r} is reserved for the "
+                           f"background model")
+    if any(c in subject_id for c in ("/", os.sep, "\0")):
+        raise BiofuseError(f"subject id {subject_id!r} is not one file-name "
+                           f"component: it holds a path separator or NUL")
 
 
 @dataclass(frozen=True)
@@ -240,7 +254,7 @@ def load_manifest(path) -> list:
 
     Raises ManifestError naming the offending record on any defect,
     including a session other than the integer 1 (gallery) or 2 (probe)
-    and a subject id equal to the reserved BACKGROUND_ID.
+    and a subject id that check_subject_id refuses.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -286,10 +300,10 @@ def load_manifest(path) -> list:
             raise ManifestError(
                 f"{where}: session must be 1 or 2, got {session!r}")
         subject_id = str(rec["subject_id"])
-        if subject_id == BACKGROUND_ID:
-            raise ManifestError(
-                f"{where}: subject id {subject_id!r} is reserved for the "
-                f"background model")
+        try:
+            check_subject_id(subject_id)
+        except BiofuseError as exc:
+            raise ManifestError(f"{where}: {exc}") from None
         entries.append(ManifestEntry(
             image_path=str(image_path),
             modality=modality,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from biofuse.cli import main
-from biofuse.config import DEFAULT_SYNTH, PipelineConfig
+from biofuse.config import Paths, PipelineConfig
 from biofuse.dempster import (Frame, MassFunction, VERIFICATION_FRAME,
                               combine_dempster)
 from biofuse.evaluate import compute_roc, eer, run_fusion_experiment, \
@@ -233,8 +233,8 @@ def test_roc_analytics():
 
 def test_synth_fusion_ordering():
     start = time.perf_counter()
-    report, _ = run_fusion_experiment(DEFAULT_SYNTH, 0.9, 0.9, seed=42,
-                                      n_genuine=10_000, n_impostor=10_000)
+    # default matchers, alphas 0.9 and 10,000 trials of each class
+    report, _, _ = run_fusion_experiment(PipelineConfig().with_seed(42))
     face = report.row("face").eer
     ear = report.row("ear").eer
     fused = report.row("fusion").eer
@@ -260,14 +260,14 @@ def test_synth_fusion_ordering():
 def test_end_to_end_toy_run(tmp_path):
     start = time.perf_counter()
     manifest, _ = build_toy_corpus(str(tmp_path / "corpus"))
-    report, _, trials = run_image_experiment(manifest, PipelineConfig())
+    config = PipelineConfig(paths=Paths(model_dir=str(tmp_path / "models")))
+    report, _, scores = run_image_experiment(manifest, config)
     elapsed = time.perf_counter() - start
 
     assert report.row("fusion").eer == 0.0
     assert report.row("face").eer == 0.0
     assert report.row("ear").eer == 0.0
-    genuine = [t.fused_genuine_mass for t in trials if t.label == "genuine"]
-    impostor = [t.fused_genuine_mass for t in trials if t.label == "impostor"]
+    genuine, impostor = scores["fusion"]
     assert min(genuine) > max(impostor)
     assert elapsed < 120.0
     _ok("end-to-end-toy",

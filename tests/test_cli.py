@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import biofuse.cli as cli
 import biofuse.pipeline as pipeline
 from biofuse.cli import main
 from biofuse.gmm import MODEL_FORMAT_VERSION, GmmModel, save_model
@@ -84,13 +85,47 @@ class TestPrep:
                                    "antitragus": [100.0, 500.0]}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(records))
-        code = main(["--config", trained["config"], "prep",
-                     "--manifest", str(bad),
-                     "--out-dir", str(tmp_path / "prepped")])
-        assert code == 2
+        out_dir = tmp_path / "prepped"
+        argv = ["--config", trained["config"], "prep",
+                "--manifest", str(bad), "--out-dir", str(out_dir)]
+        assert main(argv) == 2
         assert (f"error: manifest record {i} ({records[i]['image_path']}): "
                 f"landmark antitragus at (100.0, 500.0) outside 200x220 "
                 f"image") in capsys.readouterr().err
+        # the records before i were prepped; their images are taken back
+        assert i > 0
+        assert os.listdir(out_dir) == []
+        # over an earlier prep's output, the failed run replaces images
+        # that manifest names; they stay, and so does everything else
+        assert main(["--config", trained["config"], "prep",
+                     "--manifest", toy_corpus["manifest"],
+                     "--out-dir", str(out_dir)]) == 0
+        before = {n: (out_dir / n).read_bytes() for n in os.listdir(out_dir)}
+        assert main(argv) == 2
+        assert {n: (out_dir / n).read_bytes()
+                for n in os.listdir(out_dir)} == before
+
+    @pytest.mark.parametrize("subject", ["a/b", "a\0b"])
+    def test_subject_id_that_is_no_file_name_exits_2(self, trained,
+                                                     toy_corpus, tmp_path,
+                                                     capsys, subject):
+        # prep and train put the id in file names
+        records = [dict(r) for r in toy_corpus["records"]]
+        for rec in records:
+            if rec["subject_id"] == "bob":
+                rec["subject_id"] = subject
+        i = next(i for i, r in enumerate(records)
+                 if r["subject_id"] == subject)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(records))
+        out_dir = tmp_path / "prepped"
+        code = main(["--config", trained["config"], "prep",
+                     "--manifest", str(bad), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert (f"error: manifest record {i} ({records[i]['image_path']}): "
+                f"subject id {subject!r} is not one file-name component"
+                ) in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestTrain:
@@ -231,6 +266,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'background' is reserved" in captured.err
+
+    @pytest.mark.parametrize("claim", ["../x", "a\0b"])
+    def test_claim_that_is_no_file_name_exits_2(self, trained, capsys,
+                                                monkeypatch, claim):
+        def no_reads(*args, **kwargs):
+            raise AssertionError("the claim must be refused before reading")
+
+        monkeypatch.setattr(pipeline, "load_model", no_reads)
+        monkeypatch.setattr(cli, "load_pgm", no_reads)
+        face, ear = self._probe(trained, "alice")
+        code = main(["--config", trained["config"], "verify",
+                     "--face", face, "--ear", ear, "--claim", claim])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"subject id {claim!r} is not one file-name component"
+                in captured.err)
 
     def test_wrong_size_probe_exits_2(self, trained, tmp_path, capsys):
         face, ear = self._probe(trained, "alice", session=1)

@@ -7,16 +7,48 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from biofuse.config import DEFAULT_SYNTH, PipelineConfig, SynthModality
+import biofuse.evaluate as evaluate
+from biofuse.config import (DEFAULT_SYNTH, EvalSettings, FusionSettings,
+                            Paths, PipelineConfig, SynthModality)
 from biofuse.dempster import (GENUINE_MASK, IMPOSTOR_MASK, bpa_from_score,
                               combine_dempster)
 from biofuse.errors import (DegenerateCalibration, EmptyScoreList,
                             ManifestError, TotalConflict)
-from biofuse.evaluate import (RocCurve, TrialRecord, compute_roc, eer,
+from biofuse.evaluate import (RocCurve, compute_roc, eer,
                               fused_genuine_mass, run_fusion_experiment,
                               run_image_experiment, synth_scores)
 
 PHI_MINUS_HALF = 0.5 * math.erfc(0.5 / math.sqrt(2.0))  # ~0.30854
+
+
+def _synth_config(alpha_face, alpha_ear, synth=DEFAULT_SYNTH,
+                  **eval_settings):
+    """Default settings with these synthetic matchers, alphas and [eval]
+    values."""
+    return PipelineConfig(
+        synth=dict(synth),
+        fusion=FusionSettings(alpha_face=alpha_face, alpha_ear=alpha_ear),
+        eval=EvalSettings(**eval_settings))
+
+
+def _image_config(tmp_path):
+    """Default settings over an empty model_dir, so the run trains."""
+    return PipelineConfig(paths=Paths(model_dir=str(tmp_path / "models")))
+
+
+def _assert_built_from(report, rocs, scores, config):
+    """The report rows and ROC curves are those of the returned scores,
+    methods in face, ear, fusion order."""
+    methods = ["face", "ear", "fusion"]
+    assert list(scores) == list(rocs) == methods
+    assert [row.method for row in report.rows] == methods
+    for method, (genuine, impostor) in scores.items():
+        assert genuine.dtype == impostor.dtype == np.float64
+        roc = compute_roc(genuine, impostor, config.eval.num_thresholds)
+        assert np.array_equal(rocs[method].thresholds, roc.thresholds)
+        assert np.array_equal(rocs[method].far, roc.far)
+        assert np.array_equal(rocs[method].frr, roc.frr)
+        assert report.row(method).eer == eer(roc) * 100.0
 
 
 def _roc_invariants(roc):
@@ -178,16 +210,6 @@ class TestSynthScores:
             synth_scores(DEFAULT_SYNTH, 0, 10, seed=1)
 
 
-class TestTrialRecord:
-    def test_label_invariant(self):
-        TrialRecord("a", "a", 1.0, 1.0, 0.9, "genuine")
-        TrialRecord("a", "b", 1.0, 1.0, 0.1, "impostor")
-        with pytest.raises(ValueError):
-            TrialRecord("a", "a", 1.0, 1.0, 0.9, "impostor")
-        with pytest.raises(ValueError):
-            TrialRecord("a", "b", 1.0, 1.0, 0.9, "genuine")
-
-
 @st.composite
 def _two_sources(draw):
     """[(scores, calibration, alpha)] for face and ear, equally many scores
@@ -265,10 +287,27 @@ class TestFusedGenuineMass:
 
 
 class TestFusionExperiment:
+    def test_returns_the_scores_the_report_was_built_from(self):
+        config = _synth_config(0.9, 0.8, seed=5, n_genuine=300,
+                               n_impostor=500)
+        report, rocs, scores = run_fusion_experiment(config)
+        _assert_built_from(report, rocs, scores, config)
+        drawn = synth_scores(config.synth, 300, 500, seed=5)
+        calib = {}
+        for modality in ("face", "ear"):
+            assert all(np.array_equal(got, want) for got, want in
+                       zip(scores[modality], drawn[modality]))
+            pool = np.concatenate(drawn[modality])
+            calib[modality] = (pool.min(), pool.max())
+        for k in (0, 1):  # genuine, impostor
+            fused = fused_genuine_mass(
+                scores["face"][k], scores["ear"][k], calib["face"],
+                calib["ear"], 0.9, 0.8)[0]
+            assert np.array_equal(scores["fusion"][k], fused)
+
     def test_fusion_beats_both_unimodal(self):
-        report, rocs = run_fusion_experiment(
-            DEFAULT_SYNTH, 0.9, 0.9, seed=42,
-            n_genuine=4000, n_impostor=4000)
+        report, rocs, _ = run_fusion_experiment(_synth_config(
+            0.9, 0.9, seed=42, n_genuine=4000, n_impostor=4000))
         face = report.row("face").eer
         ear = report.row("ear").eer
         fused = report.row("fusion").eer
@@ -277,8 +316,8 @@ class TestFusionExperiment:
             _roc_invariants(roc)
 
     def test_recognition_rate_identity(self):
-        report, _ = run_fusion_experiment(DEFAULT_SYNTH, 0.9, 0.9, seed=1,
-                                          n_genuine=500, n_impostor=500)
+        report, _, _ = run_fusion_experiment(_synth_config(
+            0.9, 0.9, seed=1, n_genuine=500, n_impostor=500))
         for row in report.rows:
             assert row.recognition_rate == pytest.approx(100.0 - row.eer,
                                                          abs=1e-12)
@@ -288,28 +327,28 @@ class TestFusionExperiment:
         # the fused rate then stays within a point of the good modality
         spec = {"face": SynthModality(genuine_mean=0.0),   # EER ~ 50%
                 "ear": SynthModality(genuine_mean=4.0)}    # well separated
-        report, _ = run_fusion_experiment(spec, 0.1, 0.9, seed=13,
-                                          n_genuine=4000, n_impostor=4000)
+        report, _, _ = run_fusion_experiment(_synth_config(
+            0.1, 0.9, synth=spec, seed=13, n_genuine=4000, n_impostor=4000))
         assert report.row("fusion").eer <= report.row("ear").eer + 1.0
 
     def test_unequal_trial_counts(self):
         # n_genuine and n_impostor are separate keys; the calibration pool
         # must not assume the two score arrays have the same length
-        report, rocs = run_fusion_experiment(DEFAULT_SYNTH, 0.9, 0.9, seed=3,
-                                             n_genuine=300, n_impostor=500)
+        report, rocs, _ = run_fusion_experiment(_synth_config(
+            0.9, 0.9, seed=3, n_genuine=300, n_impostor=500))
         assert [row.method for row in report.rows] == ["face", "ear",
                                                        "fusion"]
         for roc in rocs.values():
             _roc_invariants(roc)
 
     def test_zero_alpha_is_chance(self):
-        report, _ = run_fusion_experiment(DEFAULT_SYNTH, 0.0, 0.0, seed=21,
-                                          n_genuine=2000, n_impostor=2000)
+        report, _, _ = run_fusion_experiment(_synth_config(
+            0.0, 0.0, seed=21, n_genuine=2000, n_impostor=2000))
         assert report.row("fusion").eer == pytest.approx(50.0, abs=2.0)
 
     def test_csv_shape(self):
-        report, _ = run_fusion_experiment(DEFAULT_SYNTH, 0.9, 0.9, seed=2,
-                                          n_genuine=200, n_impostor=200)
+        report, _, _ = run_fusion_experiment(_synth_config(
+            0.9, 0.9, seed=2, n_genuine=200, n_impostor=200))
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "method,frr,far,eer,recognition_rate"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["face", "ear",
@@ -317,15 +356,37 @@ class TestFusionExperiment:
 
 
 class TestImageExperiment:
-    def test_toy_corpus_fully_separable(self, toy_corpus):
-        report, rocs, trials = run_image_experiment(
-            toy_corpus["manifest"], PipelineConfig())
+    def test_returns_the_scores_the_report_was_built_from(
+            self, toy_corpus, tmp_path, monkeypatch):
+        train_gallery = evaluate.train_gallery
+        trained = {}
+
+        def keep_artifacts(*args, **kwargs):
+            trained.update(train_gallery(*args, **kwargs))
+            return trained
+
+        monkeypatch.setattr(evaluate, "train_gallery", keep_artifacts)
+        config = _image_config(tmp_path)
+        report, rocs, scores = run_image_experiment(toy_corpus["manifest"],
+                                                    config)
+        _assert_built_from(report, rocs, scores, config)
+        n = 2  # subjects: one genuine claim each, n - 1 impostor claims
+        for genuine, impostor in scores.values():
+            assert (len(genuine), len(impostor)) == (n, n * (n - 1))
+        # trial k of the fused row fuses trial k of the face and ear rows
+        for k in (0, 1):  # genuine, impostor
+            fused = fused_genuine_mass(
+                scores["face"][k], scores["ear"][k],
+                trained["face"].calibration, trained["ear"].calibration,
+                config.fusion.alpha_face, config.fusion.alpha_ear)[0]
+            assert np.array_equal(scores["fusion"][k], fused)
+
+    def test_toy_corpus_fully_separable(self, toy_corpus, tmp_path):
+        report, rocs, scores = run_image_experiment(
+            toy_corpus["manifest"], _image_config(tmp_path))
         assert report.row("fusion").eer == 0.0
-        assert len(trials) == 4  # 2 genuine + 2 impostor
-        genuine = [t.fused_genuine_mass for t in trials
-                   if t.label == "genuine"]
-        impostor = [t.fused_genuine_mass for t in trials
-                    if t.label == "impostor"]
+        genuine, impostor = scores["fusion"]
+        assert len(genuine) + len(impostor) == 4  # 2 genuine + 2 impostor
         assert min(genuine) > max(impostor)
         for roc in rocs.values():
             _roc_invariants(roc)
@@ -340,13 +401,11 @@ class TestImageExperiment:
             records.append({**rec, "session": 2})
         manifest = tmp_path / "selfmatch.json"
         manifest.write_text(json.dumps(records))
-        _, _, trials = run_image_experiment(str(manifest), PipelineConfig())
-        ok = sum(
-            1 for t in trials if t.label == "genuine"
-            for u in trials if u.label == "impostor"
-            if t.fused_genuine_mass >= u.fused_genuine_mass)
-        total = (sum(1 for t in trials if t.label == "genuine")
-                 * sum(1 for t in trials if t.label == "impostor"))
+        _, _, scores = run_image_experiment(str(manifest),
+                                            _image_config(tmp_path))
+        genuine, impostor = scores["fusion"]
+        ok = sum(1 for t in genuine for u in impostor if t >= u)
+        total = len(genuine) * len(impostor)
         assert ok / total >= 0.95
 
     def test_missing_image_file_names_path(self, toy_corpus, tmp_path):

@@ -43,3 +43,5 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
     exec(_block("python", after="## Library"), scope)
     assert np.isfinite(scope["score"])
     assert isinstance(scope["decision"], FusionDecision)
+    assert [row.method for row in scope["report"].rows] == list(
+        scope["scores"]) == ["face", "ear", "fusion"]
