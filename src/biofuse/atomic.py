@@ -25,6 +25,17 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
+def move_aside(path):
+    """Rename the file at path to a unique sibling name and return that
+    name, or return None when there is no file at path."""
+    aside = f"{path}.aside{uuid.uuid4().hex}"
+    try:
+        os.replace(path, aside)
+    except FileNotFoundError:
+        return None
+    return aside
+
+
 def write_json(path, obj) -> None:
     """Atomically write obj as key-sorted, 2-space-indented JSON plus a
     final newline (the layout of model, stats and manifest files). A NaN

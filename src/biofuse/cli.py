@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .atomic import write_atomic, write_json
+from .atomic import move_aside, write_atomic, write_json
 from .config import PipelineConfig, load_config
 from .errors import BiofuseError, ManifestError
 from .evaluate import (fused_genuine_mass, run_fusion_experiment,
@@ -31,12 +31,26 @@ from .preprocess import load_manifest
 def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
     """Normalize every manifest image to the canonical frame and write the
     results plus an updated manifest (landmarks moved to their canonical
-    positions, so re-running on the output is the identity transform)."""
+    positions, so re-running on the output is the identity transform).
+    A prep that fails leaves every file in out_dir as it found it."""
     entries = load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     records = []
-    created = []
+    created = []   # the files this run writes where there was none
+    aside = {}     # the files it replaces -> where the old ones wait
+
+    def claim(path):
+        moved = move_aside(path)
+        if moved is None:
+            created.append(path)
+        else:
+            aside[path] = moved
+
+    manifest_out = os.path.join(out_dir, "manifest.json")
     try:
+        # the old manifest goes first, so no manifest names a mix of old
+        # and new images while this run writes them
+        claim(manifest_out)
         for i, entry in enumerate(entries):
             try:
                 img = load_entry_image(entry)
@@ -49,8 +63,7 @@ def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
             name = (f"{i:04d}_{entry.subject_id}_{entry.modality}"
                     f"_s{entry.session}.pgm")
             out_path = os.path.join(out_dir, name)
-            if not os.path.exists(out_path):
-                created.append(out_path)
+            claim(out_path)
             write_pgm(prepped, out_path)
             canonical = config.layout.positions(entry.modality)
             records.append({
@@ -61,15 +74,19 @@ def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
                 "landmarks": {k: [v[0], v[1]]
                               for k, v in canonical.items()},
             })
-        write_json(os.path.join(out_dir, "manifest.json"), records)
+        write_json(manifest_out, records)
     except BaseException:
-        # a failed prep removes the images it created, so it leaves no
-        # partial set without a manifest. An image that replaced a file
-        # of the same name stays: an earlier manifest.json may name it.
+        # the files this run created go, and the ones it replaced come
+        # back
         for path in created:
             with contextlib.suppress(OSError):
                 os.remove(path)
+        for path, moved in aside.items():
+            with contextlib.suppress(OSError):
+                os.replace(moved, path)
         raise
+    for moved in aside.values():
+        os.remove(moved)
     print(f"prepped {len(records)} images -> {out_dir}")
     return 0
 

@@ -40,26 +40,32 @@ class RocCurve:
     def to_csv(self) -> str:
         """One `threshold,far,frr` row per threshold, each field the
         float64 value's repr(). orjson spells the same shortest digits as
-        repr for 0 and every finite |x| in [1e-4, 1e16), so the curve is
-        dumped in one call and only the rows holding another value (a
-        NaN, an infinity, or a magnitude that repr writes with an
-        exponent) are written again with repr."""
+        repr for 0 and every finite |x| in [1e-4, 1e16), so the rows are
+        dumped as one flat list right after the header: its brackets
+        become the header's and the last row's newlines, and every third
+        comma ends a row (orjson writes no comma inside a number). Only
+        when some value is another one (a NaN, an infinity, or a
+        magnitude that repr writes with an exponent) are the rows holding
+        one written again with repr."""
         rows = np.column_stack((self.thresholds, self.far, self.frr)
                                ).astype(np.float64, copy=False)
         if not len(rows):
             return "threshold,far,frr\n"
-        # [[t,fa,fr],[t,fa,fr],...] -> one CSV row per threshold
-        body = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY
-                            )[2:-2].replace(b"],[", b"\n").decode()
+        header = b"threshold,far,frr"
+        # threshold,far,frr[t,fa,fr,t,fa,fr,...] -> one CSV row per line
+        text = bytearray(header)
+        text += orjson.dumps(rows.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+        text[len(header)] = text[-1] = ord("\n")
+        body = np.frombuffer(text, dtype=np.uint8, offset=len(header))
+        body[np.flatnonzero(body == ord(","))[2::3]] = ord("\n")
         mag = np.abs(rows)
-        plain = (mag == 0) | ((mag >= 1e-4) & (mag < 1e16))
-        odd = np.flatnonzero(~plain.all(axis=1)).tolist()
-        if odd:
-            lines = body.split("\n")
-            for i in odd:
-                lines[i] = ",".join(map(repr, rows[i].tolist()))
-            body = "\n".join(lines)
-        return f"threshold,far,frr\n{body}\n"
+        if not ((mag < 1e16).all() and ((mag >= 1e-4) | (mag == 0)).all()):
+            plain = (mag == 0) | ((mag >= 1e-4) & (mag < 1e16))
+            lines = text.decode().split("\n")
+            for i in np.flatnonzero(~plain.all(axis=1)).tolist():
+                lines[i + 1] = ",".join(map(repr, rows[i].tolist()))
+            return "\n".join(lines)
+        return text.decode()
 
 
 def compute_roc(genuine, impostor, num_thresholds: int) -> RocCurve:

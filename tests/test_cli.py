@@ -105,6 +105,81 @@ class TestPrep:
         assert {n: (out_dir / n).read_bytes()
                 for n in os.listdir(out_dir)} == before
 
+    @staticmethod
+    def _digests(out_dir):
+        return {n: hashlib.sha256((out_dir / n).read_bytes()).hexdigest()
+                for n in os.listdir(out_dir)}
+
+    @staticmethod
+    def _bob_as_record_0(toy_corpus, tmp_path, bad_landmark):
+        """The toy manifest with record 0 (alice's face) pointing at bob's
+        face, and with a landmark outside record 2's image if asked."""
+        records = [dict(r) for r in toy_corpus["records"]]
+        bob = next(r for r in records
+                   if r["subject_id"] == "bob" and r["modality"] == "face")
+        records[0] = {**records[0], "image_path": bob["image_path"],
+                      "landmarks": bob["landmarks"]}
+        if bad_landmark:
+            records[2]["landmarks"] = {**records[2]["landmarks"],
+                                       "antitragus": [100.0, 500.0]}
+        path = tmp_path / "bob_as_0.json"
+        path.write_text(json.dumps(records))
+        return records, str(path)
+
+    def test_failed_reprep_restores_every_file_it_replaced(
+            self, trained, toy_corpus, tmp_path, capsys):
+        # record 0's PGM is replaced by bob's face before record 2 fails;
+        # the earlier manifest.json names that PGM as alice's
+        out_dir = tmp_path / "prepped"
+        assert main(["--config", trained["config"], "prep",
+                     "--manifest", toy_corpus["manifest"],
+                     "--out-dir", str(out_dir)]) == 0
+        before = self._digests(out_dir)
+        records, bad = self._bob_as_record_0(toy_corpus, tmp_path, True)
+        assert main(["--config", trained["config"], "prep",
+                     "--manifest", bad, "--out-dir", str(out_dir)]) == 2
+        assert (f"error: manifest record 2 ({records[2]['image_path']}): "
+                f"landmark antitragus") in capsys.readouterr().err
+        assert self._digests(out_dir) == before
+
+    def test_reprep_leaves_no_aside_files(self, trained, toy_corpus,
+                                          tmp_path):
+        out_dir = tmp_path / "prepped"
+        assert main(["--config", trained["config"], "prep",
+                     "--manifest", toy_corpus["manifest"],
+                     "--out-dir", str(out_dir)]) == 0
+        before = self._digests(out_dir)
+        _, path = self._bob_as_record_0(toy_corpus, tmp_path, False)
+        assert main(["--config", trained["config"], "prep",
+                     "--manifest", path, "--out-dir", str(out_dir)]) == 0
+        after = self._digests(out_dir)
+        assert sorted(after) == sorted(before)
+        # record 0's PGM now holds bob's face; the others are prepped
+        # from the same images and settings as before
+        changed = sorted(n for n in after if after[n] != before[n])
+        assert changed == ["0000_alice_face_s1.pgm"]
+        assert (load_pgm(str(out_dir / changed[0])) == load_pgm(
+            str(out_dir / "0004_bob_face_s1.pgm"))).all()
+
+    def test_reprep_writes_images_with_no_manifest_in_place(
+            self, trained, toy_corpus, tmp_path, monkeypatch):
+        # so a run killed midway leaves no manifest naming a mix of old
+        # and new images
+        out_dir = tmp_path / "prepped"
+        argv = ["--config", trained["config"], "prep",
+                "--manifest", toy_corpus["manifest"],
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        manifest_seen = []
+
+        def write_pgm_spy(img, path):
+            manifest_seen.append((out_dir / "manifest.json").exists())
+            write_pgm(img, path)
+
+        monkeypatch.setattr(cli, "write_pgm", write_pgm_spy)
+        assert main(argv) == 0
+        assert manifest_seen == [False] * len(toy_corpus["records"])
+
     @pytest.mark.parametrize("subject", ["a/b", "a\0b"])
     def test_subject_id_that_is_no_file_name_exits_2(self, trained,
                                                      toy_corpus, tmp_path,

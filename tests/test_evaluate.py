@@ -179,6 +179,65 @@ class TestRocCsvBytes:
         assert roc.to_csv() == _to_csv_reference(roc)
 
 
+# values that orjson spells otherwise than repr, or not at all: each
+# fails one or both halves of to_csv's whole-curve plainness test
+_ODD = [np.nan, np.inf, -np.inf, 1e20, -1e16, 1e-05, -5e-324, -1e-06]
+
+
+def _full_size_curve():
+    """A 10,001-row curve as compute_roc makes it for synth-eval."""
+    rng = np.random.default_rng(0)
+    return compute_roc(rng.normal(2.0, 1.0, 10_000),
+                       rng.normal(0.0, 1.0, 10_000), 10_001)
+
+
+def _assert_csv_is_reference(roc):
+    """to_csv() == _to_csv_reference(roc), failing on the first line that
+    differs (pytest's diff of two 10,001-line strings takes minutes)."""
+    got = roc.to_csv().split("\n")
+    want = _to_csv_reference(roc).split("\n")
+    first = next(((i, a, b) for i, (a, b) in enumerate(zip(got, want))
+                  if a != b), None)
+    assert first is None
+    assert len(got) == len(want)
+
+
+class TestRocCsvFullSize:
+    """to_csv equals the repr oracle on curves of synth-eval's size."""
+
+    def test_plain_curve(self):
+        _assert_csv_is_reference(_full_size_curve())
+
+    @pytest.mark.parametrize("value", _ODD)
+    @pytest.mark.parametrize("row", [0, 5_000, 10_000])
+    def test_one_odd_row(self, row, value):
+        plain = _full_size_curve()
+        for k in range(3):
+            columns = [plain.thresholds.copy(), plain.far.copy(),
+                       plain.frr.copy()]
+            columns[k][row] = value
+            roc = _curve(columns)
+            _assert_csv_is_reference(roc)
+
+    @pytest.mark.parametrize("value", [0.5, *_ODD])
+    def test_one_row(self, value):
+        _assert_csv_is_reference(_curve(([value], [1.0], [0.0])))
+
+    def test_every_row_odd(self):
+        roc = _full_size_curve()
+        thresholds = roc.thresholds * 1e-6
+        assert ((thresholds != 0) & (np.abs(thresholds) < 1e-4)).all()
+        roc = _curve((thresholds, roc.far, roc.frr))
+        _assert_csv_is_reference(roc)
+
+    @pytest.mark.parametrize("seed", [42, 7, 123_456, 2**31, 0])
+    def test_fusion_experiment_curves(self, seed):
+        _, rocs, _ = run_fusion_experiment(PipelineConfig().with_seed(seed))
+        for roc in rocs.values():
+            assert len(roc.thresholds) == 10_001
+            _assert_csv_is_reference(roc)
+
+
 class TestSynthScores:
     def test_deterministic_given_seed(self):
         a = synth_scores(DEFAULT_SYNTH, 100, 100, seed=5)
