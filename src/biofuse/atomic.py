@@ -36,10 +36,12 @@ def move_aside(path):
     return aside
 
 
-def write_json(path, obj) -> None:
+def write_json(path, obj) -> bytes:
     """Atomically write obj as key-sorted, 2-space-indented JSON plus a
-    final newline (the layout of model, stats and manifest files). A NaN
-    or infinity is not JSON, so it raises ValueError and nothing is
-    written."""
+    final newline (the layout of model, stats and manifest files), and
+    return the bytes written. A NaN or infinity is not JSON, so it raises
+    ValueError and nothing is written."""
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    write_atomic(path, text.encode("utf-8"))
+    data = text.encode("utf-8")
+    write_atomic(path, data)
+    return data

@@ -22,9 +22,9 @@ from .gabor import build_bank
 # match_score is unused here; perfbench's tracer tests check this import site
 from .gmm import MODEL_FORMAT_VERSION, match_score  # noqa: F401
 from .pgm import load_pgm, write_pgm
-from .pipeline import (check_canonical_size, check_features,
-                       image_observations, load_artifacts, load_entry_image,
-                       prep_image, probe_score, save_artifacts, train_gallery)
+from .pipeline import (MODALITIES, check_canonical_size, image_observations,
+                       load_artifacts, load_entry_image, prep_image,
+                       probe_score, save_artifacts, train_gallery)
 from .preprocess import load_manifest
 
 
@@ -105,7 +105,7 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
 
     trained = train_gallery(entries, config, image_for,
                             build_bank(config.gabor))
-    save_artifacts(config.paths.model_dir, trained)
+    save_artifacts(config.paths.model_dir, trained, config)
     for modality, artifacts in trained.items():
         print(f"trained {len(artifacts.clients)} {modality} client models "
               f"+ background")
@@ -114,13 +114,15 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
 
 def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
     """Score one prepped face/ear probe pair against a claimed identity.
-    The probes' observations are cached under <output_dir>/cache."""
+    Both modalities' models are loaded, and refused when they cannot serve
+    config, before either probe is read. The probes' observations are
+    cached under <output_dir>/cache."""
+    artifacts = {modality: load_artifacts(config.paths.model_dir, modality,
+                                          [claimed_id], config)
+                 for modality in MODALITIES}
     bank = build_bank(config.gabor)
-    artifacts = {}
     scores = {}
     for modality, path in (("face", face_path), ("ear", ear_path)):
-        artifacts[modality] = load_artifacts(config.paths.model_dir,
-                                             modality, [claimed_id])
         img = check_canonical_size(load_pgm(path), config,
                                    f"{modality} probe {path}")
         obs = image_observations(
@@ -128,10 +130,6 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
             cache_dir=os.path.join(config.paths.output_dir, "cache"))
         scores[modality] = probe_score(artifacts[modality],
                                        obs.observations).item()
-        # after scoring, so features of another channel count fail at the
-        # scaler with their shape
-        check_features(artifacts[modality], config.paths.model_dir,
-                       modality, config)
 
     fusion = config.fusion
     genuine_mass, impostor_mass, conflict, flagged = (

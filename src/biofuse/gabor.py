@@ -85,7 +85,7 @@ class GaborBank(tuple):
         return bank
 
 
-def build_bank(params: GaborParams = GaborParams()) -> GaborBank:
+def build_bank(params: GaborParams) -> GaborBank:
     """Sample every (scale, orientation) kernel of the bank.
 
     Kernel (nu, mu) has center frequency k = k_max / freq_spacing**nu at
@@ -264,6 +264,10 @@ def sampled_responses(img: np.ndarray, bank, stride: int) -> ObservationSet:
     return ObservationSet(observations=out.reshape(-1, k), stride=stride)
 
 
+# ChannelScaler.fit's smallest std: a constant channel is not divided by 0
+STD_FLOOR = 1e-6
+
+
 @dataclass(frozen=True)
 class ChannelScaler:
     """Per-channel standardization fitted on training observations.
@@ -276,12 +280,12 @@ class ChannelScaler:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, data: np.ndarray, std_floor: float = 1e-6) -> "ChannelScaler":
+    def fit(cls, data: np.ndarray) -> "ChannelScaler":
         x = np.asarray(data, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("need a nonempty (n, dim) observation matrix")
         return cls(mean=x.mean(axis=0),
-                   std=np.maximum(x.std(axis=0), std_floor))
+                   std=np.maximum(x.std(axis=0), STD_FLOOR))
 
     def transform(self, data: np.ndarray) -> np.ndarray:
         x = np.asarray(data, dtype=np.float64)

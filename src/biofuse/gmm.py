@@ -10,6 +10,7 @@ model; MixtureStack scores one image against many mixtures at once.
 """
 
 import functools
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -276,7 +277,7 @@ def _kmeans_pp(design: _Design, k: int, rng) -> np.ndarray:
 
 
 def kmeans_init(data, n_components: int, seed: int,
-                cov_floor: float = 1e-4) -> GmmModel:
+                cov_floor: float) -> GmmModel:
     """k-means++ seeding plus Lloyd iterations; the M-step of the final
     hard (one-hot) assignment becomes the initial mixture, with each
     cluster's Lloyd centre as its mean. Deterministic given seed."""
@@ -462,19 +463,24 @@ def model_from_dict(doc: dict):
     return model, modality, subject_id
 
 
-def save_model(model: GmmModel, path, modality: str, subject_id: str) -> None:
-    write_json(path, model_to_dict(model, modality, subject_id))
+def save_model(model: GmmModel, path, modality: str, subject_id: str) -> str:
+    """Write the model file; returns the sha256 hex digest of its bytes."""
+    data = write_json(path, model_to_dict(model, modality, subject_id))
+    return hashlib.sha256(data).hexdigest()
 
 
 def load_model(path):
-    """(model, modality, subject_id) from a model file; a bad file raises
+    """(model, modality, subject_id, digest) from a model file, where
+    digest is the sha256 hex digest of the bytes parsed; a bad file raises
     ModelFormatError naming its path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: not valid JSON") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return model_from_dict(doc)
+        doc = json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{path}: not valid JSON") from exc
+    try:
+        model, modality, subject_id = model_from_dict(doc)
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
+    return model, modality, subject_id, hashlib.sha256(data).hexdigest()

@@ -7,10 +7,11 @@ only, never from probes.
 
 Each modality's stats file carries a fingerprint of the gallery and the
 settings its models were fitted from, so `eval` can reuse the models
-`train` wrote for the same gallery instead of fitting them again, and the
-feature settings themselves, so `verify` can refuse probes computed with
-others. Only this module names the files in model_dir: save_artifacts
-writes them and load_artifacts reads them.
+`train` wrote for the same gallery instead of fitting them again; the
+feature settings themselves, so that models fitted on other features are
+refused; and the sha256 of each model file beside it, so that it vouches
+for those files only. Only this module names the files in model_dir:
+save_artifacts writes them and load_artifacts reads them.
 """
 
 import contextlib
@@ -38,7 +39,7 @@ from .preprocess import (BACKGROUND_ID, check_subject_id,
                          geometric_normalize, histogram_equalize)
 
 MODALITIES = ("face", "ear")
-STATS_FORMAT_VERSION = 3
+STATS_FORMAT_VERSION = 4
 FEATURE_VERSION = 3  # bump when the observation arithmetic changes
 
 
@@ -52,14 +53,14 @@ def image_observations(img: np.ndarray, bank, config: PipelineConfig,
     """Response-magnitude observations for one prepped image.
 
     When cache_dir is given, the matrix is cached there as a .npy file keyed
-    by the image content, shape and dtype, config.gabor, config.stride and
-    FEATURE_VERSION, so re-runs skip sampled_responses.
+    by the image content, shape and dtype and feature_settings(config), so
+    re-runs skip sampled_responses.
     """
     if cache_dir is None:
         return sampled_responses(img, bank, config.stride)
     digest = hashlib.sha256(np.ascontiguousarray(img).tobytes())
-    digest.update(f"shape={img.shape};dtype={img.dtype};{config.gabor!r};"
-                  f"stride={config.stride};v{FEATURE_VERSION}".encode())
+    digest.update(f"shape={img.shape};dtype={img.dtype};"
+                  f"{json.dumps(feature_settings(config))}".encode())
     path = os.path.join(cache_dir, digest.hexdigest() + ".npy")
     if os.path.exists(path):
         return ObservationSet(observations=np.load(path),
@@ -134,7 +135,6 @@ class ModalityArtifacts:
     scaler: ChannelScaler
     calibration: tuple         # (lo, hi) gallery score bounds
     fingerprint: str | None = None  # gallery_fingerprint of the fit
-    features: dict | None = None    # feature_settings of the fit
 
     @functools.cached_property
     def stack(self) -> MixtureStack:
@@ -152,15 +152,15 @@ def gallery_fingerprint(modality: str, images,
 
     images is the modality's gallery as (entry, prepped image) pairs in
     manifest order; each contributes its modality, subject id, shape,
-    dtype and pixel bytes. The settings that shape the fit (config.gabor,
-    the stride, config.gmm[modality], the seed), the fit's arithmetic
-    version and the feature, model and stats format versions are hashed
+    dtype and pixel bytes. The settings that shape the fit
+    (feature_settings(config), config.gmm[modality], the seed), the fit's
+    arithmetic version and the model and stats format versions are hashed
     too.
     """
     digest = hashlib.sha256(
-        f"{config.gabor!r};stride={config.stride};"
+        f"{json.dumps(feature_settings(config))};"
         f"{config.gmm[modality]!r};seed={config.eval.seed};"
-        f"features=v{FEATURE_VERSION};fit=v{FIT_VERSION};"
+        f"fit=v{FIT_VERSION};"
         f"models=v{MODEL_FORMAT_VERSION};"
         f"stats=v{STATS_FORMAT_VERSION}".encode())
     for entry, img in images:
@@ -218,9 +218,9 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
     loaded once, for the fingerprint and for its observations, which are
     computed in memory and never cached. Every subject in entries needs
     gallery images of every modality. With model_dir, a modality whose
-    stored artifacts (load_artifacts) carry this gallery's fingerprint is
-    served from there and not fitted; any stored file that is missing,
-    unreadable or of another gallery or version means it is trained.
+    stored artifacts carry this gallery's fingerprint is served from there
+    and not fitted; whatever load_artifacts refuses, and any stored file of
+    another gallery, means it is trained.
     Nothing is written to model_dir.
     """
     gallery, _ = split_by_session(entries)
@@ -238,7 +238,8 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
         fingerprint = gallery_fingerprint(modality, images, config)
         if model_dir is not None:
             try:
-                stored = load_artifacts(model_dir, modality, subjects)
+                stored = load_artifacts(model_dir, modality, subjects,
+                                        config)
             except (BiofuseError, OSError, ValueError):
                 stored = None
             if stored is not None and stored.fingerprint == fingerprint:
@@ -249,8 +250,7 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
             gallery_obs.setdefault(entry.subject_id, []).append(
                 image_observations(img, bank, config).observations)
         artifacts = train_modality(modality, gallery_obs, config)
-        trained[modality] = replace(artifacts, fingerprint=fingerprint,
-                                    features=feature_settings(config))
+        trained[modality] = replace(artifacts, fingerprint=fingerprint)
     return trained
 
 
@@ -276,15 +276,15 @@ def stats_filename(modality: str) -> str:
     return f"{modality}_stats.json"
 
 
-def save_artifacts(model_dir, trained: dict) -> None:
-    """Write {modality: ModalityArtifacts} into model_dir for load_artifacts.
-    A stats file vouches for the models beside it (eval reuses them when
-    its fingerprint matches), so every old one goes first and each new one
-    is written last: a write that fails midway leaves no stats file.
-    Artifacts without a fingerprint (train_modality's own) are refused
-    before anything is touched: load_artifacts would refuse their stats.
-    Artifacts without feature settings are written with "features": null,
-    which check_features refuses."""
+def save_artifacts(model_dir, trained: dict, config: PipelineConfig) -> None:
+    """Write {modality: ModalityArtifacts}, fitted on the observations
+    config computes, into model_dir for load_artifacts. A stats file
+    vouches for the models beside it by their sha256 (eval reuses them
+    when its fingerprint matches), so every old one goes first and each
+    new one is written last: a write that fails midway leaves no stats
+    file. Artifacts without a fingerprint (train_modality's own) are
+    refused before anything is touched: load_artifacts would refuse their
+    stats."""
     for modality, artifacts in trained.items():
         if not isinstance(artifacts.fingerprint, str):
             raise ValueError(f"{modality} artifacts carry no gallery "
@@ -295,40 +295,48 @@ def save_artifacts(model_dir, trained: dict) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(model_dir, stats_filename(modality)))
     for modality, artifacts in trained.items():
-        for sid, model in (*sorted(artifacts.clients.items()),
-                           (BACKGROUND_ID, artifacts.background)):
-            save_model(model, os.path.join(model_dir,
-                                           model_filename(modality, sid)),
-                       modality, sid)
+        digests = {
+            sid: save_model(model,
+                            os.path.join(model_dir,
+                                         model_filename(modality, sid)),
+                            modality, sid)
+            for sid, model in (*sorted(artifacts.clients.items()),
+                               (BACKGROUND_ID, artifacts.background))}
         write_json(os.path.join(model_dir, stats_filename(modality)), {
             "format_version": STATS_FORMAT_VERSION,
             "modality": modality,
             "fingerprint": artifacts.fingerprint,
-            "features": artifacts.features,
+            "features": feature_settings(config),
+            "model_sha256": digests,
             "scaler": artifacts.scaler.to_dict(),
             "calibration": [artifacts.calibration[0],
                             artifacts.calibration[1]],
         })
 
 
-def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
+def load_artifacts(model_dir, modality: str, ids,
+                   config: PipelineConfig) -> ModalityArtifacts:
     """One modality's stored artifacts with the client models of ids, as
-    save_artifacts wrote them into model_dir. An id that check_subject_id
-    refuses (the reserved background id, or one that is not a single
-    file-name component) raises before any file is read; a missing,
-    malformed or misplaced model or stats file (another version, a
-    non-finite number, a client whose component count or dimension
-    differs from the background's, a scaler of another dimension) raises
-    an error naming it."""
+    save_artifacts wrote them into model_dir, when they may serve config.
+    An id that check_subject_id refuses (the reserved background id, or
+    one that is not a single file-name component) raises before any file
+    is read; a missing, malformed or misplaced model or stats file
+    (another version, a non-finite number, a calibration that is not
+    increasing, a client whose component count or dimension differs from
+    the background's, a scaler of another dimension) raises an error
+    naming it, and so does a model whose bytes are not those its stats
+    file records. Models fitted on other features than config computes
+    raise a BiofuseError naming the stats file and both settings."""
     for sid in ids:
         check_subject_id(sid)
     models = {}
+    digests = {}
     for sid in (*ids, BACKGROUND_ID):
         path = os.path.join(model_dir, model_filename(modality, sid))
         if not os.path.exists(path):
             raise BiofuseError(f"no {modality} model for id {sid!r} ({path} "
                                f"missing); run `train` first")
-        model, got_modality, got_sid = load_model(path)
+        model, got_modality, got_sid, digests[sid] = load_model(path)
         if (got_modality, got_sid) != (modality, sid):
             raise ModelFormatError(
                 f"{path}: holds the {got_modality} model of {got_sid!r}, "
@@ -361,29 +369,29 @@ def load_artifacts(model_dir, modality: str, ids) -> ModalityArtifacts:
             lo, hi = (float(bound) for bound in doc["calibration"])
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"calibration [{lo}, {hi}] is not finite")
+            if not lo < hi:
+                raise ValueError(f"calibration [{lo}, {hi}] is not "
+                                 f"increasing")
             fingerprint = doc["fingerprint"]
             if not isinstance(fingerprint, str):
                 raise ValueError(f"fingerprint {fingerprint!r} is not a "
                                  f"string")
+            recorded = {sid: doc["model_sha256"][sid] for sid in digests}
             features = doc["features"]
-            if not isinstance(features, (dict, type(None))):
-                raise ValueError(f"features {features!r} are neither an "
-                                 f"object nor null")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{stats_path}: bad stats document: "
                              f"{exc!r}") from exc
-    return ModalityArtifacts(models, background, scaler, (lo, hi),
-                             fingerprint, features)
-
-
-def check_features(artifacts: ModalityArtifacts, model_dir, modality: str,
-                   config: PipelineConfig) -> None:
-    """BiofuseError, naming the stats file and both settings, unless the
-    artifacts were fitted on observations computed as config computes
-    them: scores of features from another bank mean nothing."""
+    for sid, digest in digests.items():
+        if digest != recorded[sid]:
+            raise ModelFormatError(
+                f"{os.path.join(model_dir, model_filename(modality, sid))}: "
+                f"sha256 {digest}, but {stats_path} records "
+                f"{recorded[sid]!r}; run `train` again")
     want = feature_settings(config)
-    if artifacts.features != want:
+    if features != want:
         raise BiofuseError(
-            f"{os.path.join(model_dir, stats_filename(modality))}: the "
-            f"{modality} models were fitted on features {artifacts.features}"
-            f", but this config computes {want}; run `train` again")
+            f"{stats_path}: the {modality} models were fitted on features "
+            f"{features}, but this config computes {want}; run `train` "
+            f"again")
+    return ModalityArtifacts(models, background, scaler, (lo, hi),
+                             fingerprint)

@@ -123,9 +123,6 @@ class CanonicalLayout:
         raise ValueError(f"unknown modality {modality!r}")
 
 
-DEFAULT_LAYOUT = CanonicalLayout()
-
-
 def _similarity_fit(src: np.ndarray, dst: np.ndarray):
     """Least-squares similarity transform z -> a*z + b (complex form).
 
@@ -184,7 +181,7 @@ def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def geometric_normalize(img: np.ndarray, marks: LandmarkSet,
-                        layout: CanonicalLayout = DEFAULT_LAYOUT) -> np.ndarray:
+                        layout: CanonicalLayout) -> np.ndarray:
     """Align img so its landmarks land on the canonical positions, then
     crop to the canonical frame.
 

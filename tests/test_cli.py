@@ -12,6 +12,7 @@ import pytest
 import biofuse.cli as cli
 import biofuse.pipeline as pipeline
 from biofuse.cli import main
+from biofuse.config import PipelineConfig
 from biofuse.gmm import MODEL_FORMAT_VERSION, GmmModel, save_model
 from biofuse.pgm import load_pgm, write_pgm
 
@@ -228,7 +229,7 @@ class TestTrain:
         for modality in ("face", "ear"):
             doc = json.loads(Path(trained["model_dir"],
                                   f"{modality}_stats.json").read_text())
-            assert doc["format_version"] == 3
+            assert doc["format_version"] == 4
             assert doc["features"] == {
                 "gabor": {"num_frequencies": 5, "num_orientations": 8,
                           "k_max": math.pi / 2.0,
@@ -374,7 +375,9 @@ class TestVerify:
         {"calibration": None},            # missing
         {"calibration": 0.5},             # not a (lo, hi) pair
         {"format_version": "one"},
-    ], ids=["missing", "ill-typed", "bad-version"])
+        {"calibration": [5.0, -5.0]},     # not increasing
+        {"calibration": [3.0, 3.0]},
+    ], ids=["missing", "ill-typed", "bad-version", "decreasing", "flat"])
     def test_malformed_stats_exits_2(self, trained, toy_corpus, tmp_path,
                                      capsys, broken):
         models = tmp_path / "models"
@@ -433,8 +436,12 @@ class TestVerify:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert ("error: observations of shape (440, 20) do not match the "
-                "scaler's dim 40") in captured.err
+        stats = os.path.join(trained["model_dir"], "face_stats.json")
+        assert f"error: {stats}: the face models were fitted on features" \
+            in captured.err
+        assert "'num_frequencies': 5, 'num_orientations': 8" in captured.err
+        assert "'num_frequencies': 5, 'num_orientations': 4" in captured.err
+        assert "run `train` again" in captured.err
 
     def test_models_of_another_bank_of_equal_width_exit_2(self, trained,
                                                           tmp_path, capsys):
@@ -459,6 +466,39 @@ class TestVerify:
             in captured.err
         assert "run `train` again" in captured.err
 
+    @pytest.mark.parametrize("modality", ["face", "ear"])
+    def test_models_fitted_on_other_features_exit_2_before_any_probe(
+            self, trained, toy_corpus, tmp_path, capsys, monkeypatch,
+            modality):
+        # one modality's stats record another stride; neither probe is
+        # read or filtered, the other modality's included
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        stats = models / f"{modality}_stats.json"
+        doc = json.loads(stats.read_text())
+        fitted = dict(doc["features"], stride=11)
+        stats.write_text(json.dumps(dict(doc, features=fitted)))
+
+        def no_probe_work(*args, **kwargs):
+            raise AssertionError("refused models must stop verify before "
+                                 "any probe is read or filtered")
+
+        monkeypatch.setattr(cli, "load_pgm", no_probe_work)
+        monkeypatch.setattr(pipeline, "sampled_responses", no_probe_work)
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "bob")
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "bob"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = pipeline.feature_settings(PipelineConfig())
+        assert want == dict(fitted, stride=10)
+        assert (f"error: {stats}: the {modality} models were fitted on "
+                f"features {fitted}, but this config computes {want}; run "
+                f"`train` again") in captured.err
+
     def test_format_2_stats_exit_2(self, trained, toy_corpus, tmp_path,
                                    capsys):
         # format 2 recorded no feature settings
@@ -477,7 +517,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{stats}: bad stats document" in captured.err
-        assert "format_version 2, expected 3; run `train` again" \
+        assert "format_version 2, expected 4; run `train` again" \
             in captured.err
 
     @pytest.mark.parametrize("features", [None, {"stride": 10}, "v3"],

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -42,7 +43,7 @@ class TestKmeansInit:
                 best = (sse, sorted(float(g.mean()) for g in groups))
         assert best[1] == [0.05, 10.05]
 
-        model = kmeans_init(data, 2, seed=0)
+        model = kmeans_init(data, 2, seed=0, cov_floor=1e-4)
         assert sorted(model.means.ravel().tolist()) == pytest.approx(
             best[1], abs=1e-12)
         assert sorted(model.weights.tolist()) == [0.5, 0.5]
@@ -50,19 +51,19 @@ class TestKmeansInit:
     def test_single_cluster_is_sample_mean(self):
         rng = np.random.default_rng(1)
         data = rng.normal(3.0, 2.0, (50, 3))
-        model = kmeans_init(data, 1, seed=5)
+        model = kmeans_init(data, 1, seed=5, cov_floor=1e-4)
         assert np.allclose(model.means[0], data.mean(axis=0))
         assert model.weights.tolist() == [1.0]
 
     def test_too_few_observations(self):
         with pytest.raises(TooFewObservations):
-            kmeans_init(np.zeros((3, 2)), 5, seed=0)
+            kmeans_init(np.zeros((3, 2)), 5, seed=0, cov_floor=1e-4)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         data = rng.normal(0, 1, (100, 4))
-        a = kmeans_init(data, 3, seed=9)
-        b = kmeans_init(data, 3, seed=9)
+        a = kmeans_init(data, 3, seed=9, cov_floor=1e-4)
+        b = kmeans_init(data, 3, seed=9, cov_floor=1e-4)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.weights, b.weights)
 
@@ -452,7 +453,7 @@ class TestEmAgainstTwoPass:
                                        rng.uniform(0.5, 2.0), (80, 4))
                             for _ in range(3)]) + offset
         config = EmConfig(n_components=3, restarts=1, seed=seed)
-        init = kmeans_init(x, 3, seed)
+        init = kmeans_init(x, 3, seed, config.cov_floor)
         got, trace = em_fit(x, config, init=init)
         want, want_trace = _em_two_pass(x, config, init)
         assert len(trace) == len(want_trace)
@@ -676,7 +677,7 @@ class TestNonFiniteObservations:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
     @pytest.mark.parametrize("entry", [
         lambda x: em_fit(x, EmConfig(n_components=2, restarts=1)),
-        lambda x: kmeans_init(x, 2, seed=0),
+        lambda x: kmeans_init(x, 2, seed=0, cov_floor=1e-4),
         lambda x: match_score(_STANDARD, _STANDARD, x),
         lambda x: log_likelihood_many(_STANDARD, x),
         lambda x: responsibilities(_STANDARD, x),
@@ -700,9 +701,11 @@ class TestPersistence:
                          rng.normal(0, 1, (3, 5)),
                          rng.uniform(0.1, 2.0, (3, 5)))
         path = tmp_path / "model.json"
-        save_model(model, path, "face", "s42")
-        loaded, modality, sid = load_model(path)
+        written = save_model(model, path, "face", "s42")
+        loaded, modality, sid, digest = load_model(path)
         assert modality == "face" and sid == "s42"
+        assert digest == written == hashlib.sha256(
+            path.read_bytes()).hexdigest()
         assert np.allclose(loaded.weights, model.weights, atol=0)
         assert np.allclose(loaded.means, model.means, atol=0)
         assert np.allclose(loaded.variances, model.variances, atol=0)

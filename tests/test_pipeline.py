@@ -156,13 +156,13 @@ def test_client_of_another_component_count_is_refused(tmp_path):
     stored = ModalityArtifacts({"alice": _random_model(rng)},
                                _random_model(rng), scaler, (0.0, 1.0),
                                "f" * 64)
-    save_artifacts(str(tmp_path), {"face": stored})
+    save_artifacts(str(tmp_path), {"face": stored}, CONFIG)
     path = tmp_path / "face_alice.json"
     save_model(_random_model(rng, m=4), str(path), "face", "alice")
     with pytest.raises(ModelFormatError, match=f"{path}: 4 components of "
                                                f"dim 4, but the background "
                                                f"has 3 of dim 4"):
-        load_artifacts(str(tmp_path), "face", ["alice"])
+        load_artifacts(str(tmp_path), "face", ["alice"], CONFIG)
 
 
 def test_artifacts_without_a_fingerprint_are_not_saved(tmp_path):
@@ -173,15 +173,15 @@ def test_artifacts_without_a_fingerprint_are_not_saved(tmp_path):
     stored = ModalityArtifacts({"alice": _random_model(rng)},
                                _random_model(rng), scaler, (0.0, 1.0),
                                "f" * 64)
-    save_artifacts(str(tmp_path), {"face": stored})
+    save_artifacts(str(tmp_path), {"face": stored}, CONFIG)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     unsaved = {"face": stored, "ear": replace(stored, fingerprint=None)}
     with pytest.raises(ValueError, match="ear artifacts carry no gallery "
                                          "fingerprint"):
-        save_artifacts(str(tmp_path), unsaved)
+        save_artifacts(str(tmp_path), unsaved, CONFIG)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     with pytest.raises(ValueError, match="ear artifacts"):
-        save_artifacts(str(tmp_path / "new"), unsaved)
+        save_artifacts(str(tmp_path / "new"), unsaved, CONFIG)
     assert not (tmp_path / "new").exists()
 
 
@@ -205,8 +205,8 @@ def test_model_and_stats_files_round_trip_bit_exactly(tmp_path):
     stored = ModalityArtifacts({"alice": models["alice"]},
                                models["background"], scaler,
                                (0.1 + 0.2, 1.0 / 3.0), "f" * 64)
-    save_artifacts(str(tmp_path), {"ear": stored})
-    loaded = load_artifacts(str(tmp_path), "ear", ["alice"])
+    save_artifacts(str(tmp_path), {"ear": stored}, CONFIG)
+    loaded = load_artifacts(str(tmp_path), "ear", ["alice"], CONFIG)
 
     def bits(artifacts):
         return [a.tobytes() for m in (*artifacts.clients.values(),

@@ -17,6 +17,7 @@ from biofuse.preprocess import (CanonicalLayout, LandmarkSet, _bilinear,
 FACE = {"left_eye": (60.0, 70.0), "right_eye": (140.0, 70.0),
         "mouth_center": (100.0, 170.0)}
 EAR = {"triangular_fossa": (100.0, 60.0), "antitragus": (100.0, 160.0)}
+LAYOUT = CanonicalLayout()
 
 
 def _smooth(xs, ys):
@@ -44,14 +45,14 @@ class TestGeometricNormalize:
     def test_identity_landmarks_is_exact_crop(self):
         rng = np.random.default_rng(1)
         src = rng.integers(0, 256, (260, 240)).astype(np.uint8)
-        out = geometric_normalize(src, LandmarkSet("face", FACE))
+        out = geometric_normalize(src, LandmarkSet("face", FACE), LAYOUT)
         assert out.shape == (220, 200)
         assert np.array_equal(out, src[:220, :200])
 
     def test_identity_landmarks_ear(self):
         rng = np.random.default_rng(2)
         src = rng.integers(0, 256, (230, 210)).astype(np.uint8)
-        out = geometric_normalize(src, LandmarkSet("ear", EAR))
+        out = geometric_normalize(src, LandmarkSet("ear", EAR), LAYOUT)
         assert np.array_equal(out, src[:220, :200])
 
     def test_rotated_input_matches_unrotated(self):
@@ -76,8 +77,10 @@ class TestGeometricNormalize:
             return (z.real, z.imag)
 
         marks_b = {k: rotated(v) for k, v in marks_a.items()}
-        out_a = geometric_normalize(img_a, LandmarkSet("face", marks_a))
-        out_b = geometric_normalize(img_b, LandmarkSet("face", marks_b))
+        out_a = geometric_normalize(img_a, LandmarkSet("face", marks_a),
+                                    LAYOUT)
+        out_b = geometric_normalize(img_b, LandmarkSet("face", marks_b),
+                                    LAYOUT)
         mad = np.abs(out_a.astype(float) - out_b.astype(float)).mean()
         assert mad <= 2.0
 
@@ -85,18 +88,18 @@ class TestGeometricNormalize:
         src = np.zeros((260, 240), dtype=np.uint8)
         marks = LandmarkSet("face", {**FACE, "right_eye": FACE["left_eye"]})
         with pytest.raises(DegenerateLandmarks):
-            geometric_normalize(src, marks)
+            geometric_normalize(src, marks, LAYOUT)
 
     def test_landmark_outside_bounds(self):
         src = np.zeros((100, 100), dtype=np.uint8)
         with pytest.raises(ValueError):
-            geometric_normalize(src, LandmarkSet("face", FACE))
+            geometric_normalize(src, LandmarkSet("face", FACE), LAYOUT)
 
     @pytest.mark.parametrize("shape", [(230, 210), (400, 500), (221, 201)])
     def test_output_always_target_sized(self, shape):
         rng = np.random.default_rng(3)
         src = rng.integers(0, 256, shape).astype(np.uint8)
-        out = geometric_normalize(src, LandmarkSet("ear", EAR))
+        out = geometric_normalize(src, LandmarkSet("ear", EAR), LAYOUT)
         assert out.shape == (220, 200)
 
     def test_custom_layout(self):
@@ -116,7 +119,7 @@ class TestGeometricNormalize:
         src = np.full((230, 210), 200, dtype=np.uint8)
         marks = LandmarkSet("ear", {"triangular_fossa": (100.0, 10.0),
                                     "antitragus": (100.0, 210.0)})
-        out = geometric_normalize(src, marks)
+        out = geometric_normalize(src, marks, LAYOUT)
         assert out[0, 0] == 0       # corner maps outside the source
         assert out[110, 100] == 200  # center stays inside
         assert out.max() == 200

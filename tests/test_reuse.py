@@ -176,6 +176,22 @@ def test_swapped_subject_ids_retrain(base, tmp_path, monkeypatch):
     assert outputs == _fresh(tmp_path, str(manifest))
 
 
+def _probes(base, subject):
+    """The prepped session-2 (face, ear) images of subject in base."""
+    prepped = os.path.join(os.path.dirname(base["model_dir"]), "prepped",
+                           "manifest.json")
+    picks = {rec["modality"]: rec["image_path"]
+             for rec in json.loads(Path(prepped).read_text())
+             if rec["subject_id"] == subject and rec["session"] == 2}
+    return picks["face"], picks["ear"]
+
+
+def _verify(cfg, base, subject="alice"):
+    face, ear = _probes(base, subject)
+    return main(["--config", cfg, "verify", "--face", face, "--ear", ear,
+                 "--claim", subject])
+
+
 def _write_v1(path):
     """Rewrite the stats file as format version 1 wrote it."""
     doc = json.loads(path.read_text())
@@ -190,12 +206,30 @@ def _write_v2(path):
     path.write_text(json.dumps(dict(doc, format_version=2)))
 
 
+def _write_v3(path):
+    """Rewrite the stats file as format version 3 wrote it."""
+    doc = json.loads(path.read_text())
+    del doc["model_sha256"]
+    path.write_text(json.dumps(dict(doc, format_version=3)))
+
+
+def _calibrate(lo, hi):
+    """Damage: set the stats file's calibration to [lo, hi]."""
+    def damage(path):
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, calibration=[lo, hi])))
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
     lambda path: path.unlink(),
     lambda path: path.write_text("{not json"),
     _write_v1,
     _write_v2,
-], ids=["missing", "malformed", "v1", "v2"])
+    _calibrate(5.0, -5.0),
+    _calibrate(3.0, 3.0),
+], ids=["missing", "malformed", "v1", "v2", "decreasing-calibration",
+        "flat-calibration"])
 def test_unusable_stats_file_retrains(base, tmp_path, monkeypatch, damage):
     models = str(tmp_path / "models")
     shutil.copytree(base["model_dir"], models)
@@ -262,3 +296,48 @@ def test_train_failing_midway_leaves_no_stats_file(base, tmp_path,
     outputs, trained = _eval(cfg, models, monkeypatch)
     assert trained == ["face", "ear"]
     assert outputs == base["outputs"]
+
+
+def test_format_3_model_dir_retrains(base, tmp_path, monkeypatch, capsys):
+    # format 3 recorded no model digests, so its stats vouch for nothing
+    models = str(tmp_path / "models")
+    shutil.copytree(base["model_dir"], models)
+    for modality in ("face", "ear"):
+        _write_v3(tmp_path / "models" / f"{modality}_stats.json")
+    cfg = _config(str(tmp_path), base["manifest"], model_dir=models)
+    outputs, trained = _eval(cfg, models, monkeypatch)
+    assert trained == ["face", "ear"]
+    assert outputs == base["outputs"]
+    capsys.readouterr()
+    assert _verify(cfg, base) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{os.path.join(models, 'face_stats.json')}: bad stats "
+            f"document") in captured.err
+    assert "format_version 3, expected 4; run `train` again" in captured.err
+
+
+def test_swapped_model_is_refused(base, tmp_path, monkeypatch, capsys):
+    # a model that another train wrote under the same name: its header is
+    # right and the stats file's fingerprint matches this gallery, but the
+    # stats file does not vouch for its bytes
+    other = str(tmp_path / "other")
+    os.makedirs(other)
+    _train(other, base["manifest"], seed=("--seed", "7"))
+    models = str(tmp_path / "models")
+    shutil.copytree(base["model_dir"], models)
+    swapped = os.path.join(models, "face_alice.json")
+    shutil.copyfile(os.path.join(other, "models", "face_alice.json"),
+                    swapped)
+    assert _files(models) != _files(base["model_dir"])
+    cfg = _config(str(tmp_path), base["manifest"], model_dir=models)
+    outputs, trained = _eval(cfg, models, monkeypatch)
+    assert trained == ["face"]
+    assert outputs == base["outputs"]
+    capsys.readouterr()
+    assert _verify(cfg, base) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {swapped}: sha256 " in captured.err
+    assert "run `train` again" in captured.err
+
