@@ -128,8 +128,7 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
         obs = image_observations(
             img, bank, config,
             cache_dir=os.path.join(config.paths.output_dir, "cache"))
-        scores[modality] = probe_score(artifacts[modality],
-                                       obs.observations).item()
+        scores[modality] = probe_score(artifacts[modality], obs).item()
 
     fusion = config.fusion
     genuine_mass, impostor_mass, conflict, flagged = (

@@ -274,7 +274,7 @@ def run_image_experiment(manifest_path, config: PipelineConfig):
     artifacts = train_gallery(entries, config, image_for, bank,
                               model_dir=config.paths.model_dir)
     probe_obs = {(entry.subject_id, entry.modality): image_observations(
-        image_for(entry), bank, config).observations for entry in probes}
+        image_for(entry), bank, config) for entry in probes}
 
     # one trial per (true, claimed) pair of subjects, row-major over the
     # sorted subjects, so the genuine trials are the diagonal

@@ -192,14 +192,13 @@ def convolve(img: np.ndarray, bank, method: str = "fft") -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Feature vectors sampled from a response field on a regular grid.
+    """Feature vectors downsample kept from a response field.
 
     observations is (n, dim) float64; components are response magnitudes,
     hence nonnegative.
     """
 
     observations: np.ndarray
-    stride: int
 
     def __len__(self) -> int:
         return self.observations.shape[0]
@@ -218,7 +217,7 @@ def downsample(field: np.ndarray, stride: int) -> ObservationSet:
         raise ValueError("expected a (height, width, channels) response field")
     grid = f[::stride, ::stride, :]
     obs = grid.reshape(-1, f.shape[2]).copy()
-    return ObservationSet(observations=obs, stride=stride)
+    return ObservationSet(observations=obs)
 
 
 # Upper bound on the window rows copied per GEMM in sampled_responses; at
@@ -226,12 +225,13 @@ def downsample(field: np.ndarray, stride: int) -> ObservationSet:
 _WINDOW_BLOCK_BYTES = 4 << 20
 
 
-def sampled_responses(img: np.ndarray, bank, stride: int) -> ObservationSet:
-    """Response magnitudes of every kernel at the (i*stride, j*stride) grid
-    points only.
+def sampled_responses(img: np.ndarray, bank, stride: int) -> np.ndarray:
+    """The (n, len(bank)) float64 response magnitudes of every kernel at
+    the (i*stride, j*stride) grid points only.
 
-    Equals downsample(convolve(img, bank), stride) up to float rounding:
-    the same symmetric padding, the same observation count, row-major.
+    Equals downsample(convolve(img, bank), stride).observations up to
+    float rounding: the same symmetric padding, the same observation
+    count, row-major.
     Each grid point's window of the padded image is dotted with the flipped
     taps in one real GEMM against [Re | Im], taken in blocks of grid rows:
     a GaborBank's own operand, or one built for this call from any other
@@ -261,7 +261,7 @@ def sampled_responses(img: np.ndarray, bank, stride: int) -> ObservationSet:
         resp = block @ taps
         np.hypot(resp[:, :k], resp[:, k:],
                  out=out[top:top + rows].reshape(-1, k))
-    return ObservationSet(observations=out.reshape(-1, k), stride=stride)
+    return out.reshape(-1, k)
 
 
 # ChannelScaler.fit's smallest std: a constant channel is not divided by 0

@@ -29,7 +29,7 @@ import numpy as np
 from .atomic import write_atomic, write_json
 from .config import PipelineConfig
 from .errors import BiofuseError, ManifestError, ModelFormatError
-from .gabor import ChannelScaler, ObservationSet, sampled_responses
+from .gabor import ChannelScaler, sampled_responses
 from .gmm import (FIT_VERSION, MODEL_FORMAT_VERSION, GmmModel, MixtureStack,
                   em_fit, load_model, save_model)
 # match_score is unused here; perfbench's tracer tests check this import site
@@ -49,8 +49,8 @@ def prep_image(img: np.ndarray, marks, config: PipelineConfig) -> np.ndarray:
 
 
 def image_observations(img: np.ndarray, bank, config: PipelineConfig,
-                       cache_dir=None) -> ObservationSet:
-    """Response-magnitude observations for one prepped image.
+                       cache_dir=None) -> np.ndarray:
+    """The (n, dim) response-magnitude observations of one prepped image.
 
     When cache_dir is given, the matrix is cached there as a .npy file keyed
     by the image content, shape and dtype and feature_settings(config), so
@@ -63,12 +63,11 @@ def image_observations(img: np.ndarray, bank, config: PipelineConfig,
                   f"{json.dumps(feature_settings(config))}".encode())
     path = os.path.join(cache_dir, digest.hexdigest() + ".npy")
     if os.path.exists(path):
-        return ObservationSet(observations=np.load(path),
-                              stride=config.stride)
+        return np.load(path)
     obs = sampled_responses(img, bank, config.stride)
     os.makedirs(cache_dir, exist_ok=True)
     buf = io.BytesIO()
-    np.save(buf, obs.observations)
+    np.save(buf, obs)
     write_atomic(path, buf.getvalue())
     return obs
 
@@ -151,8 +150,8 @@ def gallery_fingerprint(modality: str, images,
     """sha256 hex digest of what one modality's training depends on.
 
     images is the modality's gallery as (entry, prepped image) pairs in
-    manifest order; each contributes its modality, subject id, shape,
-    dtype and pixel bytes. The settings that shape the fit
+    the order they are fitted; each contributes its modality, subject id,
+    shape, dtype and pixel bytes. The settings that shape the fit
     (feature_settings(config), config.gmm[modality], the seed), the fit's
     arithmetic version and the model and stats format versions are hashed
     too.
@@ -176,25 +175,25 @@ def _fit_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def train_modality(modality: str, gallery_obs: dict,
-                   config: PipelineConfig) -> ModalityArtifacts:
-    """Fit client + background mixtures from raw gallery observations.
+def train_modality(modality: str, gallery: dict, config: PipelineConfig,
+                   fingerprint: str) -> ModalityArtifacts:
+    """Calibrated client + background mixtures carrying fingerprint.
 
-    gallery_obs maps subject_id -> list of (n_i, dim) observation matrices.
+    gallery maps subject_id -> list of (n_i, dim) observation matrices in
+    the order fitted: pooled as given, client i seeded by its index.
     """
-    subjects = sorted(gallery_obs)
-    matrices = [m for sid in subjects for m in gallery_obs[sid]]
+    matrices = [m for subject in gallery.values() for m in subject]
     pooled = np.vstack(matrices)
     scaler = ChannelScaler.fit(pooled)
+    pooled = scaler.transform(pooled)  # the raw copy is not kept for EM
 
     base = config.gmm[modality]
     seed_base = config.eval.seed + (0 if modality == "face" else 1_000_000)
 
-    background, _ = em_fit(scaler.transform(pooled),
-                           replace(base, seed=_fit_seed(seed_base, 0)))
+    background, _ = em_fit(pooled, replace(base, seed=_fit_seed(seed_base, 0)))
     clients = {}
-    for i, sid in enumerate(subjects):
-        data = scaler.transform(np.vstack(gallery_obs[sid]))
+    for i, (sid, subject) in enumerate(gallery.items()):
+        data = scaler.transform(np.vstack(subject))
         try:
             clients[sid], _ = em_fit(
                 data, replace(base, seed=_fit_seed(seed_base, i + 1)))
@@ -202,8 +201,8 @@ def train_modality(modality: str, gallery_obs: dict,
             raise type(exc)(
                 f"fitting {modality} model for subject {sid}: {exc}") from exc
 
-    artifacts = ModalityArtifacts(clients=clients, background=background,
-                                  scaler=scaler, calibration=None)
+    artifacts = ModalityArtifacts(clients, background, scaler, None,
+                                  fingerprint)
     scores = np.concatenate([probe_score(artifacts, m) for m in matrices])
     return replace(artifacts,
                    calibration=(float(scores.min()), float(scores.max())))
@@ -214,14 +213,15 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
     """{modality: ModalityArtifacts} trained from the session-1 (gallery)
     entries.
 
-    image_for(entry) returns the entry's prepped image; each image is
-    loaded once, for the fingerprint and for its observations, which are
-    computed in memory and never cached. Every subject in entries needs
-    gallery images of every modality. With model_dir, a modality whose
-    stored artifacts carry this gallery's fingerprint is served from there
-    and not fitted; whatever load_artifacts refuses, and any stored file of
-    another gallery, means it is trained.
-    Nothing is written to model_dir.
+    image_for(entry) returns the entry's prepped image; each image is loaded
+    once, for the fingerprint and for its observations, which are computed in
+    memory and never cached. Both read the gallery by subject in sorted-id
+    order, manifest order within a subject, so reordering the manifest across
+    subjects changes neither. Every subject in entries needs gallery images
+    of every modality. With model_dir, a modality whose stored artifacts
+    carry this gallery's fingerprint is served from there and not fitted;
+    whatever load_artifacts refuses, and any stored file of another gallery,
+    means it is trained. Nothing is written to model_dir.
     """
     gallery, _ = split_by_session(entries)
     subjects = sorted({e.subject_id for e in entries})
@@ -229,6 +229,7 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
     for modality in MODALITIES:
         images = [(entry, image_for(entry)) for entry in gallery
                   if entry.modality == modality]
+        images.sort(key=lambda pair: pair[0].subject_id)  # stable
         have = {entry.subject_id for entry, _ in images}
         for sid in subjects:
             if sid not in have:
@@ -248,9 +249,9 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
         gallery_obs = {}
         for entry, img in images:
             gallery_obs.setdefault(entry.subject_id, []).append(
-                image_observations(img, bank, config).observations)
-        artifacts = train_modality(modality, gallery_obs, config)
-        trained[modality] = replace(artifacts, fingerprint=fingerprint)
+                image_observations(img, bank, config))
+        trained[modality] = train_modality(modality, gallery_obs, config,
+                                           fingerprint)
     return trained
 
 
