@@ -327,7 +327,9 @@ def load_artifacts(model_dir, modality: str, ids,
     the background's, a scaler of another dimension) raises an error
     naming it, and so does a model whose bytes are not those its stats
     file records. Models fitted on other features than config computes
-    raise a BiofuseError naming the stats file and both settings."""
+    raise a BiofuseError naming the stats file and both settings, and so
+    does an id whose model the stats file does not list: a stale model
+    file of a subject that a later `train` left out."""
     for sid in ids:
         check_subject_id(sid)
     models = {}
@@ -377,6 +379,11 @@ def load_artifacts(model_dir, modality: str, ids,
             if not isinstance(fingerprint, str):
                 raise ValueError(f"fingerprint {fingerprint!r} is not a "
                                  f"string")
+            for sid in ids:
+                if sid not in doc["model_sha256"]:
+                    raise BiofuseError(
+                        f"{stats_path}: subject {sid!r} is not in the "
+                        f"gallery these {modality} models were trained on")
             recorded = {sid: doc["model_sha256"][sid] for sid in digests}
             features = doc["features"]
         except (KeyError, TypeError, ValueError) as exc:

@@ -250,8 +250,9 @@ def load_manifest(path) -> list:
     {image_path, modality, subject_id, session, landmarks: {label: [x, y]}}.
 
     Raises ManifestError naming the offending record on any defect,
-    including a session other than the integer 1 (gallery) or 2 (probe)
-    and a subject id that check_subject_id refuses.
+    including a session other than the integer 1 (gallery) or 2 (probe),
+    a subject id that is neither a string nor an integer (an integer
+    becomes its decimal string) and one that check_subject_id refuses.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -296,7 +297,13 @@ def load_manifest(path) -> list:
         if type(session) is not int or session not in (1, 2):
             raise ManifestError(
                 f"{where}: session must be 1 or 2, got {session!r}")
-        subject_id = str(rec["subject_id"])
+        subject_id = rec["subject_id"]
+        # an integer id reads as its decimal string; true is no integer
+        if type(subject_id) is int:
+            subject_id = str(subject_id)
+        elif not isinstance(subject_id, str):
+            raise ManifestError(f"{where}: subject_id must be a string or "
+                                f"an integer, got {subject_id!r}")
         try:
             check_subject_id(subject_id)
         except BiofuseError as exc:

@@ -301,6 +301,44 @@ class TestTrain:
         assert code == 2
         assert "bob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cov_floor", ["1e-300", "1e-4"])
+    def test_collapsed_client_fit_exits_2_naming_the_subject(
+            self, trained, toy_corpus, tmp_path, capsys, monkeypatch,
+            cov_floor):
+        # bob's face gallery observations are 220 copies each of two
+        # points; at cov_floor 1e-300 every restart of his client fit
+        # collapses, while alice's and the background fit succeed
+        bob_face = next(
+            load_pgm(rec["image_path"]) for rec in
+            json.loads(Path(trained["prepped_manifest"]).read_text())
+            if (rec["subject_id"], rec["modality"], rec["session"])
+            == ("bob", "face", 1))
+        two_points = np.repeat([np.zeros(40), np.ones(40)], 220, axis=0)
+        real = pipeline.image_observations
+
+        def observations(img, *args, **kwargs):
+            if np.array_equal(img, bob_face):
+                return two_points
+            return real(img, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "image_observations", observations)
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path,
+                            extra=f"[gmm_face]\ncov_floor = {cov_floor}\n")
+        code = main(["--config", cfg, "train",
+                     "--manifest", trained["prepped_manifest"]])
+        captured = capsys.readouterr()
+        if cov_floor == "1e-4":  # the same observations fit at the default
+            assert code == 0
+            return
+        assert code == 2
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: fitting face model for subject bob: components "
+            r"\[\d+(, \d+)*\] lost all responsibility mass after a "
+            r"re-seed\n", captured.err)
+        assert not (tmp_path / "models").exists()
+
 
 class TestVerify:
     def _probe(self, trained, subject, session=2):

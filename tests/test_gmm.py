@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biofuse.errors import (DimensionMismatch, EmptyObservationSet,
-                            ModelFormatError, TooFewObservations)
+                            ModelFormatError, NumericalCollapse,
+                            TooFewObservations)
 from biofuse.gmm import (MIN_VARIANCE, EmConfig, GmmModel, MixtureStack,
                          _Design, _e_step, _kmeans_pp, _log_joint, _m_step,
                          em_fit, kmeans_init, load_model, log_likelihood,
@@ -273,6 +274,69 @@ class TestEmFit:
         with pytest.raises(ValueError, match=f"{key} must be positive and "
                                              f"finite"):
             em_fit(np.zeros((5, 1)), EmConfig(n_components=1, **{key: value}))
+
+
+def _restart_seeds(config):
+    """The k-means++ seed of each of em_fit's restarts, in order."""
+    return [int(ss.generate_state(1)[0])
+            for ss in np.random.SeedSequence(config.seed).spawn(
+                config.restarts)]
+
+
+class TestNumericalCollapse:
+    """Both routes by which em_fit meets NumericalCollapse. At a cov_floor
+    far below the default, a component on a duplicated point takes the
+    whole mass of its neighbours; re-seeded once, it loses it again. A
+    cov_floor bound derived from the data (ROADMAP item 4) may make both
+    unreachable, and these tests are to be revisited with it."""
+
+    # 15 copies each of two distinct 3-D points
+    TWO_POINTS = np.repeat([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]], 15, axis=0)
+    # 1-D: six 0s, four 1s, 0.5 and 2.5
+    SOME_COLLAPSE = np.array([0.0] * 6 + [1.0] * 4 + [0.5, 2.5])[:, None]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_restart_collapsing_raises(self, seed):
+        config = EmConfig(n_components=3, cov_floor=1e-300, seed=seed)
+        with pytest.raises(NumericalCollapse, match=re.escape(
+                "lost all responsibility mass after a re-seed")) as info:
+            em_fit(self.TWO_POINTS, config)
+        assert re.fullmatch(r"components \[\d+(, \d+)*\] lost all "
+                            r"responsibility mass after a re-seed",
+                            str(info.value))
+        # each restart on its own collapses the same way
+        for start_seed in _restart_seeds(config):
+            start = kmeans_init(self.TWO_POINTS, 3, start_seed,
+                                cov_floor=config.cov_floor)
+            with pytest.raises(NumericalCollapse):
+                em_fit(self.TWO_POINTS, config, init=start)
+
+    @pytest.mark.parametrize("cov_floor", [1e-4, 1e-30])
+    def test_the_same_fit_succeeds_at_a_higher_floor(self, cov_floor):
+        for seed in range(5):
+            config = EmConfig(n_components=3, cov_floor=cov_floor,
+                              seed=seed)
+            model, trace = em_fit(self.TWO_POINTS, config)
+            assert np.all(np.isfinite(model.means)) and trace
+
+    def test_a_collapsed_restart_is_skipped(self):
+        x = self.SOME_COLLAPSE
+        config = EmConfig(n_components=3, cov_floor=1e-30, seed=0)
+        survivors = []
+        collapsed = 0
+        for start_seed in _restart_seeds(config):
+            start = kmeans_init(x, 3, start_seed, cov_floor=config.cov_floor)
+            try:
+                survivors.append(em_fit(x, config, init=start))
+            except NumericalCollapse:
+                collapsed += 1
+        assert collapsed == 1 and len(survivors) == 2
+        best_model, best_trace = max(survivors, key=lambda run: run[1][-1])
+        model, trace = em_fit(x, config)
+        assert trace == best_trace
+        for field in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(model, field),
+                                  getattr(best_model, field))
 
 
 class TestLogLikelihood:

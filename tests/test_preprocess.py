@@ -290,6 +290,27 @@ class TestManifest:
                 f"got {session!r}")):
             load_manifest(path)
 
+    @pytest.mark.parametrize("subject_id", [None, True, 1.5, [1, 2],
+                                            {"a": 1}],
+                             ids=["null", "true", "float", "list", "object"])
+    def test_subject_id_neither_string_nor_integer(self, tmp_path,
+                                                   subject_id):
+        # each used to be accepted as its str(): 'None', 'True', '1.5', ...
+        good = {"image_path": "a.pgm", "modality": "ear", "subject_id": "s",
+                "session": 2, "landmarks": EAR}
+        path = self._write(tmp_path, [good, {**good, "image_path": "b.pgm",
+                                             "subject_id": subject_id}])
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest record 1 (b.pgm): subject_id must be a string "
+                f"or an integer, got {subject_id!r}")):
+            load_manifest(path)
+
+    def test_integer_subject_id_reads_as_its_string(self, tmp_path):
+        entries = load_manifest(self._write(tmp_path, [{
+            "image_path": "a.pgm", "modality": "ear", "subject_id": 7,
+            "session": 1, "landmarks": EAR}]))
+        assert entries[0].subject_id == "7"
+
     def test_unknown_modality(self, tmp_path):
         with pytest.raises(ManifestError, match="gait"):
             load_manifest(self._write(tmp_path, [{

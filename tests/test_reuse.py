@@ -1,8 +1,10 @@
 """`eval` reuses the models `train` wrote for the same gallery and settings,
 retrains on any difference, and never writes model_dir."""
 
+import importlib.util
 import json
 import os
+import random
 import shutil
 from pathlib import Path
 
@@ -341,3 +343,125 @@ def test_swapped_model_is_refused(base, tmp_path, monkeypatch, capsys):
     assert f"error: {swapped}: sha256 " in captured.err
     assert "run `train` again" in captured.err
 
+
+
+def _build_corpus(root, n_subjects, seed):
+    """perfbench/corpus.py's build_corpus, loaded from its file so that
+    the tests need not run from the repository root; returns the raw
+    manifest's path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus.build_corpus(str(root), n_subjects, seed)[0]
+
+
+def _eval_afresh(work, manifest, monkeypatch):
+    """The CSVs of an eval over an empty model_dir, which trains both
+    modalities."""
+    os.makedirs(work)
+    missing = os.path.join(work, "never")
+    outputs, trained = _eval(_config(work, manifest, model_dir=missing),
+                             missing, monkeypatch)
+    assert trained == ["face", "ear"]
+    return outputs
+
+
+@pytest.fixture(scope="module", params=["toy", "s4"])
+def afresh(request, tmp_path_factory, toy_corpus):
+    """The toy corpus, or the perfbench corpus at 4 subjects and seed 3,
+    and the output of an eval over it with an empty model_dir."""
+    root = tmp_path_factory.mktemp(request.param)
+    manifest = toy_corpus["manifest"] if request.param == "toy" \
+        else _build_corpus(root / "corpus", 4, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        outputs = _eval_afresh(str(root / "built"), manifest, patch)
+    return {"manifest": manifest, "outputs": outputs}
+
+
+def _rewrite(manifest, path, shuffle=None, rename=None):
+    """A copy of manifest at path, its records shuffled by the seeded
+    random.Random(shuffle) and each subject id mapped by rename."""
+    records = json.loads(Path(manifest).read_text())
+    if shuffle is not None:
+        random.Random(shuffle).shuffle(records)
+    for rec in records:
+        rec["subject_id"] = (rename or str)(rec["subject_id"])
+    Path(path).write_text(json.dumps(records))
+    return str(path)
+
+
+def _gallery_order(manifest, modality):
+    """The subject ids of the modality's gallery, in manifest order."""
+    return [rec["subject_id"] for rec in json.loads(Path(manifest).read_text())
+            if rec["modality"] == modality and rec["session"] == 1]
+
+
+@pytest.mark.parametrize("variant", ["shuffle-1", "shuffle-2", "prefixed"])
+def test_protocol_is_blind_to_record_order_and_order_keeping_relabels(
+        afresh, tmp_path, monkeypatch, variant):
+    # the fit depends on the subjects' sorted order and on each subject's
+    # images, not on where the manifest lists them or what the ids spell
+    if variant == "prefixed":
+        manifest = _rewrite(afresh["manifest"], tmp_path / "m.json",
+                            rename=lambda sid: f"t{sid}")
+    else:
+        manifest = _rewrite(afresh["manifest"], tmp_path / "m.json",
+                            shuffle=int(variant[-1]))
+        assert any(_gallery_order(manifest, m) != _gallery_order(
+            afresh["manifest"], m) for m in ("face", "ear"))
+    outputs = _eval_afresh(str(tmp_path / "work"), manifest, monkeypatch)
+    assert outputs == afresh["outputs"]
+
+
+def test_relabel_that_reorders_the_subjects_changes_the_models(base,
+                                                               tmp_path):
+    # client i is seeded by its index in sorted-id order, and the
+    # background pools the gallery in that order
+    manifest = _rewrite(base["manifest"], tmp_path / "m.json",
+                        rename={"alice": "zoe", "bob": "bob"}.get)
+    _train(str(tmp_path), manifest)
+    for name in ("face_bob.json", "face_background.json", "ear_bob.json",
+                 "ear_background.json"):
+        assert _files(tmp_path / "models", [name]) != _files(
+            base["model_dir"], [name]), name
+
+
+@pytest.mark.parametrize("shuffle", [1, 2])
+def test_reordered_manifest_reuses_the_models(base, tmp_path, monkeypatch,
+                                              shuffle):
+    manifest = _rewrite(base["manifest"], tmp_path / "m.json",
+                        shuffle=shuffle)
+    assert any(_gallery_order(manifest, m) != _gallery_order(
+        base["manifest"], m) for m in ("face", "ear"))
+    outputs, trained = _stale_eval(tmp_path, base, monkeypatch,
+                                   manifest=manifest)
+    assert trained == []
+    assert outputs == base["outputs"]
+
+
+def test_verify_of_a_subject_a_later_train_left_out_exits_2(tmp_path,
+                                                            capsys):
+    # s02's model files stay in model_dir, but the stats files of the
+    # second train do not list them
+    cfg = _train(str(tmp_path), _build_corpus(tmp_path / "corpus", 3, 1))
+    prepped = tmp_path / "prepped" / "manifest.json"
+    kept = [rec for rec in json.loads(prepped.read_text())
+            if rec["subject_id"] != "s02"]
+    without = tmp_path / "without_s02.json"
+    without.write_text(json.dumps(kept))
+    assert main(["--config", cfg, "train", "--manifest", str(without)]) == 0
+    models = tmp_path / "models"
+    assert (models / "face_s02.json").exists()
+    probes = {rec["modality"]: rec["image_path"]
+              for rec in json.loads(prepped.read_text())
+              if rec["subject_id"] == "s02" and rec["session"] == 2}
+    capsys.readouterr()
+    assert main(["--config", cfg, "verify", "--face", probes["face"],
+                 "--ear", probes["ear"], "--claim", "s02"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {models / 'face_stats.json'}: subject 's02' is not in the "
+        f"gallery these face models were trained on\n")
+    assert "KeyError" not in captured.err
