@@ -295,7 +295,7 @@ class TestManifest:
                              ids=["null", "true", "float", "list", "object"])
     def test_subject_id_neither_string_nor_integer(self, tmp_path,
                                                    subject_id):
-        # each used to be accepted as its str(): 'None', 'True', '1.5', ...
+        # none is an id; str() would name a subject 'None', 'True', ...
         good = {"image_path": "a.pgm", "modality": "ear", "subject_id": "s",
                 "session": 2, "landmarks": EAR}
         path = self._write(tmp_path, [good, {**good, "image_path": "b.pgm",
