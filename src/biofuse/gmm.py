@@ -36,6 +36,20 @@ _LOG_TINY = math.log(_TINY)
 MIN_VARIANCE = float.fromhex("0x0.4000000000001p-1022")
 
 
+# the arrays _log_joint reads besides the means, in _log_joint_terms' order
+_TERMS = ("inv_var", "neg_half_inv_var", "logw", "sum_log_var")
+
+
+def _log_joint_terms(weights: np.ndarray, variances: np.ndarray):
+    """1/var, -1/(2 var), log w and sum_j log var_j: the one formula for
+    the arrays that a GmmModel and an EM iterate hand _log_joint."""
+    inv_var = 1.0 / variances
+    # a zero weight's log is -inf
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights)
+    return inv_var, -0.5 * inv_var, logw, np.log(variances).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class GmmModel:
     """weights (M,), means (M, d), variances (M, d); weights on the simplex,
@@ -68,14 +82,8 @@ class GmmModel:
             raise ValueError(f"variances must be at least {MIN_VARIANCE!r}, "
                              f"so that their inverse is finite; got "
                              f"{float(var.min())!r}")
-        inv_var = 1.0 / var
-        # a zero weight's log is -inf
-        with np.errstate(divide="ignore"):
-            logw = np.log(w)
-        object.__setattr__(self, "inv_var", inv_var)
-        object.__setattr__(self, "neg_half_inv_var", -0.5 * inv_var)
-        object.__setattr__(self, "logw", logw)
-        object.__setattr__(self, "sum_log_var", np.sum(np.log(var), axis=1))
+        for name, value in zip(_TERMS, _log_joint_terms(w, var)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_components(self) -> int:
@@ -173,7 +181,7 @@ def _log_joint(design: _Design, mixture) -> np.ndarray:
         raise DimensionMismatch(
             f"observation dim {design.dim} != model dim {mixture.dim}")
     mu = mixture.means - design.centre
-    const = mixture.logw - 0.5 * (np.sum(mu * mu * mixture.inv_var, axis=-1)
+    const = mixture.logw - 0.5 * ((mu * mu * mixture.inv_var).sum(axis=-1)
                                   + mixture.sum_log_var
                                   + design.dim * _LOG_2PI)
     lj = np.concatenate([mixture.neg_half_inv_var, mu * mixture.inv_var],
@@ -255,10 +263,16 @@ def _m_step(design: _Design, resp: np.ndarray):
 
 def _sq_dists(design: _Design, centers: np.ndarray) -> np.ndarray:
     """(k, n) squared distances |x - center|^2 from the row norms, as
-    |x-c|^2 - 2 (x-c).(center-c) + |center-c|^2."""
+    |x-c|^2 - 2 (x-c).(center-c) + |center-c|^2. The sums are formed in
+    the product's array, as -2 (x-c).(center-c) + |x-c|^2: a negated
+    product added is the product subtracted, bit for bit, and it spares
+    three (k, n) temporaries."""
     mu = centers - design.centre
-    return (design.row_norms - 2.0 * (mu @ design.lin)
-            + np.sum(mu * mu, axis=1)[:, None])
+    d2 = mu @ design.lin
+    d2 *= -2.0
+    d2 += design.row_norms
+    d2 += (mu * mu).sum(axis=1)[:, None]
+    return d2
 
 
 def _kmeans_pp(design: _Design, k: int, rng) -> np.ndarray:
@@ -276,11 +290,33 @@ def _kmeans_pp(design: _Design, k: int, rng) -> np.ndarray:
     return design.x[chosen]
 
 
+def _lloyd_step(design: _Design, centers: np.ndarray, assign=None):
+    """One Lloyd iteration from centers: (assign, onehot, centers), the
+    nearest centre of each observation (the first on a tie), the (k, n)
+    one-hot matrix of that assignment and the clusters' new centres; or
+    None when the assignment equals `assign`. The centres come from the
+    linear half of the design alone, and an empty cluster's is re-seeded
+    at the worst-covered point."""
+    d2 = _sq_dists(design, centers)
+    nearest = np.argmin(d2, axis=0)
+    if assign is not None and np.array_equal(nearest, assign):
+        return None
+    onehot = (np.arange(centers.shape[0])[:, None] == nearest).astype(
+        np.float64)
+    counts = onehot.sum(axis=1)
+    centers = design.centre + ((onehot @ design.lin.T)
+                               / np.maximum(counts, 1.0)[:, None])
+    empty = counts == 0.0
+    if empty.any():
+        centers[empty] = design.x[int(np.argmax(np.min(d2, axis=0)))]
+    return nearest, onehot, centers
+
+
 def kmeans_init(data, n_components: int, seed: int,
                 cov_floor: float) -> GmmModel:
     """k-means++ seeding plus Lloyd iterations; the M-step of the final
-    hard (one-hot) assignment becomes the initial mixture, with each
-    cluster's Lloyd centre as its mean. Deterministic given seed."""
+    hard (one-hot) assignment becomes the initial mixture. Deterministic
+    given seed."""
     # em_fit passes the design it built, shared by all of its restarts
     design = data if isinstance(data, _Design) else _Design(_as_data(data))
     n = design.x.shape[0]
@@ -288,35 +324,56 @@ def kmeans_init(data, n_components: int, seed: int,
         raise TooFewObservations(
             f"{n} observations cannot seed {n_components} components")
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp(design, n_components, rng)
-
-    assign = None
-    for _ in range(50):
-        d2 = _sq_dists(design, centers)
-        new_assign = np.argmin(d2, axis=0)
-        if assign is not None and np.array_equal(new_assign, assign):
+    assign, onehot, centers = _lloyd_step(
+        design, _kmeans_pp(design, n_components, rng))
+    for _ in range(49):
+        step = _lloyd_step(design, centers, assign)
+        if step is None:
             break
-        assign = new_assign
-        onehot = (np.arange(n_components)[:, None] == assign).astype(
-            np.float64)
-        counts, centers, variances = _m_step(design, onehot.T)
-        # re-seed an empty cluster at the worst-covered point
-        empty = counts == 0.0
-        if empty.any():
-            centers[empty] = design.x[int(np.argmax(np.min(d2, axis=0)))]
-
-    # an empty cluster keeps its re-seeded centre, weight 0 and the floor
-    return GmmModel(weights=counts / n, means=centers,
+        assign, onehot, centers = step
+    # The means are the M-step's, not the Lloyd centres: a BLAS may take
+    # another kernel for the half-width product, and so round a centre
+    # differently in its last bit (OpenBLAS's small-matrix kernel does).
+    # The centres only steer the assignment, which such a bit moves only
+    # for an observation within rounding of equidistant from two centres.
+    # An empty cluster keeps its re-seeded centre, weight 0 and the floor.
+    counts, means, variances = _m_step(design, onehot.T)
+    empty = counts == 0.0
+    means[empty] = centers[empty]
+    return GmmModel(weights=counts / n, means=means,
                     variances=np.maximum(variances, cov_floor))
 
 
+class _Iterate:
+    """An EM iterate: its parameters and the arrays _log_joint reads,
+    derived by the formula a GmmModel uses, without a GmmModel's checks."""
+
+    __slots__ = ("weights", "means", "variances", "dim", *_TERMS)
+
+    def __init__(self, weights, means, variances):
+        self.weights, self.means, self.variances = weights, means, variances
+        self.dim = means.shape[1]
+        for name, value in zip(_TERMS, _log_joint_terms(weights, variances)):
+            setattr(self, name, value)
+
+
 def _em_run(design: _Design, config: EmConfig, init: GmmModel):
+    """EM from init; returns (model, trace). Every iterate after init is an
+    _Iterate, and only the model returned is built, and so checked, as a
+    GmmModel. Each iterate passes those checks by construction: its
+    weights are nk / sum(nk), nk >= 0, with a collapsed component re-seeded
+    to nk = 1; its variances are floored at cov_floor, which
+    EmConfig.validate keeps at MIN_VARIANCE or above; its means are
+    weighted averages of rows that _Design checked. Only non-finite
+    responsibilities would break this, and a NaN they leave in an iterate
+    stays in every later one, so the check of the returned model raises
+    what a check of that iterate would have."""
     model = init
     trace = []
     reseeded = False
     for _ in range(config.max_iters):
         resp, lse = _e_step(design, model)
-        loglik = float(np.sum(lse))
+        loglik = float(lse.sum())
         trace.append(loglik)
         if len(trace) > 1:
             prev = trace[-2]
@@ -344,8 +401,9 @@ def _em_run(design: _Design, config: EmConfig, init: GmmModel):
 
         variances = np.maximum(variances, config.cov_floor)
         weights = nk / nk.sum()
-        model = GmmModel(weights=weights, means=means, variances=variances)
-    return model, trace
+        model = _Iterate(weights, means, variances)
+    return GmmModel(weights=model.weights, means=model.means,
+                    variances=model.variances), trace
 
 
 def em_fit(data, config: EmConfig, init: GmmModel | None = None):
@@ -410,8 +468,7 @@ class MixtureStack:
                     f"stacked mixtures must share their component count "
                     f"and dimension: {model.means.shape} != {shape}")
         self.dim = shape[1]
-        for name in ("means", "inv_var", "neg_half_inv_var", "logw",
-                     "sum_log_var"):
+        for name in ("means", *_TERMS):
             setattr(self, name, np.array([getattr(m, name) for m in models]))
 
     def mean_log_likelihoods(self, obs) -> np.ndarray:

@@ -277,13 +277,30 @@ def stats_filename(modality: str) -> str:
     return f"{modality}_stats.json"
 
 
+def _vouched_ids(stats_path) -> set:
+    """The ids whose model files a stats file lists in model_sha256; none
+    when the file is missing or unreadable, or lists an id that is not one
+    file-name component."""
+    try:
+        with open(stats_path, encoding="utf-8") as fh:
+            listed = json.load(fh)["model_sha256"]
+        if not isinstance(listed, dict):
+            return set()
+        for sid in listed.keys() - {BACKGROUND_ID}:
+            check_subject_id(sid)
+    except (OSError, ValueError, KeyError, TypeError, BiofuseError):
+        return set()
+    return set(listed)
+
+
 def save_artifacts(model_dir, trained: dict, config: PipelineConfig) -> None:
     """Write {modality: ModalityArtifacts}, fitted on the observations
     config computes, into model_dir for load_artifacts. A stats file
     vouches for the models beside it by their sha256 (eval reuses them
-    when its fingerprint matches), so every old one goes first and each
-    new one is written last: a write that fails midway leaves no stats
-    file. Artifacts without a fingerprint (train_modality's own) are
+    when its fingerprint matches), so every old one goes first, with the
+    model files it lists of subjects that the new artifacts do not have,
+    and each new one is written last: a write that fails midway leaves no
+    stats file. Artifacts without a fingerprint (train_modality's own) are
     refused before anything is touched: load_artifacts would refuse their
     stats."""
     for modality, artifacts in trained.items():
@@ -292,9 +309,15 @@ def save_artifacts(model_dir, trained: dict, config: PipelineConfig) -> None:
                              f"fingerprint ({artifacts.fingerprint!r}); "
                              f"nothing written")
     os.makedirs(model_dir, exist_ok=True)
-    for modality in trained:
+    for modality, artifacts in trained.items():
+        stats_path = os.path.join(model_dir, stats_filename(modality))
+        stale = _vouched_ids(stats_path) - {*artifacts.clients, BACKGROUND_ID}
         with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(model_dir, stats_filename(modality)))
+            os.remove(stats_path)
+        for sid in sorted(stale):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(model_dir,
+                                       model_filename(modality, sid)))
     for modality, artifacts in trained.items():
         digests = {
             sid: save_model(model,

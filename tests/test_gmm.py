@@ -13,8 +13,9 @@ from biofuse.errors import (DimensionMismatch, EmptyObservationSet,
                             ModelFormatError, NumericalCollapse,
                             TooFewObservations)
 from biofuse.gmm import (MIN_VARIANCE, EmConfig, GmmModel, MixtureStack,
-                         _Design, _e_step, _kmeans_pp, _log_joint, _m_step,
-                         em_fit, kmeans_init, load_model, log_likelihood,
+                         _Design, _e_step, _Iterate, _kmeans_pp, _log_joint,
+                         _m_step, _sq_dists, _TERMS, em_fit, kmeans_init,
+                         load_model, log_likelihood,
                          log_likelihood_many, match_score, model_from_dict,
                          model_to_dict, responsibilities, save_model)
 
@@ -337,6 +338,199 @@ class TestNumericalCollapse:
         for field in ("weights", "means", "variances"):
             assert np.array_equal(getattr(model, field),
                                   getattr(best_model, field))
+
+
+def _sq_dists_reference(design, centers):
+    """The expanded squared distances, one temporary per operation."""
+    mu = centers - design.centre
+    return (design.row_norms - 2.0 * (mu @ design.lin)
+            + np.sum(mu * mu, axis=1)[:, None])
+
+
+def _kmeans_init_reference(x, k, seed, cov_floor):
+    """kmeans_init with a full M-step per Lloyd iteration, each cluster's
+    Lloyd centre as its mean."""
+    design = _Design(x)
+    centers = _kmeans_pp(design, k, np.random.default_rng(seed))
+    assign = None
+    for _ in range(50):
+        d2 = _sq_dists_reference(design, centers)
+        new_assign = np.argmin(d2, axis=0)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        onehot = (np.arange(k)[:, None] == assign).astype(np.float64)
+        counts, centers, variances = _m_step(design, onehot.T)
+        empty = counts == 0.0
+        if empty.any():
+            centers[empty] = design.x[int(np.argmax(np.min(d2, axis=0)))]
+    return GmmModel(weights=counts / x.shape[0], means=centers,
+                    variances=np.maximum(variances, cov_floor))
+
+
+def _em_run_reference(design, config, init):
+    """EM with a checked GmmModel per iterate."""
+    model, trace, reseeded = init, [], False
+    for _ in range(config.max_iters):
+        resp, lse = _e_step(design, model)
+        trace.append(float(np.sum(lse)))
+        if len(trace) > 1 and trace[-1] - trace[-2] < config.tol * max(
+                1.0, abs(trace[-2])):
+            break
+        nk, means, variances = _m_step(design, resp)
+        collapsed = np.flatnonzero(nk == 0.0)
+        if collapsed.size:
+            if reseeded:
+                raise NumericalCollapse(
+                    f"components {collapsed.tolist()} lost all "
+                    f"responsibility mass after a re-seed")
+            reseeded = True
+            means[collapsed] = design.x[np.argsort(lse)[:collapsed.size]]
+            variances[collapsed] = np.maximum(design.x.var(axis=0),
+                                              config.cov_floor)
+            nk[collapsed] = 1.0
+        model = GmmModel(weights=nk / nk.sum(), means=means,
+                         variances=np.maximum(variances, config.cov_floor))
+    return model, trace
+
+
+def _em_fit_reference(x, config, init=None):
+    """em_fit from the two references above."""
+    design = _Design(x)
+    if init is not None:
+        return _em_run_reference(design, config, init)
+    best, failure = None, None
+    for seed in _restart_seeds(config):
+        try:
+            run = _em_run_reference(design, config, _kmeans_init_reference(
+                x, config.n_components, seed, config.cov_floor))
+        except NumericalCollapse as exc:
+            failure = exc
+            continue
+        if best is None or run[1][-1] > best[1][-1]:
+            best = run
+    if best is None:
+        raise NumericalCollapse(str(failure))
+    return best
+
+
+def _assert_same_model(got, want):
+    for name in ("weights", "means", "variances", *_TERMS):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _random_clusters(seed, n, d, k):
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(0.0, 3.0, (k, d))
+    return centres[rng.integers(0, k, n)] + rng.normal(0.0, 1.0, (n, d))
+
+
+class TestLoopsAgainstReference:
+    """kmeans_init forms only the centres during Lloyd and its squared
+    distances in place, and em_fit carries its iterates unchecked; both
+    equal the loops that ran a full M-step per Lloyd iteration and built a
+    GmmModel per EM iterate, bit for bit. (440, 40) with k = 16 is a shape
+    where OpenBLAS rounds the half-width product of the Lloyd centres
+    otherwise than the M-step's."""
+
+    EMPTIED = np.array([[5.0, 1.0], [0.0, 0.0]] * 3)
+
+    @pytest.mark.parametrize("n, d, k", [(240, 5, 4), (60, 1, 3),
+                                         (440, 40, 8), (440, 40, 16),
+                                         (30, 3, 12)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kmeans_init_random(self, n, d, k, seed):
+        x = _random_clusters(seed, n, d, k)
+        _assert_same_model(kmeans_init(x, k, seed, 1e-4),
+                           _kmeans_init_reference(x, k, seed, 1e-4))
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sq_dists_in_place(self, k, seed):
+        x = _random_clusters(seed, 300, 6, 4) * 10.0 ** (seed - 1)
+        design = _Design(x)
+        centers = x[np.random.default_rng(seed).integers(0, 300, k)] + 0.5
+        assert np.array_equal(_sq_dists(design, centers),
+                              _sq_dists_reference(design, centers))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kmeans_init_emptied_cluster(self, seed):
+        got = kmeans_init(self.EMPTIED, 3, seed, 1e-3)
+        assert np.count_nonzero(got.weights == 0.0) == 1
+        _assert_same_model(got, _kmeans_init_reference(self.EMPTIED, 3,
+                                                       seed, 1e-3))
+
+    @pytest.mark.parametrize("n, d, k", [(240, 5, 4), (440, 40, 8)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_em_fit_random(self, n, d, k, seed):
+        x = _random_clusters(seed, n, d, k)
+        config = EmConfig(n_components=k, seed=seed)
+        got, trace = em_fit(x, config)
+        want, want_trace = _em_fit_reference(x, config)
+        assert trace == want_trace
+        _assert_same_model(got, want)
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 200])
+    def test_em_fit_from_init(self, max_iters):
+        x = _random_clusters(5, 200, 3, 3)
+        config = EmConfig(n_components=3, seed=5, max_iters=max_iters)
+        init = kmeans_init(x, 3, 7, config.cov_floor)
+        got, trace = em_fit(x, config, init=init)
+        want, want_trace = _em_fit_reference(x, config, init=init)
+        assert trace == want_trace
+        _assert_same_model(got, want)
+
+    @pytest.mark.parametrize("far", [1e8, 38.0])
+    def test_em_fit_collapse_reseed(self, far):
+        # the far component's responsibilities are all 0 after the first
+        # E-step, and the M-step re-seeds it
+        data = np.linspace(-0.2, 0.2, 41)[:, None]
+        init = _simple_model([0.5, 0.5], [[0.0], [far]], [[1.0], [1.0]])
+        assert np.all(responsibilities(init, data)[:, 1] == 0.0)
+        config = EmConfig(n_components=2, restarts=1, seed=0)
+        got, trace = em_fit(data, config, init=init)
+        want, want_trace = _em_fit_reference(data, config, init=init)
+        assert trace == want_trace
+        _assert_same_model(got, want)
+
+    def test_em_fit_with_a_collapsed_restart(self):
+        x = TestNumericalCollapse.SOME_COLLAPSE
+        config = EmConfig(n_components=3, cov_floor=1e-30, seed=0)
+        got, trace = em_fit(x, config)
+        want, want_trace = _em_fit_reference(x, config)
+        assert trace == want_trace
+        _assert_same_model(got, want)
+
+
+class TestLeanIterates:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_iterate_arrays_are_the_models(self, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.ones(5))
+        weights[seed % 5] = 0.0
+        weights /= weights.sum()
+        means = rng.normal(0.0, 10.0, (5, 7))
+        variances = MIN_VARIANCE + rng.uniform(0.0, 5.0, (5, 7)) ** 8
+        model = GmmModel(weights=weights, means=means, variances=variances)
+        iterate = _Iterate(weights, means, variances)
+        assert iterate.dim == model.dim
+        for name in ("weights", "means", "variances", *_TERMS):
+            assert getattr(iterate, name).tobytes() == \
+                getattr(model, name).tobytes(), name
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 200])
+    def test_one_fit_builds_two_models_per_restart(self, max_iters,
+                                                   monkeypatch):
+        # one by kmeans_init and one returned by EM, however many iterates
+        built = []
+        check = GmmModel.__post_init__
+        monkeypatch.setattr(GmmModel, "__post_init__",
+                            lambda self: built.append(check(self)))
+        x = np.random.default_rng(3).normal(0.0, 1.0, (300, 4))
+        _, trace = em_fit(x, EmConfig(n_components=3, restarts=4,
+                                      max_iters=max_iters, tol=1e-12))
+        assert len(built) == 2 * 4
+        assert len(trace) == min(max_iters, 20) or len(trace) > 20
 
 
 class TestLogLikelihood:

@@ -183,6 +183,43 @@ def test_artifacts_without_a_fingerprint_are_not_saved(tmp_path):
     assert not (tmp_path / "new").exists()
 
 
+def _artifacts(rng, *ids):
+    scaler = ChannelScaler(mean=np.zeros(4), std=np.ones(4))
+    return ModalityArtifacts({sid: _random_model(rng) for sid in ids},
+                             _random_model(rng), scaler, (0.0, 1.0),
+                             "f" * 64)
+
+
+def test_models_of_a_subject_left_out_are_removed(tmp_path):
+    rng = np.random.default_rng(8)
+    save_artifacts(str(tmp_path), {"face": _artifacts(rng, "a", "b", "c"),
+                                   "ear": _artifacts(rng, "a", "b", "c")},
+                   CONFIG)
+    (tmp_path / "face_d.json").write_text("not listed")
+    save_artifacts(str(tmp_path), {"face": _artifacts(rng, "a", "c")},
+                   CONFIG)
+    # the ear stats still vouch for ear_b.json; no stats listed face_d.json
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ear_a.json", "ear_b.json", "ear_background.json", "ear_c.json",
+        "ear_stats.json", "face_a.json", "face_background.json",
+        "face_c.json", "face_d.json", "face_stats.json"]
+    load_artifacts(str(tmp_path), "face", ["a", "c"], CONFIG)
+    load_artifacts(str(tmp_path), "ear", ["a", "b", "c"], CONFIG)
+
+
+@pytest.mark.parametrize("stats", [
+    "{", "[]", "{}", '{"model_sha256": ["b"]}', '{"model_sha256": "b"}',
+    '{"model_sha256": {"b": "x", "../face_b": "x"}}'])
+def test_nothing_is_removed_on_the_word_of_an_unreadable_stats_file(
+        tmp_path, stats):
+    rng = np.random.default_rng(9)
+    save_artifacts(str(tmp_path), {"face": _artifacts(rng, "a", "b")},
+                   CONFIG)
+    (tmp_path / "face_stats.json").write_text(stats)
+    save_artifacts(str(tmp_path), {"face": _artifacts(rng, "a")}, CONFIG)
+    assert (tmp_path / "face_b.json").exists()
+
+
 def _awkward(rng, shape):
     """float64 values whose shortest repr needs all 17 digits, spread over
     600 decades, with a subnormal among them."""

@@ -442,8 +442,8 @@ def test_reordered_manifest_reuses_the_models(base, tmp_path, monkeypatch,
 
 def test_verify_of_a_subject_a_later_train_left_out_exits_2(tmp_path,
                                                             capsys):
-    # s02's model files stay in model_dir, but the stats files of the
-    # second train do not list them
+    # the second train removes s02's model files, which the first train's
+    # stats files listed
     cfg = _train(str(tmp_path), _build_corpus(tmp_path / "corpus", 3, 1))
     prepped = tmp_path / "prepped" / "manifest.json"
     kept = [rec for rec in json.loads(prepped.read_text())
@@ -452,7 +452,7 @@ def test_verify_of_a_subject_a_later_train_left_out_exits_2(tmp_path,
     without.write_text(json.dumps(kept))
     assert main(["--config", cfg, "train", "--manifest", str(without)]) == 0
     models = tmp_path / "models"
-    assert (models / "face_s02.json").exists()
+    assert not list(models.glob("*_s02.json"))
     probes = {rec["modality"]: rec["image_path"]
               for rec in json.loads(prepped.read_text())
               if rec["subject_id"] == "s02" and rec["session"] == 2}
@@ -462,6 +462,6 @@ def test_verify_of_a_subject_a_later_train_left_out_exits_2(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: {models / 'face_stats.json'}: subject 's02' is not in the "
-        f"gallery these face models were trained on\n")
+        f"error: no face model for id 's02' ({models / 'face_s02.json'} "
+        f"missing); run `train` first\n")
     assert "KeyError" not in captured.err
