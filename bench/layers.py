@@ -2,12 +2,12 @@
 
 Usage, from the repository root:
 
-    python3 bench/layers.py [--subjects S] [--seed N] [--repeats R] [--out F]
+    python3 bench/layers.py [--subjects S] [--repeats R] [--out F]
 
 The inputs are the face gallery of perfbench's seeded corpus
-(perfbench/corpus.build_corpus, imported, not edited) of S subjects,
-turned into observations as `train` does: prep, sampled Gabor responses,
-then the channel scaler fitted on the pooled gallery. Subject 0's
+(perfbench/corpus.build_corpus, imported, not edited) of S subjects and
+seed SEED, turned into observations as `train` does: prep, sampled Gabor
+responses, then the channel scaler fitted on the pooled gallery. Subject 0's
 observations are the client data (n = 440 at the default config); all S
 subjects' are the background data (n = 440 S, 7,040 at S = 16). Rows:
 
@@ -33,6 +33,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the corpus and k-means seed of every row
+SEED = 1
 
 
 def _import_paths():
@@ -43,7 +45,7 @@ def _import_paths():
             sys.path.insert(0, path)
 
 
-def gallery_observations(n_subjects, seed):
+def gallery_observations(n_subjects):
     """(each subject's (n, dim) scaled face observations in subject order,
     the face EmConfig)."""
     import numpy as np
@@ -58,7 +60,7 @@ def gallery_observations(n_subjects, seed):
     config = PipelineConfig()
     bank = build_bank(config.gabor)
     with tempfile.TemporaryDirectory() as root:
-        manifest, _ = build_corpus(root, n_subjects, seed, sessions=(1,))
+        manifest, _ = build_corpus(root, n_subjects, SEED, sessions=(1,))
         obs = [image_observations(
                    prep_image(load_entry_image(e), e.landmarks, config),
                    bank, config)
@@ -72,13 +74,13 @@ def _stats(times):
     return {"median_s": q2, "iqr_s": q3 - q1}
 
 
-def time_layers(n_subjects=16, seed=1, repeats=30):
+def time_layers(n_subjects=16, repeats=30):
     """{row: {"n", "median_s", "iqr_s"}} for the rows the module lists."""
     import numpy as np
 
     from biofuse import gmm
 
-    subjects, em = gallery_observations(n_subjects, seed)
+    subjects, em = gallery_observations(n_subjects)
     data = {"client": subjects[0], "background": np.vstack(subjects)}
 
     def timed(fn):
@@ -94,8 +96,8 @@ def time_layers(n_subjects=16, seed=1, repeats=30):
     for size, x in data.items():
         design = gmm._Design(x)
         k = em.n_components
-        centers = gmm._kmeans_pp(design, k, np.random.default_rng(seed))
-        model = gmm.kmeans_init(design, k, seed, em.cov_floor)
+        centers = gmm._kmeans_pp(design, k, np.random.default_rng(SEED))
+        model = gmm.kmeans_init(design, k, SEED, em.cov_floor)
         resp, _ = gmm._e_step(design, model)
         for name, fn in (
                 ("lloyd_iter", lambda: gmm._lloyd_step(design, centers)),
@@ -111,20 +113,18 @@ def time_layers(n_subjects=16, seed=1, repeats=30):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--subjects", type=int, default=16)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=30)
     parser.add_argument("--out")
     args = parser.parse_args(argv)
-    if args.subjects < 1 or args.seed < 0 or args.repeats < 2:
-        parser.error("--subjects must be >= 1, --seed >= 0 and --repeats "
-                     ">= 2")
+    if args.subjects < 1 or args.repeats < 2:
+        parser.error("--subjects must be >= 1 and --repeats >= 2")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"    # before numpy loads BLAS
     _import_paths()
     from run import environment
 
-    result = {"subjects": args.subjects, "seed": args.seed,
+    result = {"subjects": args.subjects, "seed": SEED,
               "repeats": args.repeats, "environment": environment(),
-              "layers": time_layers(args.subjects, args.seed, args.repeats)}
+              "layers": time_layers(args.subjects, args.repeats)}
     text = json.dumps(result, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

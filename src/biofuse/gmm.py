@@ -291,32 +291,32 @@ def _kmeans_pp(design: _Design, k: int, rng) -> np.ndarray:
 
 
 def _lloyd_step(design: _Design, centers: np.ndarray, assign=None):
-    """One Lloyd iteration from centers: (assign, onehot, centers), the
-    nearest centre of each observation (the first on a tie), the (k, n)
-    one-hot matrix of that assignment and the clusters' new centres; or
-    None when the assignment equals `assign`. The centres come from the
-    linear half of the design alone, and an empty cluster's is re-seeded
-    at the worst-covered point."""
+    """One Lloyd iteration from centers: (assign, counts, centers,
+    variances), the nearest centre of each observation (the first on a
+    tie) and the M-step of that hard (one-hot) assignment; or None when the
+    assignment equals `assign`. An empty cluster's centre is re-seeded at
+    the worst-covered point. The centres are the M-step's means, from its
+    full-width product: a half-width product of the linear terms alone may
+    take another BLAS kernel and round otherwise (OpenBLAS's small-matrix
+    kernel does at some shapes)."""
     d2 = _sq_dists(design, centers)
     nearest = np.argmin(d2, axis=0)
     if assign is not None and np.array_equal(nearest, assign):
         return None
     onehot = (np.arange(centers.shape[0])[:, None] == nearest).astype(
         np.float64)
-    counts = onehot.sum(axis=1)
-    centers = design.centre + ((onehot @ design.lin.T)
-                               / np.maximum(counts, 1.0)[:, None])
+    counts, centers, variances = _m_step(design, onehot.T)
     empty = counts == 0.0
     if empty.any():
         centers[empty] = design.x[int(np.argmax(np.min(d2, axis=0)))]
-    return nearest, onehot, centers
+    return nearest, counts, centers, variances
 
 
 def kmeans_init(data, n_components: int, seed: int,
                 cov_floor: float) -> GmmModel:
     """k-means++ seeding plus Lloyd iterations; the M-step of the final
-    hard (one-hot) assignment becomes the initial mixture. Deterministic
-    given seed."""
+    hard (one-hot) assignment becomes the initial mixture, with each
+    cluster's Lloyd centre as its mean. Deterministic given seed."""
     # em_fit passes the design it built, shared by all of its restarts
     design = data if isinstance(data, _Design) else _Design(_as_data(data))
     n = design.x.shape[0]
@@ -324,23 +324,15 @@ def kmeans_init(data, n_components: int, seed: int,
         raise TooFewObservations(
             f"{n} observations cannot seed {n_components} components")
     rng = np.random.default_rng(seed)
-    assign, onehot, centers = _lloyd_step(
+    assign, counts, centers, variances = _lloyd_step(
         design, _kmeans_pp(design, n_components, rng))
     for _ in range(49):
         step = _lloyd_step(design, centers, assign)
         if step is None:
             break
-        assign, onehot, centers = step
-    # The means are the M-step's, not the Lloyd centres: a BLAS may take
-    # another kernel for the half-width product, and so round a centre
-    # differently in its last bit (OpenBLAS's small-matrix kernel does).
-    # The centres only steer the assignment, which such a bit moves only
-    # for an observation within rounding of equidistant from two centres.
-    # An empty cluster keeps its re-seeded centre, weight 0 and the floor.
-    counts, means, variances = _m_step(design, onehot.T)
-    empty = counts == 0.0
-    means[empty] = centers[empty]
-    return GmmModel(weights=counts / n, means=means,
+        assign, counts, centers, variances = step
+    # an empty cluster keeps its re-seeded centre, weight 0 and the floor
+    return GmmModel(weights=counts / n, means=centers,
                     variances=np.maximum(variances, cov_floor))
 
 
@@ -361,13 +353,15 @@ def _em_run(design: _Design, config: EmConfig, init: GmmModel):
     """EM from init; returns (model, trace). Every iterate after init is an
     _Iterate, and only the model returned is built, and so checked, as a
     GmmModel. Each iterate passes those checks by construction: its
-    weights are nk / sum(nk), nk >= 0, with a collapsed component re-seeded
-    to nk = 1; its variances are floored at cov_floor, which
+    weights are nk / sum(nk), nk >= 0, with a collapsed component
+    re-seeded to nk = 1; its variances are floored at cov_floor, which
     EmConfig.validate keeps at MIN_VARIANCE or above; its means are
-    weighted averages of rows that _Design checked. Only non-finite
-    responsibilities would break this, and a NaN they leave in an iterate
-    stays in every later one, so the check of the returned model raises
-    what a check of that iterate would have."""
+    weighted averages of rows that _Design checked. Two faults escape
+    this: a responsibility can be NaN (0/0, for an observation at -inf
+    under every component), and a variance can overflow (a sum of
+    squares). Either leaves the scalar nk . sum_log_var not finite; the
+    iterate is then built as a GmmModel at once, which raises the
+    ValueError naming the fault."""
     model = init
     trace = []
     reseeded = False
@@ -400,8 +394,9 @@ def _em_run(design: _Design, config: EmConfig, init: GmmModel):
             nk[collapsed] = 1.0
 
         variances = np.maximum(variances, config.cov_floor)
-        weights = nk / nk.sum()
-        model = _Iterate(weights, means, variances)
+        model = _Iterate(nk / nk.sum(), means, variances)
+        if not math.isfinite(nk.dot(model.sum_log_var)):
+            GmmModel(weights=model.weights, means=means, variances=variances)
     return GmmModel(weights=model.weights, means=model.means,
                     variances=model.variances), trace
 

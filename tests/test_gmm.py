@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from biofuse import gmm
 from biofuse.errors import (DimensionMismatch, EmptyObservationSet,
                             ModelFormatError, NumericalCollapse,
                             TooFewObservations)
@@ -348,8 +349,8 @@ def _sq_dists_reference(design, centers):
 
 
 def _kmeans_init_reference(x, k, seed, cov_floor):
-    """kmeans_init with a full M-step per Lloyd iteration, each cluster's
-    Lloyd centre as its mean."""
+    """kmeans_init with its Lloyd loop written out, each cluster's Lloyd
+    centre as its mean."""
     design = _Design(x)
     centers = _kmeans_pp(design, k, np.random.default_rng(seed))
     assign = None
@@ -426,12 +427,12 @@ def _random_clusters(seed, n, d, k):
 
 
 class TestLoopsAgainstReference:
-    """kmeans_init forms only the centres during Lloyd and its squared
-    distances in place, and em_fit carries its iterates unchecked; both
-    equal the loops that ran a full M-step per Lloyd iteration and built a
-    GmmModel per EM iterate, bit for bit. (440, 40) with k = 16 is a shape
-    where OpenBLAS rounds the half-width product of the Lloyd centres
-    otherwise than the M-step's."""
+    """kmeans_init forms its squared distances in place and em_fit
+    carries its iterates unchecked; both equal the loops that formed a
+    temporary per operation and built a GmmModel per EM iterate, bit for
+    bit. (440, 40) with k = 16 is a shape where OpenBLAS rounds a
+    half-width product of the Lloyd centres otherwise than the M-step's,
+    which these tests caught."""
 
     EMPTIED = np.array([[5.0, 1.0], [0.0, 0.0]] * 3)
 
@@ -530,7 +531,35 @@ class TestLeanIterates:
         _, trace = em_fit(x, EmConfig(n_components=3, restarts=4,
                                       max_iters=max_iters, tol=1e-12))
         assert len(built) == 2 * 4
-        assert len(trace) == min(max_iters, 20) or len(trace) > 20
+        if max_iters < 200:
+            assert len(trace) == max_iters
+
+    @pytest.mark.parametrize("x, variance, error", [
+        # the outlier's log joint is -inf or NaN under both components, so
+        # its responsibilities are 0/0
+        ([0.0] * 5 + [1.0] * 5 + [1e6], 1e-300, "weights must be"),
+        # sum_i r_i (x_i - c)^2 overflows
+        ([-1e154, 1e154] * 5, 1e300, "variances must be"),
+    ])
+    def test_non_finite_iterate_raises_at_once(self, x, variance, error,
+                                               monkeypatch):
+        x = np.array(x)[:, None]
+        init = _simple_model([0.5, 0.5], [[0.0], [1.0]],
+                             [[variance], [variance]])
+        config = EmConfig(n_components=2, cov_floor=1e-300)
+        e_steps = []
+        e_step = gmm._e_step
+        monkeypatch.setattr(gmm, "_e_step",
+                            lambda *a: e_steps.append(e_step(*a))
+                            or e_steps[-1])
+        # overflow on the way is expected
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=error) as want:
+                _em_fit_reference(x, config, init=init)
+            with pytest.raises(ValueError) as got:
+                em_fit(x, config, init=init)
+        assert str(got.value) == str(want.value)
+        assert len(e_steps) == 1
 
 
 class TestLogLikelihood:
