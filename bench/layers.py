@@ -1,4 +1,4 @@
-"""Per-layer timings of the EM fit, on seeded inputs.
+"""Per-layer timings of the enroll cycle's layers, on seeded inputs.
 
 Usage, from the repository root:
 
@@ -11,16 +11,23 @@ responses, then the channel scaler fitted on the pooled gallery. Subject 0's
 observations are the client data (n = 440 at the default config); all S
 subjects' are the background data (n = 440 S, 7,040 at S = 16). Rows:
 
+- prep_image.image: the prep of subject 0's face image, on its landmarks
+  moved by a seeded jitter of up to JITTER px (the corpus's landmarks are
+  canonical, so their warp is an identity map); n is its pixel count
+- sampled_responses.image: the observations of that prepped image
 - lloyd_iter.{client,background}: one Lloyd iteration of kmeans_init,
   from its k-means++ centres
 - e_step.{client,background}, m_step.{client,background}: one E-step and
   one M-step of em_fit, at kmeans_init's mixture
 - em_fit.client: one whole client fit, with the configured restarts
+- write_json.model_file, load_model.model_file: writing and reading the
+  model file of that fit; n is the file's size in bytes
 
 Each row is timed R times, after one untimed call; it holds the median
-and the interquartile range in seconds, and its n. The JSON object,
-with the environment block of perfbench/run.py, is printed on stdout and
-written to F when given. OPENBLAS_NUM_THREADS is pinned to 1 as in
+and the interquartile range in seconds, and its n: the number of
+observations, unless the row says otherwise. The JSON object, with the
+environment block of perfbench/run.py, is printed on stdout and written
+to F when given. OPENBLAS_NUM_THREADS is pinned to 1 as in
 perfbench/run.py.
 """
 
@@ -33,8 +40,10 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# the corpus and k-means seed of every row
+# the corpus, jitter and k-means seed of every row
 SEED = 1
+# the largest landmark shift of the prep_image row, in pixels
+JITTER = 4.0
 
 
 def _import_paths():
@@ -45,28 +54,29 @@ def _import_paths():
             sys.path.insert(0, path)
 
 
-def gallery_observations(n_subjects):
-    """(each subject's (n, dim) scaled face observations in subject order,
-    the face EmConfig)."""
-    import numpy as np
-
+def gallery_faces(n_subjects):
+    """(each subject's raw face image and its manifest entry in subject
+    order, the default PipelineConfig)."""
     from biofuse.config import PipelineConfig
-    from biofuse.gabor import ChannelScaler, build_bank
-    from biofuse.pipeline import image_observations, load_entry_image, \
-        prep_image
+    from biofuse.pipeline import load_entry_image
     from biofuse.preprocess import load_manifest
     from corpus import build_corpus
 
-    config = PipelineConfig()
-    bank = build_bank(config.gabor)
     with tempfile.TemporaryDirectory() as root:
         manifest, _ = build_corpus(root, n_subjects, SEED, sessions=(1,))
-        obs = [image_observations(
-                   prep_image(load_entry_image(e), e.landmarks, config),
-                   bank, config)
-               for e in load_manifest(manifest) if e.modality == "face"]
-    scaler = ChannelScaler.fit(np.vstack(obs))
-    return [scaler.transform(m) for m in obs], config.gmm["face"]
+        faces = [(load_entry_image(e), e) for e in load_manifest(manifest)
+                 if e.modality == "face"]
+    return faces, PipelineConfig()
+
+
+def jittered(marks, rng):
+    """marks with each coordinate moved by up to JITTER px."""
+    from biofuse.preprocess import LandmarkSet
+
+    return LandmarkSet(marks.modality, {
+        label: (x + rng.uniform(-JITTER, JITTER),
+                y + rng.uniform(-JITTER, JITTER))
+        for label, (x, y) in marks.points.items()})
 
 
 def _stats(times):
@@ -79,8 +89,17 @@ def time_layers(n_subjects=16, repeats=30):
     import numpy as np
 
     from biofuse import gmm
+    from biofuse.atomic import write_json
+    from biofuse.gabor import ChannelScaler, build_bank, sampled_responses
+    from biofuse.pipeline import prep_image
 
-    subjects, em = gallery_observations(n_subjects)
+    faces, config = gallery_faces(n_subjects)
+    bank = build_bank(config.gabor)
+    prepped = [prep_image(img, e.landmarks, config) for img, e in faces]
+    obs = [sampled_responses(img, bank, config.stride) for img in prepped]
+    scaler = ChannelScaler.fit(np.vstack(obs))
+    subjects = [scaler.transform(m) for m in obs]
+    em = config.gmm["face"]
     data = {"client": subjects[0], "background": np.vstack(subjects)}
 
     def timed(fn):
@@ -92,7 +111,16 @@ def time_layers(n_subjects=16, repeats=30):
             times.append(time.perf_counter() - t0)
         return _stats(times)
 
-    rows = {}
+    raw, entry = faces[0]
+    marks = jittered(entry.landmarks, np.random.default_rng(SEED))
+    rows = {
+        "prep_image.image": dict(
+            n=prepped[0].size,
+            **timed(lambda: prep_image(raw, marks, config))),
+        "sampled_responses.image": dict(
+            n=obs[0].shape[0],
+            **timed(lambda: sampled_responses(prepped[0], bank,
+                                              config.stride)))}
     for size, x in data.items():
         design = gmm._Design(x)
         k = em.n_components
@@ -107,6 +135,16 @@ def time_layers(n_subjects=16, repeats=30):
     rows["em_fit.client"] = dict(
         n=data["client"].shape[0],
         **timed(lambda: gmm.em_fit(data["client"], em)))
+
+    client, _ = gmm.em_fit(data["client"], em)
+    doc = gmm.model_to_dict(client, "face", entry.subject_id)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, f"face_{entry.subject_id}.json")
+        size = len(write_json(path, doc))
+        rows["write_json.model_file"] = dict(
+            n=size, **timed(lambda: write_json(path, doc)))
+        rows["load_model.model_file"] = dict(
+            n=size, **timed(lambda: gmm.load_model(path)))
     return rows
 
 

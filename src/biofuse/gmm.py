@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import write_json
+from .atomic import read_json, write_json
 from .errors import (DimensionMismatch, EmptyObservationSet, ModelFormatError,
                      NumericalCollapse, TooFewObservations)
 
@@ -195,18 +195,21 @@ def _shifted_exp(e: np.ndarray, axis: int):
     on `axis` and exponentiate them; returns the log-sum-exp and the sum
     of the exponentials, both without `axis`. An observation at -inf under
     every component keeps a zero shift, so no finite input underflows to
-    -inf.
+    -inf; the maxima are only rewritten when one is not finite.
 
     An entry whose shifted log joint lies below log(tiny) is written as an
     exact 0 without passing through exp: its exp would be subnormal or 0,
     which numpy's exp, and BLAS downstream, compute far off their fast
     path. Such a term is below 2^-1022 and joins a sum that holds an exact
     1.0, so the sums are those of a plain exp (but for a last-bit tie
-    among the other terms). The entry is set to 0
-    before the exp and again after it, rather than masked by a product,
-    which would turn the -inf of a zero-weight component into NaN."""
-    top = np.max(e, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(top), top, 0.0)
+    among the other terms). The entry is set to 0 before the exp and again
+    after it, rather than masked by a product, which would turn the -inf
+    of a zero-weight component into NaN, or set to -inf, whose exp is off
+    numpy's fast path too: half the entries of a client fit and most of a
+    stack's fall below log(tiny)."""
+    shift = e.max(axis, keepdims=True)
+    if not np.isfinite(shift).all():
+        shift = np.where(np.isfinite(shift), shift, 0.0)
     e -= shift
     under = e < _LOG_TINY
     np.copyto(e, 0.0, where=under)
@@ -523,14 +526,18 @@ def save_model(model: GmmModel, path, modality: str, subject_id: str) -> str:
 
 def load_model(path):
     """(model, modality, subject_id, digest) from a model file, where
-    digest is the sha256 hex digest of the bytes parsed; a bad file raises
-    ModelFormatError naming its path."""
+    digest is the sha256 hex digest of the bytes parsed; a bad file (not
+    UTF-8, not JSON, or not a valid model document) raises
+    ModelFormatError naming its path. The bytes are parsed by read_json,
+    so the document, and so every error, is the one json.loads gives."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = read_json(data)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not valid UTF-8: {exc}") from exc
     try:
         model, modality, subject_id = model_from_dict(doc)
     except ModelFormatError as exc:

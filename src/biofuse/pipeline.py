@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .atomic import write_atomic, write_json
+from .atomic import read_json, write_atomic, write_json
 from .config import PipelineConfig
 from .errors import BiofuseError, ManifestError, ModelFormatError
 from .gabor import ChannelScaler, sampled_responses
@@ -282,8 +282,8 @@ def _vouched_ids(stats_path) -> set:
     when the file is missing or unreadable, or lists an id that is not one
     file-name component."""
     try:
-        with open(stats_path, encoding="utf-8") as fh:
-            listed = json.load(fh)["model_sha256"]
+        with open(stats_path, "rb") as fh:
+            listed = read_json(fh.read())["model_sha256"]
         if not isinstance(listed, dict):
             return set()
         for sid in listed.keys() - {BACKGROUND_ID}:
@@ -378,9 +378,9 @@ def load_artifacts(model_dir, modality: str, ids,
                 f"the background has {background.n_components} of dim "
                 f"{background.dim}")
     stats_path = os.path.join(model_dir, stats_filename(modality))
-    with open(stats_path, encoding="utf-8") as fh:
+    with open(stats_path, "rb") as fh:
         try:
-            doc = json.load(fh)
+            doc = read_json(fh.read())
             if int(doc["format_version"]) != STATS_FORMAT_VERSION:
                 raise ValueError(f"format_version {doc['format_version']!r}, "
                                  f"expected {STATS_FORMAT_VERSION}; run "

@@ -151,6 +151,34 @@ def _similarity_fit(src: np.ndarray, dst: np.ndarray):
     return a, b
 
 
+def _inverse_map(coeff, offset, height: int, width: int):
+    """(xs, ys), each (height, width): the source coordinates
+    (w - offset) / coeff of every canonical pixel w = x + iy.
+
+    They are formed from the row vector x - Re offset and the column vector
+    y - Im offset by Smith's complex division (R. L. Smith, "Algorithm 116:
+    Complex division", CACM 1962), the formula and the order of operations
+    numpy's complex128 divide uses, so they are bit-equal to the complex
+    division over the full grid without building that grid.
+    """
+    u = np.arange(width) - offset.real
+    v = np.arange(height)[:, None] - offset.imag
+    ar, ai = coeff.real, coeff.imag
+    if abs(ar) >= abs(ai):
+        rat = ai / ar
+        scale = 1.0 / (ar + ai * rat)
+        xs = u + v * rat
+        ys = v - u * rat
+    else:
+        rat = ar / ai
+        scale = 1.0 / (ai + ar * rat)
+        xs = u * rat + v
+        ys = v * rat - u
+    xs *= scale
+    ys *= scale
+    return xs, ys
+
+
 def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sample img at finite float coords, zero outside the source plane.
 
@@ -158,7 +186,12 @@ def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     border. Each sample's top-left corner is clipped to [-2, w] x [-2, h],
     so all four of its corners read from that plane, through one flat
     index each: a corner off the image, however far, lands in the border
-    and reads 0. The corners are weighted and summed in a fixed order.
+    and reads 0. The corners are weighted and summed in a fixed order,
+    (1-dx)(1-dy) s00 + dx(1-dy) s01 + (1-dx)dy s10 + dx dy s11, each
+    weight product formed before it multiplies its sample. The index and
+    the weights are formed in place, in arrays that each serve more than
+    one step, and each corner is gathered through a view of the plane
+    shifted by its offset; xs and ys are not modified.
     """
     h, w = img.shape
     stride = w + 4
@@ -169,14 +202,34 @@ def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     y0 = np.floor(ys)
     dx = xs - x0
     dy = ys - y0
-    base = ((y0.clip(-2, h).astype(np.int64) + 2) * stride
-            + x0.clip(-2, w).astype(np.int64) + 2)
+    # the flat index of the top-left corner; small integers, so the float
+    # arithmetic is exact
+    np.clip(x0, -2, w, out=x0)
+    np.clip(y0, -2, h, out=y0)
+    y0 *= stride
+    y0 += x0
+    y0 += 2 * stride + 2
+    base = y0.astype(np.intp)
+    ex = np.subtract(1.0, dx, out=x0)
+    ey = np.subtract(1.0, dy, out=y0)
+    sample = np.empty_like(dx)
 
-    out = np.zeros(xs.shape, dtype=np.float64)
-    for oy, wy in ((0, 1.0 - dy), (1, dy)):
-        for ox, wx in ((0, 1.0 - dx), (1, dx)):
-            sample = flat.take(base + (oy * stride + ox))
-            out += wx * wy * sample
+    def corner(offset):
+        # every base + offset lies in the plane, so "clip" clips nothing;
+        # it spares the buffered copy that take(out=) makes under "raise"
+        return flat[offset:].take(base, out=sample, mode="clip")
+
+    out = ex * ey
+    out *= corner(0)
+    term = np.multiply(dx, ey, out=ey)
+    term *= corner(1)
+    out += term
+    term = np.multiply(ex, dy, out=ex)
+    term *= corner(stride)
+    out += term
+    term = np.multiply(dx, dy, out=dy)
+    term *= corner(stride + 1)
+    out += term
     return out
 
 
@@ -211,10 +264,11 @@ def geometric_normalize(img: np.ndarray, marks: LandmarkSet,
     coeff, offset = _similarity_fit(src, dst)
 
     # Inverse-map every canonical pixel back into the source plane.
-    ys_c, xs_c = np.mgrid[0:layout.height, 0:layout.width]
-    z = (xs_c + 1j * ys_c - offset) / coeff
-    sampled = _bilinear(a, z.real, z.imag)
-    return np.clip(np.rint(sampled), 0, 255).astype(np.uint8)
+    sampled = _bilinear(a, *_inverse_map(coeff, offset, layout.height,
+                                         layout.width))
+    np.rint(sampled, out=sampled)
+    np.clip(sampled, 0, 255, out=sampled)
+    return sampled.astype(np.uint8)
 
 
 def histogram_equalize(img: np.ndarray) -> np.ndarray:
@@ -233,7 +287,7 @@ def histogram_equalize(img: np.ndarray) -> np.ndarray:
         return a.copy()
     lut = np.rint(255.0 * (cdf - cdf_min) / (1.0 - cdf_min))
     lut = np.clip(lut, 0, 255).astype(np.uint8)
-    return lut[a]
+    return lut.take(a)
 
 
 @dataclass(frozen=True)
@@ -261,6 +315,9 @@ def load_manifest(path) -> list:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest {path} is not valid UTF-8: {exc}") \
+            from exc
     if not isinstance(records, list):
         raise ManifestError(f"manifest {path} must be a JSON array")
 

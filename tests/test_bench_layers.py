@@ -20,8 +20,15 @@ def test_layers_runs_at_the_smallest_size(tmp_path):
                                        "blas", "blas_threads"}
     assert set(doc["layers"]) == {
         f"{name}.{size}" for name in ("lloyd_iter", "e_step", "m_step")
-        for size in ("client", "background")} | {"em_fit.client"}
-    for row in doc["layers"].values():
+        for size in ("client", "background")} | {
+        "em_fit.client", "prep_image.image", "sampled_responses.image",
+        "write_json.model_file", "load_model.model_file"}
+    sizes = {"prep_image.image": 220 * 200}
+    model_file = doc["layers"]["write_json.model_file"]["n"]
+    assert model_file > 0
+    assert doc["layers"]["load_model.model_file"]["n"] == model_file
+    for key, row in doc["layers"].items():
         assert set(row) == {"n", "median_s", "iqr_s"}
-        assert row["n"] == 440
+        if "model_file" not in key:
+            assert row["n"] == sizes.get(key, 440)
         assert row["median_s"] > 0.0 and row["iqr_s"] >= 0.0

@@ -301,6 +301,18 @@ class TestTrain:
         assert code == 2
         assert "bob" in capsys.readouterr().err
 
+    def test_manifest_that_is_not_utf8_exits_2(self, trained, tmp_path,
+                                               capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(Path(trained["prepped_manifest"]).read_bytes()
+                        .replace(b'"alice"', b'"al\xefce"'))
+        code = main(["--config", trained["config"], "train",
+                     "--manifest", str(bad)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "trained" not in captured.out
+        assert f"manifest {bad} is not valid UTF-8" in captured.err
+
     @pytest.mark.parametrize("cov_floor", ["1e-300", "1e-4"])
     def test_collapsed_client_fit_exits_2_naming_the_subject(
             self, trained, toy_corpus, tmp_path, capsys, monkeypatch,
@@ -612,8 +624,24 @@ class TestVerify:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "face_alice.json" in captured.err
-        assert "finite" in captured.err
+        assert ("face_alice.json: variances must be strictly positive and "
+                "finite") in captured.err
+
+    def test_model_that_is_not_utf8_exits_2(self, trained, toy_corpus,
+                                            tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(trained["model_dir"], models)
+        client = models / "face_alice.json"
+        client.write_bytes(b"\xff" + client.read_bytes())
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            toy_corpus["manifest"], tmp_path)
+        face, ear = self._probe(trained, "alice", session=1)
+        code = main(["--config", cfg, "verify",
+                     "--face", face, "--ear", ear, "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{client}: not valid UTF-8" in captured.err
 
     def test_variance_without_finite_inverse_exits_2(self, trained,
                                                      toy_corpus, tmp_path,
@@ -657,13 +685,13 @@ class TestVerify:
         assert captured.out == ""
         assert "ear_alice.json: 4 components" in captured.err
 
-    @pytest.mark.parametrize("path,value", [
-        (("scaler", "mean"), float("nan")),
-        (("scaler", "std"), float("inf")),
-        (("calibration",), float("nan")),
+    @pytest.mark.parametrize("path,value,reason", [
+        (("scaler", "mean"), float("nan"), "invalid scaler payload"),
+        (("scaler", "std"), float("inf"), "invalid scaler payload"),
+        (("calibration",), float("nan"), "is not finite"),
     ], ids=["scaler-mean", "scaler-std", "calibration"])
     def test_non_finite_stats_exits_2(self, trained, toy_corpus, tmp_path,
-                                      capsys, path, value):
+                                      capsys, path, value, reason):
         models = tmp_path / "models"
         shutil.copytree(trained["model_dir"], models)
         stats = models / "ear_stats.json"
@@ -681,8 +709,8 @@ class TestVerify:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "bad stats document" in captured.err
-        assert "ear_stats.json" in captured.err
+        assert "ear_stats.json: bad stats document: " in captured.err
+        assert reason in captured.err
 
     @pytest.mark.parametrize("source,target", [
         ("face_bob.json", "face_alice.json"),         # another subject

@@ -1014,11 +1014,16 @@ class TestPersistence:
         ("means", [[math.nan]]), ("means", [[-math.inf]]),
         ("weights", [math.nan])])
     def test_rejects_non_finite_values(self, tmp_path, key, value):
+        reason = {"variances": "variances must be strictly positive and "
+                               "finite",
+                  "means": "means must be finite",
+                  "weights": "weights must be nonnegative and sum to 1"}[key]
         doc = model_to_dict(_simple_model([1.0], [0.0], [1.0]), "face", "x")
         doc[key] = value
         path = tmp_path / "face_x.json"
         path.write_text(json.dumps(doc))   # json.dumps spells NaN as NaN
-        with pytest.raises(ModelFormatError, match=str(path)):
+        with pytest.raises(ModelFormatError,
+                           match=f"^{re.escape(str(path))}: {reason}$"):
             load_model(path)
 
     def test_rejects_variance_without_finite_inverse(self, tmp_path):

@@ -1,20 +1,28 @@
+import json
+import math
+import os
 import re
 from dataclasses import replace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biofuse.pipeline as pipeline
+from biofuse.atomic import read_json
+from biofuse.cli import main
 from biofuse.config import PipelineConfig
 from biofuse.gabor import (ChannelScaler, GaborParams, build_bank,
                            sampled_responses)
 from biofuse.errors import (BiofuseError, DimensionMismatch,
                             EmptyObservationSet, ModelFormatError)
 from biofuse.gmm import MIN_VARIANCE, GmmModel, match_score, save_model
+from biofuse.pgm import write_pgm
 from biofuse.pipeline import (ModalityArtifacts, image_observations,
                               load_artifacts, probe_score, save_artifacts)
+from conftest import EAR_MARKS, FACE_MARKS, grating_image
 
 CONFIG = PipelineConfig(gabor=GaborParams(num_frequencies=1,
                                           num_orientations=2,
@@ -252,3 +260,43 @@ def test_model_and_stats_files_round_trip_bit_exactly(tmp_path):
 
     assert bits(loaded) == bits(stored)
     assert loaded.fingerprint == stored.fingerprint
+
+
+def _typed(doc):
+    """doc with every float replaced by its repr and every value tagged
+    with its type, so that == compares types, -0.0 and every bit."""
+    if isinstance(doc, dict):
+        return {key: _typed(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_typed(value) for value in doc]
+    return type(doc).__name__, repr(doc) if isinstance(doc, float) else doc
+
+
+def test_orjson_reads_every_file_of_a_trained_gallery_as_json_does(
+        tmp_path):
+    # 16 subjects, as many as the enroll benchmark trains, one gallery
+    # image per subject and modality
+    records = []
+    for i in range(16):
+        for j, (modality, marks) in enumerate((("face", FACE_MARKS),
+                                               ("ear", EAR_MARKS))):
+            path = str(tmp_path / f"s{i:02d}_{modality}.pgm")
+            write_pgm(grating_image((i + 0.5 * j) * math.pi / 16, 0.0,
+                                    2 * i + j), path)
+            records.append({"image_path": path, "modality": modality,
+                            "subject_id": f"s{i:02d}", "session": 1,
+                            "landmarks": marks})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(records))
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[paths]\nmanifest = {manifest}\n"
+                   f"model_dir = {tmp_path / 'models'}\n"
+                   f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(cfg), "train"]) == 0
+    names = sorted(os.listdir(tmp_path / "models"))
+    assert len(names) == 2 * (16 + 2)
+    for name in names:
+        data = (tmp_path / "models" / name).read_bytes()
+        want = _typed(json.loads(data.decode("utf-8")))
+        assert _typed(orjson.loads(data)) == want, name
+        assert _typed(read_json(data)) == want, name

@@ -11,8 +11,9 @@ from biofuse.config import PipelineConfig
 from biofuse.errors import DegenerateLandmarks, ManifestError
 from biofuse.pipeline import prep_image
 from biofuse.preprocess import (CanonicalLayout, LandmarkSet, _bilinear,
-                                _similarity_fit, geometric_normalize,
-                                histogram_equalize, load_manifest)
+                                _inverse_map, _similarity_fit,
+                                geometric_normalize, histogram_equalize,
+                                load_manifest)
 
 FACE = {"left_eye": (60.0, 70.0), "right_eye": (140.0, 70.0),
         "mouth_center": (100.0, 170.0)}
@@ -213,6 +214,72 @@ def test_bilinear_equals_the_masked_reference(seed, h, w):
     got = _bilinear(img, points.real, points.imag)
     assert np.array_equal(got, _bilinear_reference(img, points.real,
                                                    points.imag))
+
+
+def _mgrid_inverse_map(coeff, offset, height, width):
+    """The complex division over the full grid that _inverse_map replaced,
+    kept as its oracle."""
+    ys_c, xs_c = np.mgrid[0:height, 0:width]
+    z = (xs_c + 1j * ys_c - offset) / coeff
+    return z.real, z.imag
+
+
+def _assert_bit_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       real_dominates=st.booleans())
+def test_inverse_map_equals_the_complex_division(seed, real_dominates):
+    # Smith's formula takes one branch where |Re a| >= |Im a| and the
+    # other where it is not; each example picks its branch
+    rng = np.random.default_rng(seed)
+    big, small = sorted(np.abs(rng.normal(size=2)) + 1e-3, reverse=True)
+    scale = 10.0 ** rng.uniform(-2.0, 1.0) / math.hypot(big, small)
+    signs = rng.choice([-1.0, 1.0], 2)
+    parts = (big, small) if real_dominates else (small, big)
+    coeff = np.complex128(complex(*(scale * signs * parts)))
+    assert (abs(coeff.real) >= abs(coeff.imag)) == real_dominates
+    offset = np.complex128(complex(*rng.uniform(-300.0, 300.0, 2)))
+    height, width = (int(n) for n in rng.integers(1, 80, 2))
+    _assert_bit_equal(_inverse_map(coeff, offset, height, width),
+                      _mgrid_inverse_map(coeff, offset, height, width))
+
+
+@pytest.mark.parametrize("offset", [12.25 - 7.5j, 3.0 + 1.0j])
+@pytest.mark.parametrize("coeff", [1j, -1j, 1.0, -1.0, 0.5 + 0.5j,
+                                   -2.0 + 2.0j, 0.3 - 0.7j])
+def test_inverse_map_equals_the_complex_division_at(coeff, offset):
+    # a pure rotation by +-90 degrees has Re a = 0. |Re a| = |Im a| ties
+    # take the first branch; the second gives the same values there, but
+    # with the other sign where a coordinate is 0, which an offset of
+    # integers brings about
+    coeff = np.complex128(coeff)
+    offset = np.complex128(offset)
+    _assert_bit_equal(_inverse_map(coeff, offset, 220, 200),
+                      _mgrid_inverse_map(coeff, offset, 220, 200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_geometric_normalize_equals_the_grid_route(seed):
+    # random landmarks: any rotation, scale and shift, both branches
+    rng = np.random.default_rng(seed)
+    h, w = (int(n) for n in rng.integers(20, 120, 2))
+    img = rng.integers(0, 256, (h, w), dtype=np.uint8)
+    points = {label: (float(rng.uniform(0, w - 1)),
+                      float(rng.uniform(0, h - 1))) for label in FACE}
+    marks = LandmarkSet("face", points)
+    labels, src = marks.ordered()
+    dst = np.array([complex(*LAYOUT.face[label]) for label in labels])
+    coeff, offset = _similarity_fit(src, dst)
+    sampled = _bilinear_reference(
+        img, *_mgrid_inverse_map(coeff, offset, LAYOUT.height, LAYOUT.width))
+    want = np.clip(np.rint(sampled), 0, 255).astype(np.uint8)
+    assert np.array_equal(geometric_normalize(img, marks, LAYOUT), want)
 
 
 class TestHistogramEqualize:

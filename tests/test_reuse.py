@@ -230,8 +230,9 @@ def _calibrate(lo, hi):
     _write_v2,
     _calibrate(5.0, -5.0),
     _calibrate(3.0, 3.0),
+    lambda path: path.write_bytes(b"\xff" + path.read_bytes()),
 ], ids=["missing", "malformed", "v1", "v2", "decreasing-calibration",
-        "flat-calibration"])
+        "flat-calibration", "not-utf8"])
 def test_unusable_stats_file_retrains(base, tmp_path, monkeypatch, damage):
     models = str(tmp_path / "models")
     shutil.copytree(base["model_dir"], models)
@@ -249,6 +250,18 @@ def test_missing_client_model_retrains(base, tmp_path, monkeypatch):
     cfg = _config(str(tmp_path), base["manifest"], model_dir=models)
     outputs, trained = _eval(cfg, models, monkeypatch)
     assert trained == ["ear"]
+    assert outputs == base["outputs"]
+
+
+def test_client_model_that_is_not_utf8_retrains(base, tmp_path,
+                                                monkeypatch):
+    models = str(tmp_path / "models")
+    shutil.copytree(base["model_dir"], models)
+    client = Path(models, "face_alice.json")
+    client.write_bytes(b"\xff" + client.read_bytes())
+    cfg = _config(str(tmp_path), base["manifest"], model_dir=models)
+    outputs, trained = _eval(cfg, models, monkeypatch)
+    assert trained == ["face"]
     assert outputs == base["outputs"]
 
 
