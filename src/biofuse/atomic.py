@@ -43,6 +43,10 @@ def move_aside(path):
 # orjson nests at most this many arrays and objects
 _ORJSON_DEPTH = 255
 _INT64 = 2 ** 63
+# orjson and repr spell a float alike (shortest digits, no exponent) when
+# it is 0 or of magnitude in [PLAIN_MIN, PLAIN_MAX): 1e-05 is 0.00001 to
+# orjson, and 1e+16 is 1e16
+PLAIN_MIN, PLAIN_MAX = 1e-4, 1e16
 
 
 def _plain_text(s) -> bool:
@@ -55,14 +59,14 @@ def _orjson_spells_it(obj, depth=0) -> bool:
     """Whether orjson writes obj, indented and key-sorted, in exactly the
     bytes json.dumps does: dicts with printable ASCII keys, lists, tuples,
     None, bools, ints within int64, printable ASCII strings, and floats
-    that are 0 or of magnitude in [1e-4, 1e16), which both spell as
-    repr's shortest digits (orjson writes 1e-05 as 0.00001, and 1e+16 as
-    1e16). Only these exact types: json.dumps spells a subclass by its
-    base type's repr, orjson refuses some and not others. A NaN or an
-    infinity fails the float test, so json.dumps refuses it."""
+    that are 0 or of magnitude in [PLAIN_MIN, PLAIN_MAX), which both
+    spell as repr's shortest digits. Only these exact types: json.dumps
+    spells a subclass by its base type's repr, orjson refuses some and not
+    others. A NaN or an infinity fails the float test, so json.dumps
+    refuses it."""
     kind = type(obj)
     if kind is float:
-        return obj == 0.0 or 1e-4 <= abs(obj) < 1e16
+        return obj == 0.0 or PLAIN_MIN <= abs(obj) < PLAIN_MAX
     if kind is list or kind is tuple or kind is dict:
         if depth >= _ORJSON_DEPTH:
             return False

@@ -31,8 +31,10 @@ from .preprocess import load_manifest
 def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
     """Normalize every manifest image to the canonical frame and write the
     results plus an updated manifest (landmarks moved to their canonical
-    positions, so re-running on the output is the identity transform).
-    A prep that fails leaves every file in out_dir as it found it."""
+    positions, so the warp of a re-run on the output is an identity map;
+    its histogram equalization is not, so such a re-run changes the
+    images). A prep that fails leaves every file in out_dir as it found
+    it."""
     entries = load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     records = []

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
+from .atomic import PLAIN_MAX, PLAIN_MIN
 from .config import PipelineConfig
 from .dempster import CONFLICT_EPS
 from .errors import DegenerateCalibration, EmptyScoreList
@@ -40,7 +41,7 @@ class RocCurve:
     def to_csv(self) -> str:
         """One `threshold,far,frr` row per threshold, each field the
         float64 value's repr(). orjson spells the same shortest digits as
-        repr for 0 and every finite |x| in [1e-4, 1e16), so the rows are
+        repr for 0 and every |x| in [PLAIN_MIN, PLAIN_MAX), so the rows are
         dumped as one flat list right after the header: its brackets
         become the header's and the last row's newlines, and every third
         comma ends a row (orjson writes no comma inside a number). Only
@@ -59,8 +60,8 @@ class RocCurve:
         body = np.frombuffer(text, dtype=np.uint8, offset=len(header))
         body[np.flatnonzero(body == ord(","))[2::3]] = ord("\n")
         mag = np.abs(rows)
-        if not ((mag < 1e16).all() and ((mag >= 1e-4) | (mag == 0)).all()):
-            plain = (mag == 0) | ((mag >= 1e-4) & (mag < 1e16))
+        plain = (mag == 0) | ((mag >= PLAIN_MIN) & (mag < PLAIN_MAX))
+        if not plain.all():
             lines = text.decode().split("\n")
             for i in np.flatnonzero(~plain.all(axis=1)).tolist():
                 lines[i + 1] = ",".join(map(repr, rows[i].tolist()))
@@ -253,7 +254,8 @@ def run_image_experiment(manifest_path, config: PipelineConfig):
 
     Session 1 trains and calibrates; session-2 probes claim every identity
     (their own -> genuine trial, each other -> impostor trial). Every image
-    is prepped and its observations computed in memory; nothing is cached.
+    is prepped and its observations computed in memory; nothing is cached,
+    and each probe is scored as soon as its observations are computed.
     A modality whose models in config.paths.model_dir were fitted from this
     same gallery and settings is served from there instead of trained
     again (see pipeline.train_gallery); model_dir is only read.
@@ -273,13 +275,13 @@ def run_image_experiment(manifest_path, config: PipelineConfig):
 
     artifacts = train_gallery(entries, config, image_for, bank,
                               model_dir=config.paths.model_dir)
-    probe_obs = {(entry.subject_id, entry.modality): image_observations(
-        image_for(entry), bank, config) for entry in probes}
+    probe_of = {(entry.subject_id, entry.modality): entry for entry in probes}
 
     # one trial per (true, claimed) pair of subjects, row-major over the
     # sorted subjects, so the genuine trials are the diagonal
     trials = {modality: np.concatenate([
-        probe_score(artifacts[modality], probe_obs[(true_sid, modality)])
+        probe_score(artifacts[modality], image_observations(
+            image_for(probe_of[true_sid, modality]), bank, config))
         for true_sid in subjects]) for modality in MODALITIES}
     trials["fusion"] = fused_genuine_mass(
         trials["face"], trials["ear"], artifacts["face"].calibration,

@@ -175,25 +175,32 @@ def _fit_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def train_modality(modality: str, gallery: dict, config: PipelineConfig,
+def train_modality(modality: str, block: np.ndarray, runs: dict,
+                   config: PipelineConfig,
                    fingerprint: str) -> ModalityArtifacts:
     """Calibrated client + background mixtures carrying fingerprint.
 
-    gallery maps subject_id -> list of (n_i, dim) observation matrices in
-    the order fitted: pooled as given, client i seeded by its index.
+    block holds the gallery's raw (n, dim) observation matrices, one per
+    image, as one (images, n, dim) array in fitting order; runs maps each
+    subject_id, in that order, to the number of its images, which lie
+    together in block. The block is standardized once and the raw one
+    dropped; the background, client i (seeded by its index) and each
+    image's calibration score read views of the scaled block.
     """
-    matrices = [m for subject in gallery.values() for m in subject]
-    pooled = np.vstack(matrices)
-    scaler = ChannelScaler.fit(pooled)
-    pooled = scaler.transform(pooled)  # the raw copy is not kept for EM
+    dim = block.shape[-1]
+    scaler = ChannelScaler.fit(block.reshape(-1, dim))
+    block = scaler.transform(block)  # the raw block dies here
 
     base = config.gmm[modality]
     seed_base = config.eval.seed + (0 if modality == "face" else 1_000_000)
 
-    background, _ = em_fit(pooled, replace(base, seed=_fit_seed(seed_base, 0)))
+    background, _ = em_fit(block.reshape(-1, dim),
+                           replace(base, seed=_fit_seed(seed_base, 0)))
     clients = {}
-    for i, (sid, subject) in enumerate(gallery.items()):
-        data = scaler.transform(np.vstack(subject))
+    start = 0
+    for i, (sid, count) in enumerate(runs.items()):
+        data = block[start:start + count].reshape(-1, dim)
+        start += count
         try:
             clients[sid], _ = em_fit(
                 data, replace(base, seed=_fit_seed(seed_base, i + 1)))
@@ -203,9 +210,27 @@ def train_modality(modality: str, gallery: dict, config: PipelineConfig,
 
     artifacts = ModalityArtifacts(clients, background, scaler, None,
                                   fingerprint)
-    scores = np.concatenate([probe_score(artifacts, m) for m in matrices])
+    # each gallery image's probe_score, from its scaled matrix
+    means = np.stack([artifacts.stack.mean_log_likelihoods(obs)
+                      for obs in block])
+    scores = means[:, 1:] - means[:, :1]
     return replace(artifacts,
                    calibration=(float(scores.min()), float(scores.max())))
+
+
+def _observation_block(images, bank, config: PipelineConfig) -> np.ndarray:
+    """The (len(images), n, dim) raw observations of a list of (entry,
+    prepped image) pairs of one size, in its order. The list is emptied as
+    the block fills, so no image outlives its observations."""
+    block = None
+    for j in range(len(images)):
+        _, img = images[j]
+        images[j] = None
+        obs = image_observations(img, bank, config)
+        if block is None:
+            block = np.empty((len(images), *obs.shape), dtype=obs.dtype)
+        block[j] = obs
+    return block
 
 
 def train_gallery(entries, config: PipelineConfig, image_for, bank,
@@ -225,14 +250,16 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
     """
     gallery, _ = split_by_session(entries)
     subjects = sorted({e.subject_id for e in entries})
+    if not subjects:
+        raise ManifestError("no gallery (session 1) images to train on")
     trained = {}
     for modality in MODALITIES:
         images = [(entry, image_for(entry)) for entry in gallery
                   if entry.modality == modality]
         images.sort(key=lambda pair: pair[0].subject_id)  # stable
-        have = {entry.subject_id for entry, _ in images}
+        runs = Counter(entry.subject_id for entry, _ in images)
         for sid in subjects:
-            if sid not in have:
+            if sid not in runs:
                 raise ManifestError(
                     f"subject {sid} has no gallery (session 1) "
                     f"{modality} images")
@@ -246,12 +273,10 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
             if stored is not None and stored.fingerprint == fingerprint:
                 trained[modality] = stored
                 continue
-        gallery_obs = {}
-        for entry, img in images:
-            gallery_obs.setdefault(entry.subject_id, []).append(
-                image_observations(img, bank, config))
-        trained[modality] = train_modality(modality, gallery_obs, config,
-                                           fingerprint)
+        # no name holds the raw block, so train_modality can drop it
+        trained[modality] = train_modality(
+            modality, _observation_block(images, bank, config), runs,
+            config, fingerprint)
     return trained
 
 

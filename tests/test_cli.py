@@ -249,6 +249,16 @@ class TestTrain:
         assert "stride must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "models").exists()
 
+    def test_empty_manifest_exits_2(self, toy_corpus, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            str(empty), tmp_path)
+        assert main(["--config", cfg, "train"]) == 2
+        assert ("no gallery (session 1) images to train on"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "models").exists()
+
     def test_background_subject_exits_2(self, trained, toy_corpus, tmp_path,
                                         capsys):
         # a subject named like the background model would overwrite it

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -449,6 +450,26 @@ class TestImageExperiment:
         assert min(genuine) > max(impostor)
         for roc in rocs.values():
             _roc_invariants(roc)
+
+    def test_holds_one_probe_observation_matrix_at_a_time(
+            self, toy_corpus, tmp_path, monkeypatch):
+        # evaluate's image_observations computes only the probes'; the
+        # gallery's come from pipeline's
+        real = evaluate.image_observations
+        live = []
+        seen = []
+
+        def observations(*args, **kwargs):
+            obs = real(*args, **kwargs)
+            live.append(obs.shape)
+            weakref.finalize(obs, live.pop)
+            seen.append(len(live))
+            return obs
+
+        monkeypatch.setattr(evaluate, "image_observations", observations)
+        run_image_experiment(toy_corpus["manifest"], _image_config(tmp_path))
+        assert seen == [1, 1, 1, 1]  # 2 subjects x 2 modalities
+        assert live == []
 
     def test_gallery_as_probes_self_match(self, toy_corpus, tmp_path):
         # degenerate train-on-test run: session 2 re-uses the gallery files

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import random
 import re
 from dataclasses import replace
 
@@ -18,10 +20,13 @@ from biofuse.gabor import (ChannelScaler, GaborParams, build_bank,
                            sampled_responses)
 from biofuse.errors import (BiofuseError, DimensionMismatch,
                             EmptyObservationSet, ModelFormatError)
-from biofuse.gmm import MIN_VARIANCE, GmmModel, match_score, save_model
+from biofuse.gmm import (MIN_VARIANCE, GmmModel, MixtureStack, em_fit,
+                        match_score, save_model)
 from biofuse.pgm import write_pgm
-from biofuse.pipeline import (ModalityArtifacts, image_observations,
-                              load_artifacts, probe_score, save_artifacts)
+from biofuse.pipeline import (MODALITIES, ModalityArtifacts,
+                              image_observations, load_artifacts,
+                              probe_score, save_artifacts, train_gallery)
+from biofuse.preprocess import ManifestEntry
 from conftest import EAR_MARKS, FACE_MARKS, grating_image
 
 CONFIG = PipelineConfig(gabor=GaborParams(num_frequencies=1,
@@ -189,6 +194,109 @@ def test_artifacts_without_a_fingerprint_are_not_saved(tmp_path):
     with pytest.raises(ValueError, match="ear artifacts"):
         save_artifacts(str(tmp_path / "new"), unsaved, CONFIG)
     assert not (tmp_path / "new").exists()
+
+
+def _shuffled_gallery():
+    """(entries, {image path: image}): subjects c, a and b with two
+    gallery images and one probe per modality, the records shuffled
+    across subjects."""
+    entries, images = [], {}
+    for k, (sid, modality, session) in enumerate(itertools.product(
+            ("c", "a", "b"), MODALITIES, (1, 1, 2))):
+        path = f"{sid}_{modality}_{k}.pgm"
+        entries.append(ManifestEntry(path, modality, sid, session, None))
+        images[path] = _image(k)
+    random.Random(4).shuffle(entries)
+    return entries, images
+
+
+def _vstack_route(entries, images, modality):
+    """(scaler, background, {sid: client}, every gallery image's matrix)
+    fitted from per-image matrices the way the gallery was fitted before
+    its observations became one block: pooled by np.vstack, each client
+    on the vstack of its subject's images, each standardized on its
+    own."""
+    gallery = sorted((e for e in entries
+                      if (e.session, e.modality) == (1, modality)),
+                     key=lambda e: e.subject_id)
+    by_subject = {}
+    for e in gallery:
+        by_subject.setdefault(e.subject_id, []).append(
+            image_observations(images[e.image_path], BANK, CONFIG))
+    matrices = [m for subject in by_subject.values() for m in subject]
+    pooled = np.vstack(matrices)
+    scaler = ChannelScaler.fit(pooled)
+    seed_base = CONFIG.eval.seed + (0 if modality == "face" else 1_000_000)
+    fits = [em_fit(scaler.transform(data),
+                   replace(CONFIG.gmm[modality],
+                           seed=pipeline._fit_seed(seed_base, i)))[0]
+            for i, data in enumerate(
+                [pooled, *map(np.vstack, by_subject.values())])]
+    return scaler, fits[0], dict(zip(by_subject, fits[1:])), matrices
+
+
+def _same_model(got, want):
+    return all(getattr(got, name).tolist() == getattr(want, name).tolist()
+               for name in ("weights", "means", "variances"))
+
+
+def test_gallery_block_fits_as_the_per_image_matrices_did(monkeypatch):
+    entries, images = _shuffled_gallery()
+    scored = []  # what the calibration scores, in order
+    score = MixtureStack.mean_log_likelihoods
+
+    def recording(self, obs):
+        scored.append(np.array(obs))
+        return score(self, obs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MixtureStack, "mean_log_likelihoods", recording)
+        trained = train_gallery(entries, CONFIG,
+                                lambda e: images[e.image_path], BANK)
+    assert len(scored) == 12
+    for modality, calibrated in zip(MODALITIES, (scored[:6], scored[6:])):
+        scaler, background, clients, matrices = _vstack_route(
+            entries, images, modality)
+        got = trained[modality]
+        assert got.scaler.mean.tolist() == scaler.mean.tolist()
+        assert got.scaler.std.tolist() == scaler.std.tolist()
+        assert _same_model(got.background, background)
+        assert list(got.clients) == ["a", "b", "c"]
+        for sid, client in clients.items():
+            assert _same_model(got.clients[sid], client), (modality, sid)
+        assert [m.tolist() for m in calibrated] == [
+            scaler.transform(m).tolist() for m in matrices]
+        scores = np.concatenate([probe_score(got, m) for m in matrices])
+        assert got.calibration == (scores.min(), scores.max())
+
+
+def test_gallery_is_standardized_once_per_modality_trained(
+        tmp_path, monkeypatch):
+    entries, images = _shuffled_gallery()
+    shapes = []
+    transform = ChannelScaler.transform
+
+    def counting(self, data):
+        shapes.append(np.shape(data))
+        return transform(self, data)
+
+    def train():
+        shapes.clear()
+        return train_gallery(entries, CONFIG,
+                             lambda e: images[e.image_path], BANK,
+                             model_dir=str(tmp_path))
+
+    monkeypatch.setattr(ChannelScaler, "transform", counting)
+    trained = train()  # nothing stored: both modalities are fitted
+    # once each, as the (6 images, n, dim) block
+    assert [shape[0] for shape in shapes] == [6, 6]
+    assert all(len(shape) == 3 for shape in shapes)
+    save_artifacts(str(tmp_path), trained, CONFIG)
+    train()  # both served from model_dir
+    assert shapes == []
+    os.remove(tmp_path / "ear_stats.json")
+    train()
+    assert [shape[0] for shape in shapes] == [6]
 
 
 def _artifacts(rng, *ids):
