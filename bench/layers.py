@@ -6,10 +6,14 @@ Usage, from the repository root:
 
 The inputs are the face gallery of perfbench's seeded corpus
 (perfbench/corpus.build_corpus, imported, not edited) of S subjects and
-seed SEED, turned into observations as `train` does: prep, sampled Gabor
-responses, then the channel scaler fitted on the pooled gallery. Subject 0's
-observations are the client data (n = 440 at the default config); all S
-subjects' are the background data (n = 440 S, 7,040 at S = 16). Rows:
+seed SEED, and one session-2 face probe of subject 0
+(perfbench/corpus.build_probes), turned into observations as `train`
+does: prep, sampled Gabor responses, then one (S, n, dim) block of the
+gallery's observations, standardized by one channel scaler fitted on the
+whole block (pipeline.train_modality, which also fits the face models).
+Subject 0's observations, block[0], are the client data (n = 440 at the
+default config); the whole block is the background data (n = 440 S, 7,040
+at S = 16). Rows:
 
 - prep_image.image: the prep of subject 0's face image, on its landmarks
   moved by a seeded jitter of up to JITTER px (the corpus's landmarks are
@@ -22,6 +26,13 @@ subjects' are the background data (n = 440 S, 7,040 at S = 16). Rows:
 - em_fit.client: one whole client fit, with the configured restarts
 - write_json.model_file, load_model.model_file: writing and reading the
   model file of that fit; n is the file's size in bytes
+- mixture_stack.image: the scaled probe against the stack of the K = S + 1
+  face models that train_modality fitted (MixtureStack.mean_log_likelihoods)
+- fused_genuine_mass.trials: the fused genuine masses of the default
+  synthetic matchers' draws, genuine and impostor trials in one call each,
+  as run_fusion_experiment forms them; n is the trial count (20,000)
+- compute_roc.curve, to_csv.curve: the ROC curve of those fused masses and
+  its CSV text; n is the threshold count (10,001)
 
 Each row is timed R times, after one untimed call; it holds the median
 and the interquartile range in seconds, and its n: the number of
@@ -29,6 +40,11 @@ observations, unless the row says otherwise. The JSON object, with the
 environment block of perfbench/run.py, is printed on stdout and written
 to F when given. OPENBLAS_NUM_THREADS is pinned to 1 as in
 perfbench/run.py.
+
+Rows from separate processes drift with the host's load: two runs of the
+same code read em_fit.client at 11.1 and 18.1 ms. A before/after must
+therefore time both versions alternately in one process, or pool many
+runs that alternate the two checkouts; one run per side shows nothing.
 """
 
 import argparse
@@ -40,7 +56,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# the corpus, jitter and k-means seed of every row
+# the corpus, probe, jitter, k-means and synthetic-draw seed of every row
 SEED = 1
 # the largest landmark shift of the prep_image row, in pixels
 JITTER = 4.0
@@ -56,17 +72,23 @@ def _import_paths():
 
 def gallery_faces(n_subjects):
     """(each subject's raw face image and its manifest entry in subject
-    order, the default PipelineConfig)."""
+    order, the same pair for subject 0's face probe, the default
+    PipelineConfig)."""
     from biofuse.config import PipelineConfig
     from biofuse.pipeline import load_entry_image
     from biofuse.preprocess import load_manifest
-    from corpus import build_corpus
+    from corpus import build_corpus, build_probes
+
+    def faces(manifest):
+        return [(load_entry_image(e), e) for e in load_manifest(manifest)
+                if e.modality == "face"]
 
     with tempfile.TemporaryDirectory() as root:
-        manifest, _ = build_corpus(root, n_subjects, SEED, sessions=(1,))
-        faces = [(load_entry_image(e), e) for e in load_manifest(manifest)
-                 if e.modality == "face"]
-    return faces, PipelineConfig()
+        manifest, theta = build_corpus(root, n_subjects, SEED,
+                                       sessions=(1,))
+        probes, _ = build_probes(os.path.join(root, "probes"), theta, 1,
+                                 SEED)
+        return faces(manifest), faces(probes)[0], PipelineConfig()
 
 
 def jittered(marks, rng):
@@ -90,17 +112,22 @@ def time_layers(n_subjects=16, repeats=30):
 
     from biofuse import gmm
     from biofuse.atomic import write_json
-    from biofuse.gabor import ChannelScaler, build_bank, sampled_responses
-    from biofuse.pipeline import prep_image
+    from biofuse.evaluate import compute_roc, fused_genuine_mass, synth_scores
+    from biofuse.gabor import build_bank, sampled_responses
+    from biofuse.pipeline import prep_image, train_modality
 
-    faces, config = gallery_faces(n_subjects)
+    faces, (probe, probe_entry), config = gallery_faces(n_subjects)
     bank = build_bank(config.gabor)
     prepped = [prep_image(img, e.landmarks, config) for img, e in faces]
-    obs = [sampled_responses(img, bank, config.stride) for img in prepped]
-    scaler = ChannelScaler.fit(np.vstack(obs))
-    subjects = [scaler.transform(m) for m in obs]
+    gallery = np.stack([sampled_responses(img, bank, config.stride)
+                        for img in prepped])
+    artifacts = train_modality(
+        "face", gallery, {e.subject_id: 1 for _, e in faces}, config, None)
+    block = artifacts.scaler.transform(gallery)
+    del gallery
     em = config.gmm["face"]
-    data = {"client": subjects[0], "background": np.vstack(subjects)}
+    data = {"client": block[0],
+            "background": block.reshape(-1, block.shape[-1])}
 
     def timed(fn):
         fn()
@@ -118,7 +145,7 @@ def time_layers(n_subjects=16, repeats=30):
             n=prepped[0].size,
             **timed(lambda: prep_image(raw, marks, config))),
         "sampled_responses.image": dict(
-            n=obs[0].shape[0],
+            n=block.shape[1],
             **timed(lambda: sampled_responses(prepped[0], bank,
                                               config.stride)))}
     for size, x in data.items():
@@ -145,6 +172,37 @@ def time_layers(n_subjects=16, repeats=30):
             n=size, **timed(lambda: write_json(path, doc)))
         rows["load_model.model_file"] = dict(
             n=size, **timed(lambda: gmm.load_model(path)))
+
+    scaled = artifacts.scaler.transform(sampled_responses(
+        prep_image(probe, probe_entry.landmarks, config), bank,
+        config.stride))
+    rows["mixture_stack.image"] = dict(
+        n=scaled.shape[0],
+        **timed(lambda: artifacts.stack.mean_log_likelihoods(scaled)))
+
+    fusion, settings = config.fusion, config.eval
+    drawn = synth_scores(config.synth, settings.n_genuine,
+                         settings.n_impostor, SEED)
+    calib = {}
+    for modality, pair in drawn.items():
+        pool = np.concatenate(pair)
+        calib[modality] = (float(pool.min()), float(pool.max()))
+
+    def fuse():
+        return tuple(
+            fused_genuine_mass(face, ear, calib["face"], calib["ear"],
+                               fusion.alpha_face, fusion.alpha_ear)[0]
+            for face, ear in zip(drawn["face"], drawn["ear"]))
+
+    genuine, impostor = fuse()
+    rows["fused_genuine_mass.trials"] = dict(
+        n=genuine.size + impostor.size, **timed(fuse))
+    roc = compute_roc(genuine, impostor, settings.num_thresholds)
+    rows["compute_roc.curve"] = dict(
+        n=roc.thresholds.size,
+        **timed(lambda: compute_roc(genuine, impostor,
+                                    settings.num_thresholds)))
+    rows["to_csv.curve"] = dict(n=roc.thresholds.size, **timed(roc.to_csv))
     return rows
 
 

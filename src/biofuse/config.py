@@ -8,6 +8,7 @@ paths are resolved against the config file's directory.
 import configparser
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import InvalidParams
@@ -22,7 +23,7 @@ class FusionSettings:
     alpha_ear: float = 0.9
     threshold: float = 0.5
 
-    def validate(self):
+    def __post_init__(self):
         """Alphas are source reliabilities in [0, 1]; the threshold may
         exceed 1 (then nothing is accepted) but must be a number."""
         for key in ("alpha_face", "alpha_ear"):
@@ -41,7 +42,7 @@ class EvalSettings:
     n_genuine: int = 10000
     n_impostor: int = 10000
 
-    def validate(self):
+    def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.num_thresholds < 2:
@@ -61,7 +62,7 @@ class SynthModality:
     impostor_mean: float = 0.0
     impostor_std: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.genuine_std <= 0 or self.impostor_std <= 0:
             raise ValueError("synthetic score stddevs must be positive")
 
@@ -113,7 +114,7 @@ def _keys(settings, exclude=()) -> dict:
     keys = {}
     for f in fields(settings):
         value = getattr(settings, f.name)
-        if isinstance(value, dict):
+        if isinstance(value, Mapping):
             keys.update({f"{f.name}_{point}": _point for point in value})
         elif f.name not in exclude:
             keys[f.name] = type(value)
@@ -125,7 +126,7 @@ def _apply(settings, values: dict):
     changes = {}
     for f in fields(settings):
         value = getattr(settings, f.name)
-        if isinstance(value, dict):
+        if isinstance(value, Mapping):
             changes[f.name] = {point: values.get(f"{f.name}_{point}", xy)
                                for point, xy in value.items()}
         elif f.name in values:
@@ -149,20 +150,11 @@ _KNOWN = {
 }
 
 
-def _validated(section: str, settings):
-    """settings, once its validate() passes; otherwise ValueError naming
-    the section."""
-    try:
-        settings.validate()
-    except (ValueError, InvalidParams) as exc:
-        raise ValueError(f"[{section}] {exc}") from exc
-    return settings
-
-
 def load_config(path) -> PipelineConfig:
     """Parse an INI config file; malformed INI, unknown sections or keys,
     and values that do not parse raise ValueError (the last two naming the
-    section and key)."""
+    section and key), as do values that their settings type refuses when it
+    is made (naming the section)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -192,10 +184,13 @@ def load_config(path) -> PipelineConfig:
         return parsed
 
     def settings(name, default):
-        return _validated(name, _apply(default, values(name)))
+        parsed = values(name)
+        try:
+            return _apply(default, parsed)
+        except (ValueError, InvalidParams) as exc:
+            raise ValueError(f"[{name}] {exc}") from exc
 
-    gabor = values("gabor")
-    stride = gabor.get("stride", _DEFAULT.stride)
+    stride = values("gabor").get("stride", _DEFAULT.stride)
     if stride < 1:
         raise ValueError(f"[gabor] stride must be at least 1, got {stride}")
     paths = _apply(_DEFAULT.paths, values("paths"))
@@ -205,7 +200,7 @@ def load_config(path) -> PipelineConfig:
         f.name: os.path.join(base_dir, getattr(paths, f.name))
         for f in fields(paths)})
     return PipelineConfig(
-        gabor=_validated("gabor", _apply(_DEFAULT.gabor, gabor)),
+        gabor=settings("gabor", _DEFAULT.gabor),
         stride=stride,
         layout=settings("canonical", _DEFAULT.layout),
         gmm={m: settings(f"gmm_{m}", em) for m, em in _DEFAULT.gmm.items()},

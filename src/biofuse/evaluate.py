@@ -117,7 +117,6 @@ def synth_scores(matchers: dict, n_genuine: int, n_impostor: int,
     out = {}
     for modality in sorted(matchers):
         m = matchers[modality]
-        m.validate()
         genuine = rng.normal(m.genuine_mean, m.genuine_std, n_genuine)
         impostor = rng.normal(m.impostor_mean, m.impostor_std, n_impostor)
         out[modality] = (genuine, impostor)

@@ -38,7 +38,7 @@ class GaborParams:
     sigma: float = 2.0 * math.pi
     kernel_radius: int = 16
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for key in ("num_frequencies", "num_orientations", "kernel_radius"):
             if getattr(self, key) < 1:
                 raise InvalidParams(
@@ -97,7 +97,6 @@ def build_bank(params: GaborParams) -> GaborBank:
     harmonic: rows are y, columns x, and the sum of the taps is zero to
     machine precision. The returned bank holds its GEMM operand too.
     """
-    params.validate()
     t = np.arange(-params.kernel_radius, params.kernel_radius + 1,
                   dtype=np.float64)
     k = params.k_max / params.freq_spacing ** np.arange(

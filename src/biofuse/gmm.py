@@ -103,7 +103,7 @@ class EmConfig:
     seed: int = 0
     restarts: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for key in ("n_components", "max_iters", "restarts"):
             if getattr(self, key) < 1:
                 raise ValueError(
@@ -358,7 +358,7 @@ def _em_run(design: _Design, config: EmConfig, init: GmmModel):
     GmmModel. Each iterate passes those checks by construction: its
     weights are nk / sum(nk), nk >= 0, with a collapsed component
     re-seeded to nk = 1; its variances are floored at cov_floor, which
-    EmConfig.validate keeps at MIN_VARIANCE or above; its means are
+    EmConfig refuses below MIN_VARIANCE when it is made; its means are
     weighted averages of rows that _Design checked. Two faults escape
     this: a responsibility can be NaN (0/0, for an observation at -inf
     under every component), and a variance can overflow (a sum of
@@ -411,7 +411,6 @@ def em_fit(data, config: EmConfig, init: GmmModel | None = None):
     run from `init` when given) and keeps the best final log-likelihood.
     The returned trace is nondecreasing up to 1e-9 slack per step.
     """
-    config.validate()
     x = _as_data(data)
     if x.shape[0] < config.n_components:
         raise TooFewObservations(

@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -73,28 +74,33 @@ class CanonicalLayout:
 
     width: int = 200
     height: int = 220
-    face: dict = field(default_factory=lambda: {
+    face: MappingProxyType = field(default_factory=lambda: {
         "left_eye": (60.0, 70.0),
         "right_eye": (140.0, 70.0),
         "mouth_center": (100.0, 170.0),
     })
-    ear: dict = field(default_factory=lambda: {
+    ear: MappingProxyType = field(default_factory=lambda: {
         "triangular_fossa": (100.0, 60.0),
         "antitragus": (100.0, 160.0),
     })
 
-    def validate(self):
+    def __post_init__(self):
         """The frame is at least 1x1, and each modality's landmark targets
         are finite, pairwise distinct and spread little enough that their
         squared spread about their mean is finite, so a similarity fit
         onto them neither collapses nor overflows. A ValueError names the
-        offending config key."""
+        offending config key. The targets are stored read-only, as (x, y)
+        tuples of the values given, so the checks hold for the layout's
+        whole life."""
         for key in ("width", "height"):
             if getattr(self, key) < 1:
                 raise ValueError(
                     f"{key} must be at least 1, got {getattr(self, key)}")
         for modality in _LABELS:
-            points = self.positions(modality)
+            points = MappingProxyType({
+                label: (x, y) for label, (x, y) in
+                getattr(self, modality).items()})
+            object.__setattr__(self, modality, points)
             keys = [f"{modality}_{label}" for label in points]
             xy = [(float(x), float(y)) for x, y in points.values()]
             for key, (x, y) in zip(keys, xy):
@@ -115,7 +121,7 @@ class CanonicalLayout:
                                  f"{modality} targets: their squared spread "
                                  f"overflows")
 
-    def positions(self, modality: str) -> dict:
+    def positions(self, modality: str) -> MappingProxyType:
         if modality == "face":
             return self.face
         if modality == "ear":
@@ -239,10 +245,8 @@ def geometric_normalize(img: np.ndarray, marks: LandmarkSet,
     crop to the canonical frame.
 
     Bilinear resampling; samples falling outside the source are 0.
-    Output is always exactly (layout.height, layout.width) uint8. A layout
-    that fails its validate() raises that ValueError.
+    Output is always exactly (layout.height, layout.width) uint8.
     """
-    layout.validate()
     a = np.asarray(img)
     if a.ndim != 2:
         raise ValueError("expected a 2D grayscale image")

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from biofuse.cli import main
 from biofuse.config import (FusionSettings, EvalSettings, Paths,
                             PipelineConfig, SynthModality, load_config)
+from biofuse.errors import InvalidParams
 from biofuse.gabor import GaborParams
 from biofuse.gmm import EmConfig
 from biofuse.preprocess import CanonicalLayout
@@ -299,3 +301,42 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
 def test_threshold_above_one_is_legal(tmp_path):
     cfg = load_config(_write(tmp_path, "[fusion]\nthreshold = 1.5\n"))
     assert cfg.fusion.threshold == 1.5
+
+
+@pytest.mark.parametrize("make, error, section, lines, message", [
+    (lambda: GaborParams(num_frequencies=0), InvalidParams, "gabor",
+     "num_frequencies = 0", "num_frequencies must be at least 1, got 0"),
+    (lambda: EmConfig(cov_floor=1e-320), ValueError, "gmm_face",
+     "cov_floor = 1e-320",
+     "cov_floor must be at least 5.56268464626801e-309, the smallest "
+     "variance a mixture holds, got 1e-320"),
+    (lambda: CanonicalLayout(width=0), ValueError, "canonical", "width = 0",
+     "width must be at least 1, got 0"),
+    (lambda: FusionSettings(threshold=math.nan), ValueError, "fusion",
+     "threshold = nan", "threshold must be finite, got nan"),
+    (lambda: EvalSettings(num_thresholds=1), ValueError, "eval",
+     "num_thresholds = 1", "num_thresholds must be at least 2, got 1"),
+    (lambda: SynthModality(genuine_mean=1.0, genuine_std=0.0), ValueError,
+     "synth_face", "genuine_mean = 1.0\ngenuine_std = 0.0",
+     "synthetic score stddevs must be positive"),
+], ids=["gabor", "gmm", "canonical", "fusion", "eval", "synth"])
+def test_settings_refuse_bad_values_when_made(tmp_path, make, error, section,
+                                              lines, message):
+    # built in Python, a settings object refuses what load_config refuses,
+    # with the message that load_config puts the section in front of
+    with pytest.raises(error) as made:
+        make()
+    assert str(made.value) == message
+    with pytest.raises(ValueError) as loaded:
+        load_config(_write(tmp_path, f"[{section}]\n{lines}\n"))
+    assert str(loaded.value) == f"[{section}] {message}"
+
+
+def test_default_layout_targets_are_read_only():
+    # every PipelineConfig() shares one default layout
+    with pytest.raises(TypeError):
+        PipelineConfig().layout.face["left_eye"] = (0.0, 0.0)
+    with pytest.raises(TypeError):
+        PipelineConfig().layout.ear["antitragus"] = (0.0, 0.0)
+    assert PipelineConfig().layout.face["left_eye"] == (60.0, 70.0)
+    assert PipelineConfig().layout.ear["antitragus"] == (100.0, 160.0)

@@ -21,7 +21,6 @@ def default_bank():
 def _build_bank_reference(params):
     """build_bank as it was before the separable build: one 2-D complex
     exp per kernel, over the meshgrid of the support."""
-    params.validate()
     r = params.kernel_radius
     coords = np.arange(-r, r + 1, dtype=np.float64)
     xs, ys = np.meshgrid(coords, coords)  # xs varies along columns

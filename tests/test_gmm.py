@@ -1081,7 +1081,7 @@ class TestModelValidation:
                      np.array([[1.0, 1.0, 1.0], [1.0, variance, 1.0]]))
 
     def test_cov_floor_below_min_variance(self):
-        EmConfig(cov_floor=MIN_VARIANCE).validate()
+        EmConfig(cov_floor=MIN_VARIANCE)
         for floor in (np.nextafter(MIN_VARIANCE, 0.0), 1e-320, 5e-324):
             with pytest.raises(ValueError, match="cov_floor must be at least"):
-                EmConfig(cov_floor=float(floor)).validate()
+                EmConfig(cov_floor=float(floor))

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biofuse.config import PipelineConfig
 from biofuse.errors import DegenerateLandmarks, ManifestError
-from biofuse.pipeline import prep_image
 from biofuse.preprocess import (CanonicalLayout, LandmarkSet, _bilinear,
                                 _inverse_map, _similarity_fit,
                                 geometric_normalize, histogram_equalize,
@@ -132,25 +130,22 @@ class TestGeometricNormalize:
                         "targets: their squared spread overflows"),
     ], ids=["nan", "inf", "overflow"])
     def test_non_finite_layout_is_refused(self, target, message):
-        layout = CanonicalLayout(face={**FACE, "left_eye": target})
-        src = np.zeros((230, 210), dtype=np.uint8)
         with pytest.raises(ValueError, match=re.escape(message)):
-            geometric_normalize(src, LandmarkSet("face", FACE), layout)
+            CanonicalLayout(face={**FACE, "left_eye": target})
 
-    @pytest.mark.parametrize("layout, message", [
-        (CanonicalLayout(width=0), "width must be at least 1, got 0"),
-        (CanonicalLayout(height=-3), "height must be at least 1, got -3"),
-        (CanonicalLayout(face={k: (5.0, 5.0) for k in FACE}),
+    @pytest.mark.parametrize("changes, message", [
+        (dict(width=0), "width must be at least 1, got 0"),
+        (dict(height=-3), "height must be at least 1, got -3"),
+        (dict(face={k: (5.0, 5.0) for k in FACE}),
          "face_left_eye and face_right_eye coincide at 5.0, 5.0"),
-        (CanonicalLayout(ear={**EAR, "antitragus": EAR["triangular_fossa"]}),
+        (dict(ear={**EAR, "antitragus": EAR["triangular_fossa"]}),
          "ear_triangular_fossa and ear_antitragus coincide at 100.0, 60.0"),
     ], ids=["width-0", "height-negative", "face-coincide", "ear-coincide"])
-    def test_library_layout_is_validated(self, layout, message):
-        # a layout that never passed through load_config is checked too
-        src = np.zeros((230, 210), dtype=np.uint8)
-        marks = LandmarkSet("face", FACE)
+    def test_library_layout_is_validated(self, changes, message):
+        # a layout that never passed through load_config is checked too,
+        # when it is made
         with pytest.raises(ValueError, match=re.escape(message)):
-            prep_image(src, marks, PipelineConfig(layout=layout))
+            CanonicalLayout(**changes)
 
     def test_overflowing_fit_is_refused(self):
         # valid targets can still overflow the fit when the source
