@@ -22,19 +22,19 @@ from .gabor import build_bank
 # match_score is unused here; perfbench's tracer tests check this import site
 from .gmm import MODEL_FORMAT_VERSION, match_score  # noqa: F401
 from .pgm import load_pgm, write_pgm
-from .pipeline import (MODALITIES, check_canonical_size, image_observations,
-                       load_artifacts, load_entry_image, prep_image,
-                       probe_score, save_artifacts, train_gallery)
+from .pipeline import (MODALITIES, check_canonical_size, entry_image,
+                       image_observations, load_artifacts, probe_score,
+                       save_artifacts, train_gallery)
 from .preprocess import load_manifest
 
 
 def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
     """Normalize every manifest image to the canonical frame and write the
-    results plus an updated manifest (landmarks moved to their canonical
-    positions, so the warp of a re-run on the output is an identity map;
-    its histogram equalization is not, so such a re-run changes the
-    images). A prep that fails leaves every file in out_dir as it found
-    it."""
+    results plus an updated manifest: landmarks moved to their canonical
+    positions, and each record marked "prepped": true. A record already
+    marked is copied, not prepped again (pipeline.entry_image), so a
+    re-run on the output writes the same pixels. A prep that fails leaves
+    every file in out_dir as it found it."""
     entries = load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     records = []
@@ -55,8 +55,7 @@ def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
         claim(manifest_out)
         for i, entry in enumerate(entries):
             try:
-                img = load_entry_image(entry)
-                prepped = prep_image(img, entry.landmarks, config)
+                prepped = entry_image(entry, config)
             except ManifestError:
                 raise
             except (BiofuseError, ValueError) as exc:
@@ -75,6 +74,7 @@ def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
                 "session": entry.session,
                 "landmarks": {k: [v[0], v[1]]
                               for k, v in canonical.items()},
+                "prepped": True,
             })
         write_json(manifest_out, records)
     except BaseException:
@@ -95,17 +95,11 @@ def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
 
 def cmd_train(config: PipelineConfig, manifest_path) -> int:
     """Fit client and background mixtures from session-1 (gallery) images
-    of a prepped manifest and persist them with the per-modality stats.
-    Every modality is trained before anything is written, so a failure
-    to train leaves model_dir as it was."""
-    entries = load_manifest(manifest_path)
-
-    def image_for(entry):
-        return check_canonical_size(
-            load_entry_image(entry), config,
-            f"{entry.modality} gallery image {entry.image_path}")
-
-    trained = train_gallery(entries, config, image_for,
+    of a manifest, raw or `prep`'s output (pipeline.entry_image), and
+    persist them with the per-modality stats. Every modality is trained
+    before anything is written, so a failure to train leaves model_dir as
+    it was."""
+    trained = train_gallery(load_manifest(manifest_path), config,
                             build_bank(config.gabor))
     save_artifacts(config.paths.model_dir, trained, config)
     for modality, artifacts in trained.items():
@@ -197,11 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prep", help="normalize manifest images")
-    p.add_argument("--manifest", help="raw dataset manifest (JSON)")
+    p.add_argument("--manifest", help="dataset manifest (JSON); records "
+                                      "an earlier prep marked are copied")
     p.add_argument("--out-dir", help="directory for prepped images")
 
     p = sub.add_parser("train", help="fit client + background models")
-    p.add_argument("--manifest", help="prepped dataset manifest (JSON)")
+    p.add_argument("--manifest", help="dataset manifest (JSON), raw or "
+                                      "prep's output")
 
     p = sub.add_parser("verify", help="verify one identity claim")
     p.add_argument("--face", required=True, help="prepped face probe (PGM)")
@@ -209,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", required=True, help="claimed subject id")
 
     p = sub.add_parser("eval", help="full image experiment")
-    p.add_argument("--manifest", help="raw dataset manifest (JSON)")
+    p.add_argument("--manifest", help="dataset manifest (JSON), raw or "
+                                      "prep's output")
 
     sub.add_parser("synth-eval", help="synthetic-matcher experiment")
     return parser

@@ -23,9 +23,9 @@ from .config import PipelineConfig
 from .dempster import CONFLICT_EPS
 from .errors import DegenerateCalibration, EmptyScoreList
 from .gabor import build_bank
-from .pipeline import (MODALITIES, check_protocol, image_observations,
-                       load_entry_image, prep_image, probe_score,
-                       split_by_session, train_gallery)
+from .pipeline import (MODALITIES, check_protocol, entry_image,
+                       image_observations, probe_score, split_by_session,
+                       train_gallery)
 from .preprocess import load_manifest
 
 
@@ -253,8 +253,10 @@ def run_image_experiment(manifest_path, config: PipelineConfig):
 
     Session 1 trains and calibrates; session-2 probes claim every identity
     (their own -> genuine trial, each other -> impostor trial). Every image
-    is prepped and its observations computed in memory; nothing is cached,
-    and each probe is scored as soon as its observations are computed.
+    is read through pipeline.entry_image, so a record `prep` marked is
+    used as it is and any other is prepped, and its observations are
+    computed in memory; nothing is cached, and each probe is scored as
+    soon as its observations are computed.
     A modality whose models in config.paths.model_dir were fitted from this
     same gallery and settings is served from there instead of trained
     again (see pipeline.train_gallery); model_dir is only read.
@@ -268,11 +270,7 @@ def run_image_experiment(manifest_path, config: PipelineConfig):
     _, probes = split_by_session(entries)
 
     bank = build_bank(config.gabor)
-
-    def image_for(entry):
-        return prep_image(load_entry_image(entry), entry.landmarks, config)
-
-    artifacts = train_gallery(entries, config, image_for, bank,
+    artifacts = train_gallery(entries, config, bank,
                               model_dir=config.paths.model_dir)
     probe_of = {(entry.subject_id, entry.modality): entry for entry in probes}
 
@@ -280,7 +278,8 @@ def run_image_experiment(manifest_path, config: PipelineConfig):
     # sorted subjects, so the genuine trials are the diagonal
     trials = {modality: np.concatenate([
         probe_score(artifacts[modality], image_observations(
-            image_for(probe_of[true_sid, modality]), bank, config))
+            entry_image(probe_of[true_sid, modality], config), bank,
+            config))
         for true_sid in subjects]) for modality in MODALITIES}
     trials["fusion"] = fused_genuine_mass(
         trials["face"], trials["ear"], artifacts["face"].calibration,

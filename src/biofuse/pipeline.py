@@ -97,6 +97,19 @@ def load_entry_image(entry) -> np.ndarray:
         raise ManifestError(f"missing image file {entry.image_path}") from exc
 
 
+def entry_image(entry, config: PipelineConfig) -> np.ndarray:
+    """The prepped image of one manifest record. A record that `prep`
+    marked (entry.prepped) holds it already: its image is used as it is,
+    once check_canonical_size passes it. Any other record's image is
+    prepped on its landmarks. Nothing else decides whether a record is
+    prepped; its image's size and landmarks are never read as a sign."""
+    img = load_entry_image(entry)
+    if entry.prepped:
+        return check_canonical_size(
+            img, config, f"{entry.modality} image {entry.image_path}")
+    return prep_image(img, entry.landmarks, config)
+
+
 def split_by_session(entries):
     """(gallery, probes) = session-1 and session-2 manifest entries."""
     gallery = [e for e in entries if e.session == 1]
@@ -233,16 +246,17 @@ def _observation_block(images, bank, config: PipelineConfig) -> np.ndarray:
     return block
 
 
-def train_gallery(entries, config: PipelineConfig, image_for, bank,
+def train_gallery(entries, config: PipelineConfig, bank,
                   model_dir=None) -> dict:
     """{modality: ModalityArtifacts} trained from the session-1 (gallery)
     entries.
 
-    image_for(entry) returns the entry's prepped image; each image is loaded
-    once, for the fingerprint and for its observations, which are computed in
-    memory and never cached. Both read the gallery by subject in sorted-id
-    order, manifest order within a subject, so reordering the manifest across
-    subjects changes neither. Every subject in entries needs gallery images
+    Each entry's prepped image comes from entry_image, so a raw manifest
+    and `prep`'s output of it train the same models; each image is loaded
+    once, for the fingerprint and for its observations, which are computed
+    in memory and never cached. Both read the gallery by subject in
+    sorted-id order, manifest order within a subject, so reordering the
+    manifest across subjects changes neither. Every subject in entries needs gallery images
     of every modality. With model_dir, a modality whose stored artifacts
     carry this gallery's fingerprint is served from there and not fitted;
     whatever load_artifacts refuses, and any stored file of another gallery,
@@ -254,7 +268,7 @@ def train_gallery(entries, config: PipelineConfig, image_for, bank,
         raise ManifestError("no gallery (session 1) images to train on")
     trained = {}
     for modality in MODALITIES:
-        images = [(entry, image_for(entry)) for entry in gallery
+        images = [(entry, entry_image(entry, config)) for entry in gallery
                   if entry.modality == modality]
         images.sort(key=lambda pair: pair[0].subject_id)  # stable
         runs = Counter(entry.subject_id for entry, _ in images)
@@ -325,9 +339,9 @@ def save_artifacts(model_dir, trained: dict, config: PipelineConfig) -> None:
     when its fingerprint matches), so every old one goes first, with the
     model files it lists of subjects that the new artifacts do not have,
     and each new one is written last: a write that fails midway leaves no
-    stats file. Artifacts without a fingerprint (train_modality's own) are
-    refused before anything is touched: load_artifacts would refuse their
-    stats."""
+    stats file. Artifacts without a fingerprint (a ModalityArtifacts made
+    without one, whose fingerprint defaults to None) are refused before
+    anything is touched: load_artifacts would refuse their stats."""
     for modality, artifacts in trained.items():
         if not isinstance(artifacts.fingerprint, str):
             raise ValueError(f"{modality} artifacts carry no gallery "

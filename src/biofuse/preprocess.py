@@ -301,16 +301,20 @@ class ManifestEntry:
     subject_id: str
     session: int
     landmarks: LandmarkSet
+    prepped: bool = False  # the record's image is `prep`'s output
 
 
 def load_manifest(path) -> list:
     """Parse a dataset manifest: a JSON array of records
-    {image_path, modality, subject_id, session, landmarks: {label: [x, y]}}.
+    {image_path, modality, subject_id, session, landmarks: {label: [x, y]}}
+    with an optional "prepped": true, which `prep` writes into each record
+    it emits (absent reads as false).
 
     Raises ManifestError naming the offending record on any defect,
     including a session other than the integer 1 (gallery) or 2 (probe),
     a subject id that is neither a string nor an integer (an integer
-    becomes its decimal string) and one that check_subject_id refuses.
+    becomes its decimal string), one that check_subject_id refuses and a
+    prepped value that is not a JSON bool.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -369,11 +373,16 @@ def load_manifest(path) -> list:
             check_subject_id(subject_id)
         except BiofuseError as exc:
             raise ManifestError(f"{where}: {exc}") from None
+        prepped = rec.get("prepped", False)
+        if type(prepped) is not bool:
+            raise ManifestError(f"{where}: prepped must be true or false, "
+                                f"got {prepped!r}")
         entries.append(ManifestEntry(
             image_path=str(image_path),
             modality=modality,
             subject_id=subject_id,
             session=session,
             landmarks=LandmarkSet(modality, points),
+            prepped=prepped,
         ))
     return entries

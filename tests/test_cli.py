@@ -51,8 +51,9 @@ class TestPrep:
             img = load_pgm(rec["image_path"])
             assert img.shape == (220, 200)
 
-    def test_idempotent_within_one_level(self, trained, tmp_path):
-        # prep of its own output (identity landmarks) drifts <= 1 level
+    def test_reprep_copies_the_pixels(self, trained, tmp_path):
+        # prep of its own output, whose records it marked, preps nothing
+        # again: the same PGM bytes and the same records but for the path
         cfg = trained["config"]
         second = str(tmp_path / "prep2")
         assert main(["--config", cfg, "prep",
@@ -60,10 +61,12 @@ class TestPrep:
                      "--out-dir", second]) == 0
         first = json.loads(Path(trained["prepped_manifest"]).read_text())
         again = json.loads(Path(second, "manifest.json").read_text())
+        assert len(again) == len(first)
         for a, b in zip(first, again):
-            img_a = load_pgm(a["image_path"]).astype(int)
-            img_b = load_pgm(b["image_path"]).astype(int)
-            assert np.max(np.abs(img_a - img_b)) <= 1
+            assert a["prepped"] is True
+            assert Path(b["image_path"]).read_bytes() == \
+                Path(a["image_path"]).read_bytes()
+            assert {**b, "image_path": None} == {**a, "image_path": None}
 
     def test_missing_landmark_label_exits_2(self, trained, toy_corpus,
                                             tmp_path, capsys):

@@ -249,10 +249,11 @@ def test_gallery_block_fits_as_the_per_image_matrices_did(monkeypatch):
         scored.append(np.array(obs))
         return score(self, obs)
 
+    monkeypatch.setattr(pipeline, "entry_image",
+                        lambda e, config: images[e.image_path])
     with monkeypatch.context() as patch:
         patch.setattr(MixtureStack, "mean_log_likelihoods", recording)
-        trained = train_gallery(entries, CONFIG,
-                                lambda e: images[e.image_path], BANK)
+        trained = train_gallery(entries, CONFIG, BANK)
     assert len(scored) == 12
     for modality, calibrated in zip(MODALITIES, (scored[:6], scored[6:])):
         scaler, background, clients, matrices = _vstack_route(
@@ -282,10 +283,10 @@ def test_gallery_is_standardized_once_per_modality_trained(
 
     def train():
         shapes.clear()
-        return train_gallery(entries, CONFIG,
-                             lambda e: images[e.image_path], BANK,
-                             model_dir=str(tmp_path))
+        return train_gallery(entries, CONFIG, BANK, model_dir=str(tmp_path))
 
+    monkeypatch.setattr(pipeline, "entry_image",
+                        lambda e, config: images[e.image_path])
     monkeypatch.setattr(ChannelScaler, "transform", counting)
     trained = train()  # nothing stored: both modalities are fitted
     # once each, as the (6 images, n, dim) block

@@ -352,6 +352,26 @@ class TestManifest:
                 f"got {session!r}")):
             load_manifest(path)
 
+    @pytest.mark.parametrize("prepped", [1, 0, "true", None, []],
+                             ids=["one", "zero", "string", "null", "list"])
+    def test_prepped_other_than_a_bool(self, tmp_path, prepped):
+        # 1 and 0 compare equal to true and false, so the type is checked
+        good = {"image_path": "a.pgm", "modality": "ear", "subject_id": "s",
+                "session": 2, "landmarks": EAR, "prepped": True}
+        path = self._write(tmp_path, [good, {**good, "image_path": "b.pgm",
+                                             "prepped": prepped}])
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest record 1 (b.pgm): prepped must be true or "
+                f"false, got {prepped!r}")):
+            load_manifest(path)
+
+    def test_prepped_reads_as_given_and_absent_as_false(self, tmp_path):
+        good = {"image_path": "a.pgm", "modality": "ear", "subject_id": "s",
+                "session": 2, "landmarks": EAR}
+        entries = load_manifest(self._write(tmp_path, [
+            good, {**good, "prepped": True}, {**good, "prepped": False}]))
+        assert [e.prepped for e in entries] == [False, True, False]
+
     @pytest.mark.parametrize("subject_id", [None, True, 1.5, [1, 2],
                                             {"a": 1}],
                              ids=["null", "true", "float", "list", "object"])

@@ -86,7 +86,9 @@ def base(tmp_path_factory, toy_corpus):
         outputs, trained = _eval(cfg, os.path.join(work, "models"), patch)
     assert trained == []
     return {"outputs": outputs, "model_dir": os.path.join(work, "models"),
-            "manifest": toy_corpus["manifest"]}
+            "manifest": toy_corpus["manifest"],
+            "prepped_manifest": os.path.join(work, "prepped",
+                                             "manifest.json")}
 
 
 def _stale_eval(tmp_path, base, monkeypatch, manifest=None, sections=BASE,
@@ -114,6 +116,34 @@ def test_eval_leaves_model_dir_byte_identical(base, tmp_path, monkeypatch,
     _, trained = _stale_eval(tmp_path, base, monkeypatch, seed=seed)
     assert trained == ([] if path == "reuse" else ["face", "ear"])
     assert _files(base["model_dir"]) == before
+
+
+def test_eval_of_preps_manifest_reuses_the_models_and_preps_nothing(
+        base, tmp_path, monkeypatch):
+    # prep marked its records, so eval reads their images as they are
+    prepped = []
+    prep = pipeline.prep_image
+
+    def counting(*args, **kwargs):
+        prepped.append(args)
+        return prep(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "prep_image", counting)
+    outputs, trained = _stale_eval(tmp_path, base, monkeypatch,
+                                   manifest=base["prepped_manifest"])
+    assert trained == []
+    assert prepped == []
+    assert outputs == base["outputs"]
+
+
+def test_train_of_the_raw_manifest_writes_the_models_of_preps(base,
+                                                              tmp_path):
+    # the raw records are prepped in memory, so the models are those that
+    # train of prep's manifest wrote, byte for byte
+    cfg = _config(str(tmp_path), base["manifest"])
+    assert main(["--config", cfg, "train", "--manifest",
+                 base["manifest"]]) == 0
+    assert _files(tmp_path / "models") == _files(base["model_dir"])
 
 
 def test_changed_seed_retrains(base, tmp_path, monkeypatch):
