@@ -18,6 +18,8 @@ at S = 16). Rows:
 - prep_image.image: the prep of subject 0's face image, on its landmarks
   moved by a seeded jitter of up to JITTER px (the corpus's landmarks are
   canonical, so their warp is an identity map); n is its pixel count
+- build_bank.bank: the Gabor bank of the config, which `verify` builds
+  once per claim; n is its kernel count (40)
 - sampled_responses.image: the observations of that prepped image
 - lloyd_iter.{client,background}: one Lloyd iteration of kmeans_init,
   from its k-means++ centres
@@ -144,6 +146,8 @@ def time_layers(n_subjects=16, repeats=30):
         "prep_image.image": dict(
             n=prepped[0].size,
             **timed(lambda: prep_image(raw, marks, config))),
+        "build_bank.bank": dict(
+            n=len(bank), **timed(lambda: build_bank(config.gabor))),
         "sampled_responses.image": dict(
             n=block.shape[1],
             **timed(lambda: sampled_responses(prepped[0], bank,

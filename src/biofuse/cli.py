@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .atomic import move_aside, write_atomic, write_json
 from .config import PipelineConfig, load_config
-from .errors import BiofuseError, ManifestError
+from .errors import BiofuseError
 from .evaluate import (fused_genuine_mass, run_fusion_experiment,
                        run_image_experiment)
 from .gabor import build_bank
@@ -56,11 +56,9 @@ def cmd_prep(config: PipelineConfig, manifest_path, out_dir) -> int:
         for i, entry in enumerate(entries):
             try:
                 prepped = entry_image(entry, config)
-            except ManifestError:
-                raise
             except (BiofuseError, ValueError) as exc:
-                raise type(exc)(f"manifest record {i} ({entry.image_path}): "
-                                f"{exc}") from exc
+                # entry_image's message names the image file
+                raise type(exc)(f"manifest record {i}: {exc}") from exc
             name = (f"{i:04d}_{entry.subject_id}_{entry.modality}"
                     f"_s{entry.session}.pgm")
             out_path = os.path.join(out_dir, name)

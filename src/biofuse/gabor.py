@@ -11,9 +11,10 @@ Each kernel is a Gaussian-enveloped complex harmonic with the envelope-
 weighted mean of the harmonic subtracted, so the kernel has exactly zero
 response to a constant image. Envelope and harmonic both factor into an
 x-factor times a y-factor, so build_bank samples 1-D factors and forms
-each kernel's taps from their outer products. The bank it returns also
-holds the GEMM operand sampled_responses multiplies by, built once per
-bank rather than once per image.
+each kernel's taps from their outer products, in place. The bank it
+returns also holds the GEMM operand sampled_responses multiplies by,
+built once per bank rather than once per image. Both routes take a
+response's magnitude with numpy's complex abs.
 """
 
 import math
@@ -60,16 +61,16 @@ class GaborKernel:
 
 
 def _gemm_operand(kernels) -> np.ndarray:
-    """The (kh*kw, 2K) real operand [Re | Im] of sampled_responses' GEMM:
-    column c holds kernel c's taps, flipped and raveled. All kernels must
-    have taps of one shape."""
+    """The (kh*kw, 2K) real operand of sampled_responses' GEMM: the
+    complex128 (kh*kw, K) array whose column c holds kernel c's taps,
+    flipped and raveled, viewed as float64, so columns 2c and 2c + 1 are
+    kernel c's Re and Im. All kernels must have taps of one shape."""
     shapes = {kernel.taps.shape for kernel in kernels}
     if len(shapes) != 1:
         raise ValueError(f"kernel taps differ in shape: {sorted(shapes)}")
     flipped = np.stack([kernel.taps for kernel in kernels])[:, ::-1, ::-1]
-    flipped = flipped.reshape(len(kernels), -1)
     return np.ascontiguousarray(
-        np.concatenate([flipped.real, flipped.imag]).T)
+        flipped.reshape(len(kernels), -1).T).view(np.float64)
 
 
 class GaborBank(tuple):
@@ -111,9 +112,12 @@ def build_bank(params: GaborParams) -> GaborBank:
     total = g.sum(axis=1)[:, None]
     dc = hy.sum(axis=2) * hx.sum(axis=2) / (total * total)
     envelope = g[:, :, None] * g[:, None, :]
-    taps = (k * k / params.sigma ** 2)[:, None, None, None] * (
-        hy[..., :, None] * hx[..., None, :]
-        - dc[..., None, None] * envelope[:, None])
+    # in place, with the docstring expression's operations in its order,
+    # so the taps are its bits without its three temporaries
+    taps = hy[..., :, None] * hx[..., None, :]
+    taps -= dc[..., None, None] * envelope[:, None]
+    np.multiply((k * k / params.sigma ** 2)[:, None, None, None], taps,
+                out=taps)
     taps.flags.writeable = False
     return GaborBank(GaborKernel(nu, mu, taps[nu, mu])
                      for nu in range(params.num_frequencies)
@@ -232,9 +236,11 @@ def sampled_responses(img: np.ndarray, bank, stride: int) -> np.ndarray:
     float rounding: the same symmetric padding, the same observation
     count, row-major.
     Each grid point's window of the padded image is dotted with the flipped
-    taps in one real GEMM against [Re | Im], taken in blocks of grid rows:
-    a GaborBank's own operand, or one built for this call from any other
-    sequence of kernels, which must all have taps of one shape.
+    taps in one real GEMM, taken in blocks of grid rows, against an operand
+    whose columns hold each kernel's Re and Im side by side: a GaborBank's
+    own, or one built for this call from any other sequence of kernels,
+    which must all have taps of one shape. Each product row is then read
+    as K complex responses, and numpy's complex abs gives the magnitudes.
     """
     if not bank:
         raise EmptyBank("no kernels to convolve with")
@@ -258,8 +264,8 @@ def sampled_responses(img: np.ndarray, bank, stride: int) -> np.ndarray:
     for top in range(0, grid_h, rows):
         block = windows[top:top + rows].reshape(-1, kh * kw)
         resp = block @ taps
-        np.hypot(resp[:, :k], resp[:, k:],
-                 out=out[top:top + rows].reshape(-1, k))
+        np.abs(resp.view(np.complex128),
+               out=out[top:top + rows].reshape(-1, k))
     return out.reshape(-1, k)
 
 

@@ -40,7 +40,7 @@ from .preprocess import (BACKGROUND_ID, check_subject_id,
 
 MODALITIES = ("face", "ear")
 STATS_FORMAT_VERSION = 4
-FEATURE_VERSION = 3  # bump when the observation arithmetic changes
+FEATURE_VERSION = 4  # bump when the observation arithmetic changes
 
 
 def prep_image(img: np.ndarray, marks, config: PipelineConfig) -> np.ndarray:
@@ -102,12 +102,18 @@ def entry_image(entry, config: PipelineConfig) -> np.ndarray:
     marked (entry.prepped) holds it already: its image is used as it is,
     once check_canonical_size passes it. Any other record's image is
     prepped on its landmarks. Nothing else decides whether a record is
-    prepped; its image's size and landmarks are never read as a sign."""
-    img = load_entry_image(entry)
-    if entry.prepped:
-        return check_canonical_size(
-            img, config, f"{entry.modality} image {entry.image_path}")
-    return prep_image(img, entry.landmarks, config)
+    prepped; its image's size and landmarks are never read as a sign.
+    Every error names the image file, once."""
+    what = f"{entry.modality} image {entry.image_path}"
+    try:
+        img = load_entry_image(entry)
+        if not entry.prepped:
+            return prep_image(img, entry.landmarks, config)
+    except ManifestError:
+        raise  # a missing file, named already
+    except (BiofuseError, ValueError) as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
+    return check_canonical_size(img, config, what)
 
 
 def split_by_session(entries):

@@ -21,11 +21,12 @@ def test_layers_runs_at_the_smallest_size(tmp_path):
     assert set(doc["layers"]) == {
         f"{name}.{size}" for name in ("lloyd_iter", "e_step", "m_step")
         for size in ("client", "background")} | {
-        "em_fit.client", "prep_image.image", "sampled_responses.image",
+        "em_fit.client", "prep_image.image", "build_bank.bank",
+        "sampled_responses.image",
         "write_json.model_file", "load_model.model_file",
         "mixture_stack.image", "fused_genuine_mass.trials",
         "compute_roc.curve", "to_csv.curve"}
-    sizes = {"prep_image.image": 220 * 200,
+    sizes = {"prep_image.image": 220 * 200, "build_bank.bank": 40,
              "fused_genuine_mass.trials": 10000 + 10000,
              "compute_roc.curve": 10001, "to_csv.curve": 10001}
     model_file = doc["layers"]["write_json.model_file"]["n"]

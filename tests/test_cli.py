@@ -27,6 +27,18 @@ def _write_config(path, corpus_root, manifest, workdir, extra=""):
     return str(path)
 
 
+def _ear_landmark_outside(toy_corpus, tmp_path, session):
+    """The toy manifest with the antitragus of the first ear record of a
+    session outside its image; (manifest path, that record's image)."""
+    records = [dict(r) for r in toy_corpus["records"]]
+    rec = next(r for r in records
+               if (r["modality"], r["session"]) == ("ear", session))
+    rec["landmarks"] = {**rec["landmarks"], "antitragus": [100.0, 500.0]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(records))
+    return str(bad), rec["image_path"]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, toy_corpus):
     """Prep + train once; several tests read the results."""
@@ -93,9 +105,10 @@ class TestPrep:
         argv = ["--config", trained["config"], "prep",
                 "--manifest", str(bad), "--out-dir", str(out_dir)]
         assert main(argv) == 2
-        assert (f"error: manifest record {i} ({records[i]['image_path']}): "
-                f"landmark antitragus at (100.0, 500.0) outside 200x220 "
-                f"image") in capsys.readouterr().err
+        assert (f"error: manifest record {i}: ear image "
+                f"{records[i]['image_path']}: landmark antitragus at "
+                f"(100.0, 500.0) outside 200x220 image\n"
+                ) == capsys.readouterr().err
         # the records before i were prepped; their images are taken back
         assert i > 0
         assert os.listdir(out_dir) == []
@@ -142,8 +155,9 @@ class TestPrep:
         records, bad = self._bob_as_record_0(toy_corpus, tmp_path, True)
         assert main(["--config", trained["config"], "prep",
                      "--manifest", bad, "--out-dir", str(out_dir)]) == 2
-        assert (f"error: manifest record 2 ({records[2]['image_path']}): "
-                f"landmark antitragus") in capsys.readouterr().err
+        assert (f"error: manifest record 2: ear image "
+                f"{records[2]['image_path']}: landmark antitragus"
+                ) in capsys.readouterr().err
         assert self._digests(out_dir) == before
 
     def test_reprep_leaves_no_aside_files(self, trained, toy_corpus,
@@ -238,7 +252,7 @@ class TestTrain:
                           "k_max": math.pi / 2.0,
                           "freq_spacing": math.sqrt(2.0),
                           "sigma": 2.0 * math.pi, "kernel_radius": 16},
-                "stride": 10, "feature_version": 3}
+                "stride": 10, "feature_version": 4}
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_invalid_stride_exits_2(self, trained, toy_corpus, tmp_path,
@@ -326,24 +340,43 @@ class TestTrain:
         assert "trained" not in captured.out
         assert f"manifest {bad} is not valid UTF-8" in captured.err
 
+    def test_record_that_fails_to_prep_names_the_image(
+            self, toy_corpus, tmp_path, capsys):
+        bad, image = _ear_landmark_outside(toy_corpus, tmp_path, 1)
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"], bad,
+                            tmp_path)
+        assert main(["--config", cfg, "train"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ear image {image}: landmark antitragus at "
+            f"(100.0, 500.0) outside 200x220 image\n")
+        assert not (tmp_path / "models").exists()
+
     @pytest.mark.parametrize("cov_floor", ["1e-300", "1e-4"])
     def test_collapsed_client_fit_exits_2_naming_the_subject(
             self, trained, toy_corpus, tmp_path, capsys, monkeypatch,
             cov_floor):
         # bob's face gallery observations are 220 copies each of two
         # points; at cov_floor 1e-300 every restart of his client fit
-        # collapses, while alice's and the background fit succeed
-        bob_face = next(
-            load_pgm(rec["image_path"]) for rec in
+        # collapses, while alice's and the background fit succeed.
+        # alice's are fixed too: the scaler is fitted on both, so with her
+        # real features the outcome would rest on their last bits
+        gallery = {
+            rec["subject_id"]: load_pgm(rec["image_path"]) for rec in
             json.loads(Path(trained["prepped_manifest"]).read_text())
-            if (rec["subject_id"], rec["modality"], rec["session"])
-            == ("bob", "face", 1))
-        two_points = np.repeat([np.zeros(40), np.ones(40)], 220, axis=0)
+            if (rec["modality"], rec["session"]) == ("face", 1)}
+        fixed = [
+            (gallery["bob"],
+             np.repeat([np.zeros(40), np.ones(40)], 220, axis=0)),
+            (gallery["alice"],
+             np.random.default_rng(1).exponential(size=(440, 40)))]
         real = pipeline.image_observations
 
         def observations(img, *args, **kwargs):
-            if np.array_equal(img, bob_face):
-                return two_points
+            for face, obs in fixed:
+                if np.array_equal(img, face):
+                    return obs
             return real(img, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "image_observations", observations)
@@ -931,6 +964,20 @@ class TestEval:
                              for n in ("report.csv", "roc_face.csv",
                                        "roc_ear.csv", "roc_fusion.csv")}
         assert outputs["broken"] == outputs["intact"]
+
+    def test_probe_that_fails_to_prep_names_the_image(
+            self, trained, toy_corpus, tmp_path, capsys):
+        bad, image = _ear_landmark_outside(toy_corpus, tmp_path, 2)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[paths]\nmodel_dir = {trained['model_dir']}\n"
+                       f"output_dir = {tmp_path}/out\n")
+        assert main(["--config", str(cfg), "eval", "--manifest", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ear image {image}: landmark antitragus at "
+            f"(100.0, 500.0) outside 200x220 image\n")
+        assert not (tmp_path / "out" / "report.csv").exists()
 
     def test_unwritable_output_dir_exits_2(self, toy_corpus, tmp_path):
         blocker = tmp_path / "blocker"
