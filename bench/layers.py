@@ -18,6 +18,13 @@ at S = 16). Rows:
 - prep_image.image: the prep of subject 0's face image, on its landmarks
   moved by a seeded jitter of up to JITTER px (the corpus's landmarks are
   canonical, so their warp is an identity map); n is its pixel count
+- load_config.file: reading a perfbench-style INI (perfbench/workloads
+  .write_config), as `verify` does once per claim; n is the file's size
+  in bytes
+- load_artifacts.modality: loading one modality's claimed (subject 0)
+  and background models, and their stats, from the files save_artifacts
+  wrote of the face models below, as `verify` does for each modality; n
+  is the model count (2)
 - build_bank.bank: the Gabor bank of the config, which `verify` builds
   once per claim; n is its kernel count (40)
 - sampled_responses.image: the observations of that prepped image
@@ -56,6 +63,7 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the corpus, probe, jitter, k-means and synthetic-draw seed of every row
@@ -114,17 +122,22 @@ def time_layers(n_subjects=16, repeats=30):
 
     from biofuse import gmm
     from biofuse.atomic import write_json
+    from biofuse.config import load_config
     from biofuse.evaluate import compute_roc, fused_genuine_mass, synth_scores
     from biofuse.gabor import build_bank, sampled_responses
-    from biofuse.pipeline import prep_image, train_modality
+    from biofuse.pipeline import (load_artifacts, prep_image, save_artifacts,
+                                  train_modality)
+    from workloads import write_config
 
     faces, (probe, probe_entry), config = gallery_faces(n_subjects)
     bank = build_bank(config.gabor)
     prepped = [prep_image(img, e.landmarks, config) for img, e in faces]
     gallery = np.stack([sampled_responses(img, bank, config.stride)
                         for img in prepped])
+    # any fingerprint string lets save_artifacts write these models
     artifacts = train_modality(
-        "face", gallery, {e.subject_id: 1 for _, e in faces}, config, None)
+        "face", gallery, {e.subject_id: 1 for _, e in faces}, config,
+        "layers")
     block = artifacts.scaler.transform(gallery)
     del gallery
     em = config.gmm["face"]
@@ -176,6 +189,21 @@ def time_layers(n_subjects=16, repeats=30):
             n=size, **timed(lambda: write_json(path, doc)))
         rows["load_model.model_file"] = dict(
             n=size, **timed(lambda: gmm.load_model(path)))
+
+        models = os.path.join(root, "models")
+        ini = write_config(os.path.join(root, "biofuse.ini"),
+                           os.path.join(root, "manifest.json"), models,
+                           os.path.join(root, "out"))
+        rows["load_config.file"] = dict(
+            n=os.path.getsize(ini), **timed(lambda: load_config(ini)))
+        # a one-image gallery (S = 1) calibrates to one point, which
+        # load_artifacts refuses; the files it reads are alike for any bounds
+        lo, hi = artifacts.calibration
+        save_artifacts(models, {"face": replace(
+            artifacts, calibration=(lo, max(hi, lo + 1.0)))}, config)
+        rows["load_artifacts.modality"] = dict(
+            n=2, **timed(lambda: load_artifacts(
+                models, "face", [entry.subject_id], config)))
 
     scaled = artifacts.scaler.transform(sampled_responses(
         prep_image(probe, probe_entry.landmarks, config), bank,

@@ -17,7 +17,7 @@ from .dempster import (Frame, FusionDecision, MassFunction, belief,
 from .evaluate import (ErrorReport, RocCurve, compute_roc, eer,
                        run_fusion_experiment, run_image_experiment,
                        synth_scores)
-from .gabor import (ChannelScaler, GaborKernel, GaborParams, ObservationSet,
+from .gabor import (ChannelScaler, GaborBank, GaborParams, ObservationSet,
                     build_bank, convolve, downsample, sampled_responses)
 from .gmm import (EmConfig, GmmModel, em_fit, kmeans_init, log_likelihood,
                   log_likelihood_many, match_score, responsibilities)
@@ -30,7 +30,7 @@ __all__ = [
     "combine_dempster", "decide", "discount", "plausibility", "vacuous",
     "ErrorReport", "RocCurve", "compute_roc", "eer",
     "run_fusion_experiment", "run_image_experiment", "synth_scores",
-    "ChannelScaler", "GaborKernel", "GaborParams", "ObservationSet",
+    "ChannelScaler", "GaborBank", "GaborParams", "ObservationSet",
     "build_bank", "convolve", "downsample", "sampled_responses",
     "EmConfig", "GmmModel", "em_fit", "kmeans_init", "log_likelihood",
     "log_likelihood_many", "match_score", "responsibilities",

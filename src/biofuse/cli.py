@@ -109,16 +109,20 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
 def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
     """Score one prepped face/ear probe pair against a claimed identity.
     Both modalities' models are loaded, and refused when they cannot serve
-    config, before either probe is read. The probes' observations are
-    cached under <output_dir>/cache."""
+    config, before either probe is read, and a probe's error names it. The
+    probes' observations are cached under <output_dir>/cache."""
     artifacts = {modality: load_artifacts(config.paths.model_dir, modality,
                                           [claimed_id], config)
                  for modality in MODALITIES}
     bank = build_bank(config.gabor)
     scores = {}
     for modality, path in (("face", face_path), ("ear", ear_path)):
-        img = check_canonical_size(load_pgm(path), config,
-                                   f"{modality} probe {path}")
+        what = f"{modality} probe {path}"
+        try:
+            img = load_pgm(path)
+        except (BiofuseError, ValueError) as exc:
+            raise type(exc)(f"{what}: {exc}") from exc
+        img = check_canonical_size(img, config, what)
         obs = image_observations(
             img, bank, config,
             cache_dir=os.path.join(config.paths.output_dir, "cache"))

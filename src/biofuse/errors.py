@@ -36,7 +36,7 @@ class InvalidParams(BiofuseError):
 
 
 class EmptyBank(BiofuseError):
-    """Convolution was asked to run with no kernels."""
+    """A Gabor bank was made with no taps."""
 
 
 # --- mixture models ---

@@ -47,7 +47,7 @@ class RocCurve:
         comma ends a row (orjson writes no comma inside a number). Only
         when some value is another one (a NaN, an infinity, or a
         magnitude that repr writes with an exponent) are the rows holding
-        one written again with repr."""
+        one written again with repr, spliced in between the row ends."""
         rows = np.column_stack((self.thresholds, self.far, self.frr)
                                ).astype(np.float64, copy=False)
         if not len(rows):
@@ -61,12 +61,19 @@ class RocCurve:
         body[np.flatnonzero(body == ord(","))[2::3]] = ord("\n")
         mag = np.abs(rows)
         plain = (mag == 0) | ((mag >= PLAIN_MIN) & (mag < PLAIN_MAX))
-        if not plain.all():
-            lines = text.decode().split("\n")
-            for i in np.flatnonzero(~plain.all(axis=1)).tolist():
-                lines[i + 1] = ",".join(map(repr, rows[i].tolist()))
-            return "\n".join(lines)
-        return text.decode()
+        if plain.all():
+            return text.decode()
+        # row i lies between newlines i and i + 1: the text outside the
+        # rows holding another value is kept, and those rows spliced in
+        odd = np.flatnonzero(~(plain[:, 0] & plain[:, 1] & plain[:, 2]))
+        newlines = len(header) + np.flatnonzero(body == ord("\n"))
+        cuts = np.column_stack((newlines[odd] + 1, newlines[odd + 1]))
+        cuts = [0, *cuts.ravel().tolist(), len(text)]
+        dump = text.decode()
+        parts = [None] * (2 * len(odd) + 1)
+        parts[0::2] = [dump[a:b] for a, b in zip(cuts[0::2], cuts[1::2])]
+        parts[1::2] = [",".join(map(repr, row)) for row in rows[odd].tolist()]
+        return "".join(parts)
 
 
 def compute_roc(genuine, impostor, num_thresholds: int) -> RocCurve:

@@ -11,10 +11,10 @@ Each kernel is a Gaussian-enveloped complex harmonic with the envelope-
 weighted mean of the harmonic subtracted, so the kernel has exactly zero
 response to a constant image. Envelope and harmonic both factor into an
 x-factor times a y-factor, so build_bank samples 1-D factors and forms
-each kernel's taps from their outer products, in place. The bank it
-returns also holds the GEMM operand sampled_responses multiplies by,
-built once per bank rather than once per image. Both routes take a
-response's magnitude with numpy's complex abs.
+all the taps from their outer products, in place, as one array. A
+GaborBank is that read-only array with the GEMM operand sampled_responses
+multiplies by, built once per bank rather than once per image. Both
+routes take a response's magnitude with numpy's complex abs.
 """
 
 import math
@@ -53,37 +53,41 @@ class GaborParams:
                     f"{key} must be finite and exceed {bound:g}, got {value}")
 
 
-@dataclass(frozen=True)
-class GaborKernel:
-    scale_index: int
-    orientation_index: int
-    taps: np.ndarray  # complex128, (2*radius+1, 2*radius+1)
+@dataclass(frozen=True, eq=False)
+class GaborBank:
+    """A bank's complex128 taps, (K, kh, kw) in channel order c = nu * O +
+    mu, and the (kh*kw, 2K) float64 operand of sampled_responses' GEMM,
+    both read-only. Column pair 2c, 2c + 1 of the operand holds kernel c's
+    taps, flipped and raveled, as Re and Im: the complex (kh*kw, K) array
+    of flipped taps viewed as float64. Taps that nothing can write, such
+    as build_bank's (complex128, read-only down to the array that owns
+    their memory), are taken as they are; any others are copied first, so
+    the operand cannot go stale."""
 
+    taps: np.ndarray
 
-def _gemm_operand(kernels) -> np.ndarray:
-    """The (kh*kw, 2K) real operand of sampled_responses' GEMM: the
-    complex128 (kh*kw, K) array whose column c holds kernel c's taps,
-    flipped and raveled, viewed as float64, so columns 2c and 2c + 1 are
-    kernel c's Re and Im. All kernels must have taps of one shape."""
-    shapes = {kernel.taps.shape for kernel in kernels}
-    if len(shapes) != 1:
-        raise ValueError(f"kernel taps differ in shape: {sorted(shapes)}")
-    flipped = np.stack([kernel.taps for kernel in kernels])[:, ::-1, ::-1]
-    return np.ascontiguousarray(
-        flipped.reshape(len(kernels), -1).T).view(np.float64)
+    def __post_init__(self):
+        taps = base = self.taps
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is not None or taps.dtype != np.complex128:
+            taps = np.array(taps, dtype=np.complex128)
+            taps.flags.writeable = False
+            object.__setattr__(self, "taps", taps)
+        if not taps.size:
+            raise EmptyBank(f"a Gabor bank needs taps, got shape "
+                            f"{taps.shape}")
+        if taps.ndim != 3:
+            raise ValueError(f"expected (kernels, height, width) taps, got "
+                             f"shape {taps.shape}")
+        # flipping both axes of a kernel reverses its raveled taps
+        operand = np.ascontiguousarray(
+            taps.reshape(len(taps), -1)[:, ::-1].T).view(np.float64)
+        operand.flags.writeable = False
+        object.__setattr__(self, "operand", operand)
 
-
-class GaborBank(tuple):
-    """The kernels of build_bank in channel order, c = nu * O + mu, with
-    their GEMM operand (_gemm_operand) built once. Immutable, taps
-    included, so the operand cannot go stale; a slice or any other
-    sequence of kernels is a plain one, whose operand sampled_responses
-    builds per call."""
-
-    def __new__(cls, kernels):
-        bank = super().__new__(cls, kernels)
-        bank.operand = _gemm_operand(bank)
-        return bank
+    def __len__(self) -> int:
+        return len(self.taps)
 
 
 def build_bank(params: GaborParams) -> GaborBank:
@@ -96,7 +100,8 @@ def build_bank(params: GaborParams) -> GaborBank:
     along y, the taps are (k^2 / sigma^2) (hy (x) hx - dc g (x) g) with
     dc = sum(hy) sum(hx) / sum(g)^2, the envelope-weighted mean of the
     harmonic: rows are y, columns x, and the sum of the taps is zero to
-    machine precision. The returned bank holds its GEMM operand too.
+    machine precision. The taps array, read-only, becomes the returned
+    bank's own, without a copy.
     """
     t = np.arange(-params.kernel_radius, params.kernel_radius + 1,
                   dtype=np.float64)
@@ -119,9 +124,7 @@ def build_bank(params: GaborParams) -> GaborBank:
     np.multiply((k * k / params.sigma ** 2)[:, None, None, None], taps,
                 out=taps)
     taps.flags.writeable = False
-    return GaborBank(GaborKernel(nu, mu, taps[nu, mu])
-                     for nu in range(params.num_frequencies)
-                     for mu in range(params.num_orientations))
+    return GaborBank(taps.reshape(-1, *taps.shape[2:]))
 
 
 @lru_cache(maxsize=None)
@@ -137,13 +140,6 @@ def _fft_size(n: int) -> int:
         n += 1
 
 
-def _convolve_fft(padded_fft, fft_shape, taps, out_shape):
-    kh, kw = taps.shape
-    spectrum = padded_fft * np.fft.fft2(taps, fft_shape)
-    full = np.fft.ifft2(spectrum)
-    return full[kh - 1:kh - 1 + out_shape[0], kw - 1:kw - 1 + out_shape[1]]
-
-
 def _convolve_direct(padded, taps, out_shape):
     h, w = out_shape
     flipped = taps[::-1, ::-1]
@@ -154,41 +150,36 @@ def _convolve_direct(padded, taps, out_shape):
     return acc
 
 
-def convolve(img: np.ndarray, bank, method: str = "fft") -> np.ndarray:
+def convolve(img: np.ndarray, bank: GaborBank,
+             method: str = "fft") -> np.ndarray:
     """Complex-convolve img with every kernel; return magnitude planes.
 
     Output shape is (height, width, len(bank)). Boundaries are handled by
-    symmetric reflection. method selects the FFT or the direct route; the
-    two agree within 1e-6 relative tolerance.
+    symmetric reflection; the image is padded, and on the FFT route
+    transformed, once for the whole bank. method selects the FFT or the
+    direct route; the two agree within 1e-6 relative tolerance.
     """
-    if not bank:
-        raise EmptyBank("no kernels to convolve with")
     if method not in ("fft", "direct"):
         raise ValueError(f"unknown method {method!r}")
     a = np.asarray(img, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a 2D grayscale image")
     h, w = a.shape
+    kh, kw = bank.taps.shape[1:]
 
+    padded = np.pad(a, ((kh // 2, kh // 2), (kw // 2, kw // 2)),
+                    mode="symmetric")
+    if method == "fft":
+        fft_shape = (_fft_size(padded.shape[0] + kh - 1),
+                     _fft_size(padded.shape[1] + kw - 1))
+        padded_fft = np.fft.fft2(padded, fft_shape)
     out = np.empty((h, w, len(bank)), dtype=np.float64)
-    pad_cache = {}
-    for c, kernel in enumerate(bank):
-        kh, kw = kernel.taps.shape
-        ry, rx = kh // 2, kw // 2
-        key = (ry, rx)
-        if key not in pad_cache:
-            padded = np.pad(a, ((ry, ry), (rx, rx)), mode="symmetric")
-            if method == "fft":
-                shape = (_fft_size(padded.shape[0] + kh - 1),
-                         _fft_size(padded.shape[1] + kw - 1))
-                pad_cache[key] = (padded, shape, np.fft.fft2(padded, shape))
-            else:
-                pad_cache[key] = (padded, None, None)
-        padded, fft_shape, padded_fft = pad_cache[key]
+    for c, taps in enumerate(bank.taps):
         if method == "fft":
-            resp = _convolve_fft(padded_fft, fft_shape, kernel.taps, (h, w))
+            full = np.fft.ifft2(padded_fft * np.fft.fft2(taps, fft_shape))
+            resp = full[kh - 1:kh - 1 + h, kw - 1:kw - 1 + w]
         else:
-            resp = _convolve_direct(padded, kernel.taps, (h, w))
+            resp = _convolve_direct(padded, taps, (h, w))
         out[:, :, c] = np.abs(resp)
     return out
 
@@ -228,7 +219,8 @@ def downsample(field: np.ndarray, stride: int) -> ObservationSet:
 _WINDOW_BLOCK_BYTES = 4 << 20
 
 
-def sampled_responses(img: np.ndarray, bank, stride: int) -> np.ndarray:
+def sampled_responses(img: np.ndarray, bank: GaborBank,
+                      stride: int) -> np.ndarray:
     """The (n, len(bank)) float64 response magnitudes of every kernel at
     the (i*stride, j*stride) grid points only.
 
@@ -236,24 +228,18 @@ def sampled_responses(img: np.ndarray, bank, stride: int) -> np.ndarray:
     float rounding: the same symmetric padding, the same observation
     count, row-major.
     Each grid point's window of the padded image is dotted with the flipped
-    taps in one real GEMM, taken in blocks of grid rows, against an operand
-    whose columns hold each kernel's Re and Im side by side: a GaborBank's
-    own, or one built for this call from any other sequence of kernels,
-    which must all have taps of one shape. Each product row is then read
-    as K complex responses, and numpy's complex abs gives the magnitudes.
+    taps in one real GEMM, taken in blocks of grid rows, against the bank's
+    operand, whose columns hold each kernel's Re and Im side by side. Each
+    product row is then read as K complex responses, and numpy's complex
+    abs gives the magnitudes.
     """
-    if not bank:
-        raise EmptyBank("no kernels to convolve with")
     if stride < 1:
         raise ValueError("stride must be at least 1")
     a = np.asarray(img, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a 2D grayscale image")
-    taps = bank.operand if isinstance(bank, GaborBank) \
-        else _gemm_operand(bank)
-    kh, kw = bank[0].taps.shape
+    k, kh, kw = bank.taps.shape
     h, w = a.shape
-    k = len(bank)
 
     padded = np.pad(a, ((kh // 2, kh // 2), (kw // 2, kw // 2)),
                     mode="symmetric")
@@ -263,7 +249,7 @@ def sampled_responses(img: np.ndarray, bank, stride: int) -> np.ndarray:
     rows = max(1, _WINDOW_BLOCK_BYTES // (grid_w * kh * kw * 8))
     for top in range(0, grid_h, rows):
         block = windows[top:top + rows].reshape(-1, kh * kw)
-        resp = block @ taps
+        resp = block @ bank.operand
         np.abs(resp.view(np.complex128),
                out=out[top:top + rows].reshape(-1, k))
     return out.reshape(-1, k)

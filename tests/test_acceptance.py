@@ -18,7 +18,7 @@ from biofuse.dempster import (Frame, MassFunction, VERIFICATION_FRAME,
                               combine_dempster)
 from biofuse.evaluate import compute_roc, eer, run_fusion_experiment, \
     run_image_experiment
-from biofuse.gabor import GaborParams, build_bank, convolve
+from biofuse.gabor import GaborBank, GaborParams, build_bank, convolve
 from biofuse.gmm import EmConfig, em_fit
 
 from conftest import build_toy_corpus
@@ -190,7 +190,7 @@ def test_gabor_arithmetic():
     constant = np.full((220, 200), 77, dtype=np.uint8)
     assert float(convolve(constant, bank).max()) <= 1e-6
 
-    subset = [bank[i] for i in (0, 17, 39)]
+    subset = GaborBank(bank.taps[[0, 17, 39]])
     for seed in range(3):
         small = np.random.default_rng(seed).integers(
             0, 256, (32, 32)).astype(np.uint8)

@@ -24,16 +24,19 @@ def test_layers_runs_at_the_smallest_size(tmp_path):
         "em_fit.client", "prep_image.image", "build_bank.bank",
         "sampled_responses.image",
         "write_json.model_file", "load_model.model_file",
+        "load_config.file", "load_artifacts.modality",
         "mixture_stack.image", "fused_genuine_mass.trials",
         "compute_roc.curve", "to_csv.curve"}
     sizes = {"prep_image.image": 220 * 200, "build_bank.bank": 40,
+             "load_artifacts.modality": 2,
              "fused_genuine_mass.trials": 10000 + 10000,
              "compute_roc.curve": 10001, "to_csv.curve": 10001}
     model_file = doc["layers"]["write_json.model_file"]["n"]
     assert model_file > 0
     assert doc["layers"]["load_model.model_file"]["n"] == model_file
+    assert doc["layers"]["load_config.file"]["n"] > 0
     for key, row in doc["layers"].items():
         assert set(row) == {"n", "median_s", "iqr_s"}
-        if "model_file" not in key:
+        if key.split(".")[1] not in ("model_file", "file"):
             assert row["n"] == sizes.get(key, 440)
         assert row["median_s"] > 0.0 and row["iqr_s"] >= 0.0

@@ -467,6 +467,29 @@ class TestVerify:
         assert captured.out == ""
         assert "200x200" in captured.err and "220x200" in captured.err
 
+    @pytest.mark.parametrize("modality", ["face", "ear"])
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5\n200 220\n255\n" + bytes(10),
+         "expected 44000 raster bytes, found 10"),
+        (b"P7\n200 220\n255\n" + bytes(44000),
+         "unsupported magic b'P7'"),
+    ], ids=["truncated", "bad-magic"])
+    def test_unreadable_probe_is_named(self, trained, tmp_path, capsys,
+                                       modality, raw, message):
+        probes = dict(zip(("face", "ear"),
+                          self._probe(trained, "alice", session=1)))
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(raw)
+        probes[modality] = str(bad)
+        code = main(["--config", trained["config"], "verify",
+                     "--face", probes["face"], "--ear", probes["ear"],
+                     "--claim", "alice"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: {modality} probe {bad}: {message}\n"
+
     @pytest.mark.parametrize("broken", [
         {"calibration": None},            # missing
         {"calibration": 0.5},             # not a (lo, hi) pair

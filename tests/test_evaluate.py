@@ -210,7 +210,9 @@ class TestRocCsvFullSize:
         _assert_csv_is_reference(_full_size_curve())
 
     @pytest.mark.parametrize("value", _ODD)
-    @pytest.mark.parametrize("row", [0, 5_000, 10_000])
+    @pytest.mark.parametrize("row", [
+        0, 5_000, 10_000,
+        pytest.param([0, 10_000], id="0+10000")])  # the first and the last
     def test_one_odd_row(self, row, value):
         plain = _full_size_curve()
         for k in range(3):

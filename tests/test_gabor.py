@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import biofuse.gabor as gabor
 from biofuse.errors import EmptyBank, InvalidParams
-from biofuse.gabor import (ChannelScaler, GaborKernel, GaborParams,
+from biofuse.gabor import (ChannelScaler, GaborBank, GaborParams,
                            build_bank, convolve, downsample,
                            sampled_responses)
 
@@ -38,8 +38,8 @@ def _build_bank_reference(params):
             harmonic = np.exp(1j * k * (xs * math.cos(phi) + ys * math.sin(phi)))
             dc = np.sum(envelope * harmonic) / env_total
             taps = envelope * (harmonic - dc)
-            kernels.append(GaborKernel(nu, mu, taps))
-    return kernels
+            kernels.append(taps)
+    return GaborBank(np.stack(kernels))
 
 
 # the default bank, and 3 scales x 6 orientations on a radius-8 support
@@ -59,14 +59,10 @@ class TestSeparableBank:
     def test_taps_agree_with_reference(self, params):
         bank = build_bank(params)
         reference = _build_bank_reference(params)
-        assert [(k.scale_index, k.orientation_index) for k in bank] == \
-            [(k.scale_index, k.orientation_index) for k in reference]
-        for got, want in zip(bank, reference):
-            assert got.taps.shape == want.taps.shape
-            rel = np.max(np.abs(got.taps - want.taps)) \
-                / np.max(np.abs(want.taps))
-            assert rel <= 5e-15, (got.scale_index, got.orientation_index,
-                                  rel)
+        assert bank.taps.shape == reference.taps.shape
+        for c, (got, want) in enumerate(zip(bank.taps, reference.taps)):
+            rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert rel <= 5e-15, (c, rel)
 
     @pytest.mark.parametrize("params", BANK_PARAMS, ids=["5x8", "3x6"])
     @pytest.mark.parametrize("stride", [1, 7, 10])
@@ -81,40 +77,58 @@ class TestSeparableBank:
     @pytest.mark.parametrize("stride", [1, 7, 10])
     def test_plain_sequences_give_the_same_features(self, default_bank,
                                                     stride):
-        # a slice or a list gets an operand built per call, from the same
-        # code; its channels equal the bank's own, bit for bit
+        # a bank of a slice of the taps, or of a writable copy of them,
+        # gets its operand from the same code; its channels equal the
+        # whole bank's, bit for bit
         img = np.random.default_rng(22).integers(
             0, 256, (220, 200)).astype(np.uint8)
         whole = sampled_responses(img, default_bank, stride)
-        sliced = sampled_responses(img, list(default_bank)[::10], stride)
+        sliced = sampled_responses(img, GaborBank(default_bank.taps[::10]),
+                                   stride)
         assert np.array_equal(sliced, whole[:, ::10])
-        plain = sampled_responses(img, list(default_bank), stride)
+        plain = sampled_responses(img, GaborBank(np.array(default_bank.taps)),
+                                  stride)
         assert np.array_equal(plain, whole)
 
-    def test_operand_is_built_once_per_bank(self, monkeypatch):
-        built = []
-        operand = gabor._gemm_operand
-
-        def counting(kernels):
-            built.append(len(kernels))
-            return operand(kernels)
-
-        monkeypatch.setattr(gabor, "_gemm_operand", counting)
+    def test_operand_is_built_once_per_bank(self):
+        # built once, in the constructor: sampled_responses multiplies by
+        # the bank's own operand and forms none from the taps, so doubling
+        # that operand doubles every magnitude, exactly
         bank = build_bank(GaborParams(num_frequencies=2))
-        assert built == [16]
+        assert bank.operand.shape == (33 * 33, 2 * 16)
+        assert not np.shares_memory(bank.operand, bank.taps)
         img = np.random.default_rng(23).random((12, 10))
-        for stride in (3, 5):
-            sampled_responses(img, bank, stride)
-        assert built == [16]
-        sampled_responses(img, list(bank)[:3], 3)
-        assert built == [16, 3]
+        want = {stride: sampled_responses(img, bank, stride)
+                for stride in (3, 5)}
+        object.__setattr__(bank, "operand", 2.0 * bank.operand)
+        for stride, features in want.items():
+            assert np.array_equal(sampled_responses(img, bank, stride),
+                                  2.0 * features)
 
     def test_bank_and_taps_are_immutable(self, default_bank):
         # the operand was built from these taps, so they may not change
         with pytest.raises(ValueError, match="read-only"):
-            default_bank[0].taps[0, 0] = 1.0
-        with pytest.raises(TypeError):
-            default_bank[0] = default_bank[1]
+            default_bank.taps[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            default_bank.operand[0, 0] = 1.0
+        for name in ("taps", "operand"):
+            with pytest.raises(AttributeError):
+                setattr(default_bank, name, getattr(default_bank, name)[:1])
+
+    def test_taps_that_could_change_are_copied(self, default_bank):
+        # build_bank's read-only array is taken as it is; a writable one,
+        # or a read-only view of one, is copied
+        assert GaborBank(default_bank.taps).taps is default_bank.taps
+        writable = np.array(default_bank.taps[:2])
+        view = writable.view()
+        view.flags.writeable = False
+        banks = [GaborBank(writable), GaborBank(view)]
+        writable[:] = 0.0
+        for bank in banks:
+            assert not np.shares_memory(bank.taps, writable)
+            assert np.array_equal(bank.taps, default_bank.taps[:2])
+            assert np.array_equal(bank.operand, GaborBank(
+                default_bank.taps[:2]).operand)
 
 
 def _taps_by_one_expression(params):
@@ -140,18 +154,18 @@ def _taps_by_one_expression(params):
     return taps.reshape(-1, *taps.shape[2:])
 
 
-def _split_operand(kernels):
+def _split_operand(bank):
     """The GEMM operand of feature version 3: [Re | Im], the K real
     columns and then the K imaginary ones."""
-    flipped = np.stack([kernel.taps for kernel in kernels])[:, ::-1, ::-1]
-    flipped = flipped.reshape(len(kernels), -1)
+    flipped = bank.taps[:, ::-1, ::-1]
+    flipped = flipped.reshape(len(bank), -1)
     return np.ascontiguousarray(
         np.concatenate([flipped.real, flipped.imag]).T)
 
 
-def _window_blocks(img, kernels, stride):
+def _window_blocks(img, bank, stride):
     """The blocks of windows sampled_responses multiplies, in its order."""
-    kh, kw = kernels[0].taps.shape
+    kh, kw = bank.taps.shape[1:]
     a = np.asarray(img, dtype=np.float64)
     padded = np.pad(a, ((kh // 2, kh // 2), (kw // 2, kw // 2)),
                     mode="symmetric")
@@ -163,15 +177,15 @@ def _window_blocks(img, kernels, stride):
         yield windows[top:top + rows].reshape(-1, kh * kw)
 
 
-def _hypot_responses(img, kernels, stride):
+def _hypot_responses(img, bank, stride):
     """sampled_responses as feature version 3 computed it: np.hypot of
     the [Re | Im] halves of each block's product."""
-    operand = _split_operand(kernels)
-    k = len(kernels)
+    operand = _split_operand(bank)
+    k = len(bank)
     return np.concatenate([
         np.hypot(resp[:, :k], resp[:, k:])
         for resp in (block @ operand
-                     for block in _window_blocks(img, kernels, stride))])
+                     for block in _window_blocks(img, bank, stride))])
 
 
 class TestComplexMagnitude:
@@ -183,7 +197,7 @@ class TestComplexMagnitude:
 
     @pytest.mark.parametrize("params", BANK_PARAMS, ids=["5x8", "3x6"])
     def test_taps_equal_the_one_expression(self, params):
-        taps = np.stack([kernel.taps for kernel in build_bank(params)])
+        taps = build_bank(params).taps
         want = _taps_by_one_expression(params)
         assert taps.dtype == want.dtype and taps.shape == want.shape
         assert taps.tobytes() == want.tobytes()
@@ -219,27 +233,27 @@ class TestComplexMagnitude:
 class TestBank:
     def test_default_bank_has_40_kernels(self, default_bank):
         assert len(default_bank) == 40
-        indices = {(k.scale_index, k.orientation_index) for k in default_bank}
-        assert indices == {(nu, mu) for nu in range(5) for mu in range(8)}
+        assert default_bank.taps.shape == (40, 33, 33)
+        assert default_bank.taps.dtype == np.complex128
+        assert default_bank.operand.shape == (33 * 33, 80)
 
     def test_kernels_are_dc_free(self, default_bank):
-        for kernel in default_bank:
-            assert abs(kernel.taps.sum()) <= 1e-6 * np.abs(kernel.taps).sum()
+        for taps in default_bank.taps:
+            assert abs(taps.sum()) <= 1e-6 * np.abs(taps).sum()
 
     def test_single_kernel_dft_peaks_at_center_frequency(self):
         # k_max = pi/2 -> 0.25 cycles/pixel -> bin 32 of a 128-point DFT
         params = GaborParams(num_frequencies=1, num_orientations=1)
-        (kernel,) = build_bank(params)
-        spectrum = np.abs(np.fft.fft2(kernel.taps, (128, 128)))
+        (taps,) = build_bank(params).taps
+        spectrum = np.abs(np.fft.fft2(taps, (128, 128)))
         peak = np.unravel_index(np.argmax(spectrum), spectrum.shape)
         assert peak == (0, 32)
 
     def test_scale_spacing(self):
         bank = build_bank(GaborParams())
-        # scale nu=2 kernel oscillates at k_max/2: bin 16 of 128
-        kernel = next(k for k in bank
-                      if k.scale_index == 2 and k.orientation_index == 0)
-        spectrum = np.abs(np.fft.fft2(kernel.taps, (128, 128)))
+        # scale nu=2 kernel oscillates at k_max/2: bin 16 of 128; its
+        # orientation-0 kernel is channel nu * 8 + mu = 16
+        spectrum = np.abs(np.fft.fft2(bank.taps[16], (128, 128)))
         peak = np.unravel_index(np.argmax(spectrum), spectrum.shape)
         assert peak == (0, 16)
 
@@ -278,18 +292,18 @@ class TestConvolve:
     def test_impulse_reproduces_kernel_magnitude(self, default_bank):
         img = np.zeros((64, 64))
         img[32, 32] = 1.0
-        kernel = default_bank[0]
-        resp = convolve(img, [kernel])[:, :, 0]
+        resp = convolve(img, GaborBank(default_bank.taps[:1]))[:, :, 0]
         patch = resp[32 - 16:32 + 17, 32 - 16:32 + 17]
-        assert np.allclose(patch, np.abs(kernel.taps), atol=1e-9)
+        assert np.allclose(patch, np.abs(default_bank.taps[0]), atol=1e-9)
 
     def test_empty_bank(self):
+        # an empty bank never reaches convolve: making one raises
         with pytest.raises(EmptyBank):
-            convolve(np.zeros((8, 8)), [])
+            convolve(np.zeros((8, 8)), GaborBank(np.empty((0, 33, 33))))
 
     def test_fft_and_direct_paths_agree(self, default_bank):
         rng = np.random.default_rng(42)
-        subset = [default_bank[i] for i in (0, 17, 39)]
+        subset = GaborBank(default_bank.taps[[0, 17, 39]])
         for _ in range(3):
             img = rng.integers(0, 256, (32, 32)).astype(np.uint8)
             via_fft = convolve(img, subset, method="fft")
@@ -300,15 +314,16 @@ class TestConvolve:
     def test_magnitudes_scale_linearly(self, default_bank):
         rng = np.random.default_rng(5)
         img = rng.random((40, 40))
-        base = convolve(img, default_bank[:4])
-        scaled = convolve(3.5 * img, default_bank[:4])
+        first4 = GaborBank(default_bank.taps[:4])
+        base = convolve(img, first4)
+        scaled = convolve(3.5 * img, first4)
         assert np.allclose(scaled, 3.5 * base, rtol=1e-9, atol=1e-12)
 
     def test_rotating_grating_shifts_orientation_channel(self, default_bank):
         # gratings at pi*mu/8 excite orientation channel mu of scale 1;
         # rotating the grating by pi/8 advances the dominant index by one
         freq = (math.pi / 2.0) / math.sqrt(2.0)  # scale-1 center frequency
-        scale1 = [k for k in default_bank if k.scale_index == 1]
+        scale1 = GaborBank(default_bank.taps[8:16])  # c = nu * 8 + mu
 
         def dominant(theta):
             ys, xs = np.mgrid[0:80, 0:80]
@@ -349,7 +364,7 @@ class TestDownsample:
     def test_observations_nonnegative(self, default_bank):
         rng = np.random.default_rng(2)
         img = rng.integers(0, 256, (40, 40)).astype(np.uint8)
-        obs = downsample(convolve(img, default_bank[:5]), 7)
+        obs = downsample(convolve(img, GaborBank(default_bank.taps[:5])), 7)
         assert np.all(obs.observations >= 0.0)
 
     def test_invalid_stride(self):
@@ -365,12 +380,14 @@ class TestSampledResponses:
         A Gabor kernel rotated by 180 degrees is its conjugate, which gives
         the same magnitudes, so random taps pin the flip as well."""
         rng = np.random.default_rng(11)
-        noise = [GaborKernel(0, i, rng.normal(size=(7, 7))
-                             + 1j * rng.normal(size=(7, 7))) for i in (0, 1)]
+        noise = GaborBank(np.stack([rng.normal(size=(7, 7))
+                                    + 1j * rng.normal(size=(7, 7))
+                                    for _ in (0, 1)]))
         refs = []
         for shape in ((220, 200), (37, 23), (5, 4)):
             img = rng.integers(0, 256, shape).astype(np.uint8)
-            for bank in (default_bank, default_bank[::10], noise):
+            for bank in (default_bank, GaborBank(default_bank.taps[::10]),
+                         noise):
                 for method in ("fft", "direct"):
                     if method == "direct" and img.size * len(bank) > 1e6:
                         continue
@@ -389,29 +406,40 @@ class TestSampledResponses:
                 (img.shape, len(bank), stride, diff)
 
     def test_empty_bank(self):
+        # an empty bank never reaches sampled_responses: making one raises
         with pytest.raises(EmptyBank):
-            sampled_responses(np.zeros((8, 8)), [], 1)
+            sampled_responses(np.zeros((8, 8)), GaborBank(np.empty((0, 7, 7))),
+                              1)
 
     def test_rejects_a_3d_image(self, default_bank):
         with pytest.raises(ValueError, match="2D"):
-            sampled_responses(np.zeros((8, 8, 3)), default_bank[:1], 1)
+            sampled_responses(np.zeros((8, 8, 3)),
+                              GaborBank(default_bank.taps[:1]), 1)
 
     def test_rejects_taps_of_mixed_shapes(self, default_bank):
-        small = GaborKernel(0, 0, default_bank[0].taps[1:-1, 1:-1])
-        with pytest.raises(ValueError, match="shape"):
-            sampled_responses(np.zeros((8, 8)), [default_bank[0], small], 1)
+        # the constructor refuses taps that are not one (K, kh, kw) array:
+        # kernels of two shapes, a single kernel's 2-D taps, or no taps
+        small = default_bank.taps[0, 1:-1, 1:-1]
+        with pytest.raises(ValueError):
+            GaborBank([default_bank.taps[0], small])
+        with pytest.raises(ValueError, match=r"\(kernels, height, width\)"):
+            GaborBank(default_bank.taps[0])
+        for empty in ([], np.empty((0, 33, 33)), np.empty((2, 0, 33))):
+            with pytest.raises(EmptyBank):
+                GaborBank(empty)
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_invalid_stride(self, default_bank, stride):
         with pytest.raises(ValueError, match="stride must be at least 1"):
-            sampled_responses(np.zeros((8, 8)), default_bank[:1], stride)
+            sampled_responses(np.zeros((8, 8)),
+                              GaborBank(default_bank.taps[:1]), stride)
 
     def test_stride_1_memory_is_bounded(self, default_bank):
         # unblocked, the 220x200 windows alone would take 383 MB
         img = np.random.default_rng(12).random((220, 200))
         tracemalloc.start()
         try:
-            sampled_responses(img, default_bank[:2], 1)
+            sampled_responses(img, GaborBank(default_bank.taps[:2]), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
