@@ -5,12 +5,13 @@ Usage, from the repository root:
     python3 bench/layers.py [--subjects S] [--repeats R] [--out F]
 
 The inputs are the face gallery of perfbench's seeded corpus
-(perfbench/corpus.build_corpus, imported, not edited) of S subjects and
-seed SEED, and one session-2 face probe of subject 0
-(perfbench/corpus.build_probes), turned into observations as `train`
-does: prep, sampled Gabor responses, then one (S, n, dim) block of the
-gallery's observations, standardized by one channel scaler fitted on the
-whole block (pipeline.train_modality, which also fits the face models).
+(perfbench/corpus.build_corpus, imported, not edited) of S >= 2 subjects
+(`train` refuses a one-subject gallery) and seed SEED, and one session-2
+face probe of subject 0 (perfbench/corpus.build_probes), turned into
+observations as `train` does: prep, sampled Gabor responses, then one
+(S, n, dim) block of the gallery's observations, standardized by one
+channel scaler fitted on the whole block (pipeline.train_modality, which
+also fits the face models).
 Subject 0's observations, block[0], are the client data (n = 440 at the
 default config); the whole block is the background data (n = 440 S, 7,040
 at S = 16). Rows:
@@ -63,7 +64,6 @@ import statistics
 import sys
 import tempfile
 import time
-from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the corpus, probe, jitter, k-means and synthetic-draw seed of every row
@@ -196,11 +196,7 @@ def time_layers(n_subjects=16, repeats=30):
                            os.path.join(root, "out"))
         rows["load_config.file"] = dict(
             n=os.path.getsize(ini), **timed(lambda: load_config(ini)))
-        # a one-image gallery (S = 1) calibrates to one point, which
-        # load_artifacts refuses; the files it reads are alike for any bounds
-        lo, hi = artifacts.calibration
-        save_artifacts(models, {"face": replace(
-            artifacts, calibration=(lo, max(hi, lo + 1.0)))}, config)
+        save_artifacts(models, {"face": artifacts}, config)
         rows["load_artifacts.modality"] = dict(
             n=2, **timed(lambda: load_artifacts(
                 models, "face", [entry.subject_id], config)))
@@ -244,8 +240,9 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=30)
     parser.add_argument("--out")
     args = parser.parse_args(argv)
-    if args.subjects < 1 or args.repeats < 2:
-        parser.error("--subjects must be >= 1 and --repeats >= 2")
+    # a gallery of one subject has no impostor score to calibrate on
+    if args.subjects < 2 or args.repeats < 2:
+        parser.error("--subjects must be >= 2 and --repeats >= 2")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"    # before numpy loads BLAS
     _import_paths()
     from run import environment

@@ -21,11 +21,10 @@ import orjson
 from .atomic import PLAIN_MAX, PLAIN_MIN
 from .config import PipelineConfig
 from .dempster import CONFLICT_EPS
-from .errors import DegenerateCalibration, EmptyScoreList
+from .errors import DegenerateCalibration, EmptyScoreList, ManifestError
 from .gabor import build_bank
-from .pipeline import (MODALITIES, check_protocol, entry_image,
-                       image_observations, probe_score, split_by_session,
-                       train_gallery)
+from .pipeline import (MODALITIES, entry_image, image_observations,
+                       probe_score, train_gallery)
 from .preprocess import load_manifest
 
 
@@ -258,12 +257,14 @@ def run_fusion_experiment(config: PipelineConfig):
 def run_image_experiment(manifest_path, config: PipelineConfig):
     """Full verification experiment over a dataset manifest.
 
-    Session 1 trains and calibrates; session-2 probes claim every identity
-    (their own -> genuine trial, each other -> impostor trial). Every image
-    is read through pipeline.entry_image, so a record `prep` marked is
-    used as it is and any other is prepped, and its observations are
-    computed in memory; nothing is cached, and each probe is scored as
-    soon as its observations are computed.
+    Session 1 trains and calibrates (pipeline.train_gallery checks the
+    gallery rule); session-2 probes claim every identity (their own ->
+    genuine trial, each other -> impostor trial). Every subject needs
+    exactly one probe per modality, which is checked before anything is
+    trained. Every image is read through pipeline.entry_image, so a
+    record `prep` marked is used as it is and any other is prepped, and
+    its observations are computed in memory; nothing is cached, and each
+    probe is scored as soon as its observations are computed.
     A modality whose models in config.paths.model_dir were fitted from this
     same gallery and settings is served from there instead of trained
     again (see pipeline.train_gallery); model_dir is only read.
@@ -273,13 +274,26 @@ def run_image_experiment(manifest_path, config: PipelineConfig):
     methods in face, ear, fusion order.
     """
     entries = load_manifest(manifest_path)
-    subjects = check_protocol(entries)
-    _, probes = split_by_session(entries)
+    subjects = sorted({e.subject_id for e in entries})
+    # the probe rule, before anything is trained: one session-2 image per
+    # subject and modality
+    probe_of = {}
+    for entry in (e for e in entries if e.session == 2):
+        key = (entry.subject_id, entry.modality)
+        if key in probe_of:
+            raise ManifestError(
+                f"subject {entry.subject_id} has multiple session-2 "
+                f"{entry.modality} images; one probe per modality expected")
+        probe_of[key] = entry
+    for sid in subjects:
+        for modality in MODALITIES:
+            if (sid, modality) not in probe_of:
+                raise ManifestError(f"subject {sid} has no {modality} image "
+                                    f"in session 2")
 
     bank = build_bank(config.gabor)
     artifacts = train_gallery(entries, config, bank,
                               model_dir=config.paths.model_dir)
-    probe_of = {(entry.subject_id, entry.modality): entry for entry in probes}
 
     # one trial per (true, claimed) pair of subjects, row-major over the
     # sorted subjects, so the genuine trials are the diagonal

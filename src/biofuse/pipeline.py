@@ -3,7 +3,9 @@
 Gallery protocol: session 1 trains one client mixture per (subject,
 modality) plus one pooled background mixture and the channel scaler per
 modality; score calibration bounds come from gallery-vs-client scores
-only, never from probes.
+only, never from probes. A gallery needs at least 2 subjects, each with
+session-1 face and ear images; train_gallery refuses any other before it
+loads an image, for `train` and `eval` alike.
 
 Each modality's stats file carries a fingerprint of the gallery and the
 settings its models were fitted from, so `eval` can reuse the models
@@ -114,35 +116,6 @@ def entry_image(entry, config: PipelineConfig) -> np.ndarray:
     except (BiofuseError, ValueError) as exc:
         raise type(exc)(f"{what}: {exc}") from exc
     return check_canonical_size(img, config, what)
-
-
-def split_by_session(entries):
-    """(gallery, probes) = session-1 and session-2 manifest entries."""
-    gallery = [e for e in entries if e.session == 1]
-    probes = [e for e in entries if e.session == 2]
-    return gallery, probes
-
-
-def check_protocol(entries):
-    """Enforce the verification protocol: >= 2 subjects, each with both
-    modalities in both sessions and one session-2 image (the probe) per
-    modality."""
-    subjects = sorted({e.subject_id for e in entries})
-    if len(subjects) < 2:
-        raise ManifestError("protocol needs at least 2 subjects")
-    count = Counter((e.subject_id, e.modality, e.session) for e in entries)
-    for sid in subjects:
-        for modality in MODALITIES:
-            for session in (1, 2):
-                if not count[sid, modality, session]:
-                    raise ManifestError(
-                        f"subject {sid} has no {modality} image "
-                        f"in session {session}")
-            if count[sid, modality, 2] > 1:
-                raise ManifestError(
-                    f"subject {sid} has multiple session-2 {modality} "
-                    f"images; one probe per modality expected")
-    return subjects
 
 
 @dataclass(frozen=True)
@@ -262,27 +235,35 @@ def train_gallery(entries, config: PipelineConfig, bank,
     once, for the fingerprint and for its observations, which are computed
     in memory and never cached. Both read the gallery by subject in
     sorted-id order, manifest order within a subject, so reordering the
-    manifest across subjects changes neither. Every subject in entries needs gallery images
-    of every modality. With model_dir, a modality whose stored artifacts
-    carry this gallery's fingerprint is served from there and not fitted;
-    whatever load_artifacts refuses, and any stored file of another gallery,
-    means it is trained. Nothing is written to model_dir.
+    manifest across subjects changes neither. The gallery rule is checked
+    from entries before any image is loaded: at least 2 subjects, since
+    calibration needs impostor scores, and every subject in entries with
+    gallery images of every modality. With model_dir, a modality whose
+    stored artifacts carry this gallery's fingerprint is served from there
+    and not fitted; whatever load_artifacts refuses, and any stored file of
+    another gallery, means it is trained. Nothing is written to model_dir.
     """
-    gallery, _ = split_by_session(entries)
+    gallery = [e for e in entries if e.session == 1]
     subjects = sorted({e.subject_id for e in entries})
     if not subjects:
         raise ManifestError("no gallery (session 1) images to train on")
+    if len(subjects) < 2:
+        raise ManifestError(
+            f"the gallery has 1 subject ({subjects[0]}); training needs at "
+            f"least 2, since calibration needs impostor scores")
+    present = {(e.subject_id, e.modality) for e in gallery}
+    for modality in MODALITIES:
+        for sid in subjects:
+            if (sid, modality) not in present:
+                raise ManifestError(
+                    f"subject {sid} has no gallery (session 1) "
+                    f"{modality} images")
     trained = {}
     for modality in MODALITIES:
         images = [(entry, entry_image(entry, config)) for entry in gallery
                   if entry.modality == modality]
         images.sort(key=lambda pair: pair[0].subject_id)  # stable
         runs = Counter(entry.subject_id for entry, _ in images)
-        for sid in subjects:
-            if sid not in runs:
-                raise ManifestError(
-                    f"subject {sid} has no gallery (session 1) "
-                    f"{modality} images")
         fingerprint = gallery_fingerprint(modality, images, config)
         if model_dir is not None:
             try:

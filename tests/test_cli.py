@@ -1,18 +1,23 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import biofuse.cli as cli
 import biofuse.pipeline as pipeline
 from biofuse.cli import main
-from biofuse.config import PipelineConfig
+from biofuse.config import PipelineConfig, load_config
 from biofuse.gmm import MODEL_FORMAT_VERSION, GmmModel, save_model
 from biofuse.pgm import load_pgm, write_pgm
 
@@ -327,6 +332,36 @@ class TestTrain:
                      "--manifest", str(bad)])
         assert code == 2
         assert "bob" in capsys.readouterr().err
+
+    def test_one_subject_gallery_exits_2(self, trained, tmp_path, capsys):
+        # one subject has no impostor score to calibrate on
+        records = json.loads(Path(trained["prepped_manifest"]).read_text())
+        alone = tmp_path / "alice.json"
+        alone.write_text(json.dumps(
+            [r for r in records if r["subject_id"] == "alice"]))
+        cfg = _write_config(tmp_path / "cfg.ini", "", str(alone), tmp_path)
+        assert main(["--config", cfg, "train"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the gallery has 1 subject (alice)" in captured.err
+        assert not (tmp_path / "models").exists()
+
+    def test_gallery_rule_is_checked_before_any_image_is_loaded(
+            self, trained, tmp_path, monkeypatch, capsys):
+        def no_image(*args):
+            raise AssertionError("the gallery rule must precede loading")
+
+        monkeypatch.setattr(pipeline, "entry_image", no_image)
+        records = json.loads(Path(trained["prepped_manifest"]).read_text())
+        bad = tmp_path / "noear.json"
+        bad.write_text(json.dumps(
+            [r for r in records if not (r["subject_id"] == "bob"
+                                        and r["modality"] == "ear")]))
+        code = main(["--config", trained["config"], "train",
+                     "--manifest", str(bad)])
+        assert code == 2
+        assert ("subject bob has no gallery (session 1) ear images"
+                in capsys.readouterr().err)
 
     def test_manifest_that_is_not_utf8_exits_2(self, trained, tmp_path,
                                                capsys):
@@ -1026,3 +1061,75 @@ class TestMisc:
 
     def test_missing_config_file_exits_2(self):
         assert main(["--config", "/nonexistent/cfg.ini", "synth-eval"]) == 2
+
+
+def _random_gallery(root, counts, seed, spread):
+    """A raw manifest of session-1 images at root: subject i has
+    counts[i] = (face images, ear images), each of seeded random pixels at
+    the canonical 220x200 size. Each landmark sits spread of the way from
+    its canonical position to a seeded random point inside the image."""
+    rng = np.random.default_rng(seed)
+    layout = PipelineConfig().layout
+    records = []
+    for i, per_modality in enumerate(counts):
+        for modality, count in zip(("face", "ear"), per_modality):
+            for j in range(count):
+                path = os.path.join(root, f"s{i}_{modality}_{j}.pgm")
+                write_pgm(rng.integers(0, 256, (220, 200), dtype=np.uint8),
+                          path)
+                marks = {}
+                for label, (x, y) in layout.positions(modality).items():
+                    u, v = rng.uniform(0.0, 199.0), rng.uniform(0.0, 219.0)
+                    marks[label] = [x + spread * (u - x),
+                                    y + spread * (v - y)]
+                records.append({"image_path": path, "modality": modality,
+                                "subject_id": f"s{i}", "session": 1,
+                                "landmarks": marks})
+    manifest = os.path.join(root, "manifest.json")
+    Path(manifest).write_text(json.dumps(records))
+    return manifest
+
+
+def _run(argv):
+    """(exit code, stderr) of main(argv)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=8, deadline=None)
+@given(counts=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)),
+                       min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from([0.0, 0.1, 1.0]))
+@example(counts=[(1, 1)], seed=0, spread=0.0)
+def test_verify_accepts_whatever_train_writes(counts, seed, spread):
+    # a gallery train refuses leaves no model_dir; one it accepts can be
+    # loaded for every subject, and verify decides every gallery pair
+    with tempfile.TemporaryDirectory() as work:
+        manifest = _random_gallery(work, counts, seed, spread)
+        cfg = _write_config(Path(work, "cfg.ini"), work, manifest, work)
+        models = os.path.join(work, "models")
+        prepped = os.path.join(work, "prepped")
+        code, err = _run(["--config", cfg, "prep", "--out-dir", prepped])
+        if code == 0:
+            code, err = _run(["--config", cfg, "train", "--manifest",
+                              os.path.join(prepped, "manifest.json")])
+        if code != 0:
+            assert code == 2, err
+            assert not os.path.exists(models), err
+            return
+        records = json.loads(Path(prepped, "manifest.json").read_text())
+        subjects = [f"s{i}" for i in range(len(counts))]
+        config = load_config(cfg)
+        for modality in ("face", "ear"):
+            pipeline.load_artifacts(models, modality, subjects, config)
+        for sid in subjects:
+            pair = {r["modality"]: r["image_path"] for r in reversed(records)
+                    if r["subject_id"] == sid}
+            code, err = _run(["--config", cfg, "verify", "--face",
+                              pair["face"], "--ear", pair["ear"],
+                              "--claim", sid])
+            assert code in (0, 1), err
