@@ -85,12 +85,12 @@ def gallery_faces(n_subjects):
     order, the same pair for subject 0's face probe, the default
     PipelineConfig)."""
     from biofuse.config import PipelineConfig
-    from biofuse.pipeline import load_entry_image
+    from biofuse.pgm import load_pgm
     from biofuse.preprocess import load_manifest
     from corpus import build_corpus, build_probes
 
     def faces(manifest):
-        return [(load_entry_image(e), e) for e in load_manifest(manifest)
+        return [(load_pgm(e.image_path), e) for e in load_manifest(manifest)
                 if e.modality == "face"]
 
     with tempfile.TemporaryDirectory() as root:

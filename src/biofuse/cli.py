@@ -21,9 +21,9 @@ from .evaluate import (fused_genuine_mass, run_fusion_experiment,
 from .gabor import build_bank
 # match_score is unused here; perfbench's tracer tests check this import site
 from .gmm import MODEL_FORMAT_VERSION, match_score  # noqa: F401
-from .pgm import load_pgm, write_pgm
-from .pipeline import (MODALITIES, check_canonical_size, entry_image,
-                       image_observations, load_artifacts, probe_score,
+from .pgm import write_pgm
+from .pipeline import (MODALITIES, entry_image, image_observations,
+                       load_artifacts, probe_score, read_image,
                        save_artifacts, train_gallery)
 from .preprocess import load_manifest
 
@@ -109,20 +109,15 @@ def cmd_train(config: PipelineConfig, manifest_path) -> int:
 def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
     """Score one prepped face/ear probe pair against a claimed identity.
     Both modalities' models are loaded, and refused when they cannot serve
-    config, before either probe is read, and a probe's error names it. The
-    probes' observations are cached under <output_dir>/cache."""
+    config, before pipeline.read_image reads either probe, naming it in
+    any error. The probes' observations are cached under <output_dir>/cache."""
     artifacts = {modality: load_artifacts(config.paths.model_dir, modality,
                                           [claimed_id], config)
                  for modality in MODALITIES}
     bank = build_bank(config.gabor)
     scores = {}
     for modality, path in (("face", face_path), ("ear", ear_path)):
-        what = f"{modality} probe {path}"
-        try:
-            img = load_pgm(path)
-        except (BiofuseError, ValueError) as exc:
-            raise type(exc)(f"{what}: {exc}") from exc
-        img = check_canonical_size(img, config, what)
+        img = read_image(path, f"{modality} probe {path}", config)
         obs = image_observations(
             img, bank, config,
             cache_dir=os.path.join(config.paths.output_dir, "cache"))

@@ -261,8 +261,8 @@ def run_image_experiment(manifest_path, config: PipelineConfig):
     gallery rule); session-2 probes claim every identity (their own ->
     genuine trial, each other -> impostor trial). Every subject needs
     exactly one probe per modality, which is checked before anything is
-    trained. Every image is read through pipeline.entry_image, so a
-    record `prep` marked is used as it is and any other is prepped, and
+    trained. Every image is read by pipeline.entry_image (read_image), so
+    a record `prep` marked is used as it is and any other is prepped, and
     its observations are computed in memory; nothing is cached, and each
     probe is scored as soon as its observations are computed.
     A modality whose models in config.paths.model_dir were fitted from this

@@ -7,7 +7,8 @@ nondecreasing across iterations. The k-means initialisation is the same
 M-step applied to hard (one-hot) cluster assignments. Per-image match
 scores are average log-likelihood ratios against a pooled background
 model; MixtureStack scores one image against many mixtures at once.
-"""
+Data to fit or score is passed as one (n, dim) array, a row per
+observation."""
 
 import functools
 import hashlib
@@ -120,7 +121,7 @@ class EmConfig:
 
 
 def _as_data(obs) -> np.ndarray:
-    x = np.asarray(getattr(obs, "observations", obs), dtype=np.float64)
+    x = np.asarray(obs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected an (n, dim) observation matrix")
     return x

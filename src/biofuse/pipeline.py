@@ -81,9 +81,22 @@ def feature_settings(config: PipelineConfig) -> dict:
             "feature_version": FEATURE_VERSION}
 
 
-def check_canonical_size(img: np.ndarray, config: PipelineConfig,
-                         what: str) -> np.ndarray:
-    """img when it has the canonical frame's size; BiofuseError otherwise."""
+def read_image(path, what: str, config: PipelineConfig,
+               marks=None) -> np.ndarray:
+    """The PGM image at path, prepped on marks when they are given, else
+    as it is once it has the canonical frame's size. A missing file is
+    `missing image file <path>`; every other error names what, once, and
+    an unreadable file's error gives the OS reason."""
+    try:
+        img = load_pgm(path)
+        if marks is not None:
+            return prep_image(img, marks, config)
+    except FileNotFoundError as exc:
+        raise ManifestError(f"missing image file {path}") from exc
+    except OSError as exc:
+        raise ManifestError(f"cannot read {what}: {exc.strerror}") from exc
+    except (BiofuseError, ValueError) as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
     if img.shape != (config.layout.height, config.layout.width):
         raise BiofuseError(
             f"{what} is {img.shape[0]}x{img.shape[1]} (height x width), "
@@ -92,30 +105,15 @@ def check_canonical_size(img: np.ndarray, config: PipelineConfig,
     return img
 
 
-def load_entry_image(entry) -> np.ndarray:
-    try:
-        return load_pgm(entry.image_path)
-    except OSError as exc:
-        raise ManifestError(f"missing image file {entry.image_path}") from exc
-
-
 def entry_image(entry, config: PipelineConfig) -> np.ndarray:
-    """The prepped image of one manifest record. A record that `prep`
-    marked (entry.prepped) holds it already: its image is used as it is,
-    once check_canonical_size passes it. Any other record's image is
+    """The prepped image of one manifest record, by read_image. A record
+    that `prep` marked (entry.prepped) holds it already: its image is
+    used as it is, once its size is checked. Any other record's image is
     prepped on its landmarks. Nothing else decides whether a record is
-    prepped; its image's size and landmarks are never read as a sign.
-    Every error names the image file, once."""
-    what = f"{entry.modality} image {entry.image_path}"
-    try:
-        img = load_entry_image(entry)
-        if not entry.prepped:
-            return prep_image(img, entry.landmarks, config)
-    except ManifestError:
-        raise  # a missing file, named already
-    except (BiofuseError, ValueError) as exc:
-        raise type(exc)(f"{what}: {exc}") from exc
-    return check_canonical_size(img, config, what)
+    prepped; its image's size and landmarks are never read as a sign."""
+    return read_image(entry.image_path,
+                      f"{entry.modality} image {entry.image_path}", config,
+                      marks=None if entry.prepped else entry.landmarks)
 
 
 @dataclass(frozen=True)
@@ -303,20 +301,46 @@ def stats_filename(modality: str) -> str:
     return f"{modality}_stats.json"
 
 
-def _vouched_ids(stats_path) -> set:
-    """The ids whose model files a stats file lists in model_sha256; none
-    when the file is missing or unreadable, or lists an id that is not one
-    file-name component."""
+def _bad_stats(stats_path, exc: Exception) -> ValueError:
+    return ValueError(f"{stats_path}: bad stats document: {exc!r}")
+
+
+def _read_stats(stats_path, modality: str):
+    """(scaler, calibration, fingerprint, model_sha256, features) from a
+    stats file of this format version and modality: a valid scaler, a
+    finite, increasing calibration, a string fingerprint, a model_sha256
+    object of file-name-component ids listing the background. Any other
+    document raises a ValueError naming the file; a failed open, OSError."""
     try:
         with open(stats_path, "rb") as fh:
-            listed = read_json(fh.read())["model_sha256"]
-        if not isinstance(listed, dict):
-            return set()
+            doc = read_json(fh.read())
+        if int(doc["format_version"]) != STATS_FORMAT_VERSION:
+            raise ValueError(f"format_version {doc['format_version']!r}, "
+                             f"expected {STATS_FORMAT_VERSION}; run "
+                             f"`train` again")
+        if doc["modality"] != modality:
+            raise ValueError(f"holds the {doc['modality']} stats, not "
+                             f"the {modality} stats")
+        scaler = ChannelScaler.from_dict(doc["scaler"])
+        lo, hi = (float(bound) for bound in doc["calibration"])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"calibration [{lo}, {hi}] is not finite")
+        if not lo < hi:
+            raise ValueError(f"calibration [{lo}, {hi}] is not "
+                             f"increasing")
+        fingerprint = doc["fingerprint"]
+        if not isinstance(fingerprint, str):
+            raise ValueError(f"fingerprint {fingerprint!r} is not a "
+                             f"string")
+        listed = doc["model_sha256"]
+        if not (isinstance(listed, dict) and BACKGROUND_ID in listed):
+            raise ValueError("model_sha256 is not an object that lists "
+                             "the background model")
         for sid in listed.keys() - {BACKGROUND_ID}:
             check_subject_id(sid)
-    except (OSError, ValueError, KeyError, TypeError, BiofuseError):
-        return set()
-    return set(listed)
+        return scaler, (lo, hi), fingerprint, listed, doc["features"]
+    except (KeyError, TypeError, ValueError, BiofuseError) as exc:
+        raise _bad_stats(stats_path, exc) from exc
 
 
 def save_artifacts(model_dir, trained: dict, config: PipelineConfig) -> None:
@@ -337,7 +361,10 @@ def save_artifacts(model_dir, trained: dict, config: PipelineConfig) -> None:
     os.makedirs(model_dir, exist_ok=True)
     for modality, artifacts in trained.items():
         stats_path = os.path.join(model_dir, stats_filename(modality))
-        stale = _vouched_ids(stats_path) - {*artifacts.clients, BACKGROUND_ID}
+        listed = {}
+        with contextlib.suppress(OSError, ValueError):
+            listed = _read_stats(stats_path, modality)[3]
+        stale = listed.keys() - {*artifacts.clients, BACKGROUND_ID}
         with contextlib.suppress(FileNotFoundError):
             os.remove(stats_path)
         for sid in sorted(stale):
@@ -370,9 +397,8 @@ def load_artifacts(model_dir, modality: str, ids,
     save_artifacts wrote them into model_dir, when they may serve config.
     An id that check_subject_id refuses (the reserved background id, or
     one that is not a single file-name component) raises before any file
-    is read; a missing, malformed or misplaced model or stats file
-    (another version, a non-finite number, a calibration that is not
-    increasing, a client whose component count or dimension differs from
+    is read; a missing, malformed or misplaced model or stats file (see
+    _read_stats; a client whose component count or dimension differs from
     the background's, a scaler of another dimension) raises an error
     naming it, and so does a model whose bytes are not those its stats
     file records. Models fitted on other features than config computes
@@ -404,51 +430,28 @@ def load_artifacts(model_dir, modality: str, ids,
                 f"the background has {background.n_components} of dim "
                 f"{background.dim}")
     stats_path = os.path.join(model_dir, stats_filename(modality))
-    with open(stats_path, "rb") as fh:
-        try:
-            doc = read_json(fh.read())
-            if int(doc["format_version"]) != STATS_FORMAT_VERSION:
-                raise ValueError(f"format_version {doc['format_version']!r}, "
-                                 f"expected {STATS_FORMAT_VERSION}; run "
-                                 f"`train` again")
-            if doc["modality"] != modality:
-                raise ValueError(f"holds the {doc['modality']} stats, not "
-                                 f"the {modality} stats")
-            scaler = ChannelScaler.from_dict(doc["scaler"])
-            if scaler.mean.shape != (background.dim,):
-                raise ValueError(f"scaler of dim {scaler.mean.shape[0]}, but "
-                                 f"the models have dim {background.dim}")
-            lo, hi = (float(bound) for bound in doc["calibration"])
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"calibration [{lo}, {hi}] is not finite")
-            if not lo < hi:
-                raise ValueError(f"calibration [{lo}, {hi}] is not "
-                                 f"increasing")
-            fingerprint = doc["fingerprint"]
-            if not isinstance(fingerprint, str):
-                raise ValueError(f"fingerprint {fingerprint!r} is not a "
-                                 f"string")
-            for sid in ids:
-                if sid not in doc["model_sha256"]:
-                    raise BiofuseError(
-                        f"{stats_path}: subject {sid!r} is not in the "
-                        f"gallery these {modality} models were trained on")
-            recorded = {sid: doc["model_sha256"][sid] for sid in digests}
-            features = doc["features"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{stats_path}: bad stats document: "
-                             f"{exc!r}") from exc
+    scaler, calibration, fingerprint, listed, features = _read_stats(
+        stats_path, modality)
+    if scaler.mean.shape != (background.dim,):
+        raise _bad_stats(stats_path, ValueError(
+            f"scaler of dim {scaler.mean.shape[0]}, but the models have "
+            f"dim {background.dim}"))
+    for sid in ids:
+        if sid not in listed:
+            raise BiofuseError(
+                f"{stats_path}: subject {sid!r} is not in the gallery "
+                f"these {modality} models were trained on")
     for sid, digest in digests.items():
-        if digest != recorded[sid]:
+        if digest != listed[sid]:
             raise ModelFormatError(
                 f"{os.path.join(model_dir, model_filename(modality, sid))}: "
                 f"sha256 {digest}, but {stats_path} records "
-                f"{recorded[sid]!r}; run `train` again")
+                f"{listed[sid]!r}; run `train` again")
     want = feature_settings(config)
     if features != want:
         raise BiofuseError(
             f"{stats_path}: the {modality} models were fitted on features "
             f"{features}, but this config computes {want}; run `train` "
             f"again")
-    return ModalityArtifacts(models, background, scaler, (lo, hi),
+    return ModalityArtifacts(models, background, scaler, calibration,
                              fingerprint)

@@ -15,6 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .atomic import read_json
 from .errors import BiofuseError, DegenerateLandmarks, ManifestError
 
 FACE_LABELS = ("left_eye", "right_eye", "mouth_center")
@@ -317,8 +318,8 @@ def load_manifest(path) -> list:
     prepped value that is not a JSON bool.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            records = json.load(fh)
+        with open(path, "rb") as fh:
+            records = read_json(fh.read())
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -481,7 +482,7 @@ class TestVerify:
             raise AssertionError("the claim must be refused before reading")
 
         monkeypatch.setattr(pipeline, "load_model", no_reads)
-        monkeypatch.setattr(cli, "load_pgm", no_reads)
+        monkeypatch.setattr(pipeline, "load_pgm", no_reads)
         face, ear = self._probe(trained, "alice")
         code = main(["--config", trained["config"], "verify",
                      "--face", face, "--ear", ear, "--claim", claim])
@@ -637,7 +638,7 @@ class TestVerify:
             raise AssertionError("refused models must stop verify before "
                                  "any probe is read or filtered")
 
-        monkeypatch.setattr(cli, "load_pgm", no_probe_work)
+        monkeypatch.setattr(pipeline, "load_pgm", no_probe_work)
         monkeypatch.setattr(pipeline, "sampled_responses", no_probe_work)
         cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
                             toy_corpus["manifest"], tmp_path)
@@ -1061,6 +1062,40 @@ class TestMisc:
 
     def test_missing_config_file_exits_2(self):
         assert main(["--config", "/nonexistent/cfg.ini", "synth-eval"]) == 2
+
+    @pytest.mark.parametrize("command", ["prep", "train", "eval", "verify"])
+    @pytest.mark.parametrize("kind", ["unreadable", "missing"])
+    def test_image_that_cannot_be_read_exits_2_naming_it(
+            self, trained, toy_corpus, tmp_path, capsys, command, kind):
+        # a directory exists but cannot be read as a file, even by root
+        bad = tmp_path / "face.pgm"
+        if kind == "unreadable":
+            bad.mkdir()
+        records = [dict(r) for r in toy_corpus["records"]]
+        first = next(i for i, r in enumerate(records)
+                     if r["modality"] == "face")
+        records[first]["image_path"] = str(bad)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(records))
+        cfg = _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                            str(manifest), tmp_path)
+        if command == "verify":
+            ear = next(r["image_path"] for r in json.loads(
+                Path(trained["prepped_manifest"]).read_text())
+                if r["modality"] == "ear")
+            argv = ["--config", trained["config"], "verify", "--face",
+                    str(bad), "--ear", ear, "--claim", "alice"]
+            what, where = f"face probe {bad}", ""
+        else:
+            argv = ["--config", cfg, command]
+            what = f"face image {bad}"
+            where = f"manifest record {first}: " if command == "prep" else ""
+        message = (f"cannot read {what}: {os.strerror(errno.EISDIR)}"
+                   if kind == "unreadable" else f"missing image file {bad}")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}{message}\n"
 
 
 def _random_gallery(root, counts, seed, spread):

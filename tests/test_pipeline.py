@@ -326,13 +326,27 @@ def test_models_of_a_subject_left_out_are_removed(tmp_path):
 
 @pytest.mark.parametrize("stats", [
     "{", "[]", "{}", '{"model_sha256": ["b"]}', '{"model_sha256": "b"}',
-    '{"model_sha256": {"b": "x", "../face_b": "x"}}'])
+    '{"model_sha256": {"b": "x", "../face_b": "x"}}',
+    # the written document, still listing face_b.json, with one field
+    # that load_artifacts refuses
+    pytest.param({"format_version": 3}, id="format-3"),
+    pytest.param({"modality": "ear"}, id="ear-stats"),
+    pytest.param({"scaler": {"mean": [0.0] * 4, "std": [0.0] * 4}},
+                 id="zero-std-scaler"),
+    pytest.param({"calibration": [0.0, math.inf]}, id="infinite-calibration"),
+    pytest.param({"fingerprint": None}, id="null-fingerprint")])
 def test_nothing_is_removed_on_the_word_of_an_unreadable_stats_file(
         tmp_path, stats):
     rng = np.random.default_rng(9)
     save_artifacts(str(tmp_path), {"face": _artifacts(rng, "a", "b")},
                    CONFIG)
-    (tmp_path / "face_stats.json").write_text(stats)
+    path = tmp_path / "face_stats.json"
+    if isinstance(stats, dict):
+        stats = json.dumps({**json.loads(path.read_text()), **stats})
+    path.write_text(stats)
+    with pytest.raises(ValueError, match="face_stats.json: bad stats "
+                                         "document"):
+        load_artifacts(str(tmp_path), "face", ["a", "b"], CONFIG)
     save_artifacts(str(tmp_path), {"face": _artifacts(rng, "a")}, CONFIG)
     assert (tmp_path / "face_b.json").exists()
 
