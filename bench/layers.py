@@ -218,8 +218,7 @@ def time_layers(n_subjects=16, repeats=30):
 
     def fuse():
         return tuple(
-            fused_genuine_mass(face, ear, calib["face"], calib["ear"],
-                               fusion.alpha_face, fusion.alpha_ear)[0]
+            fused_genuine_mass(face, ear, calib, fusion)[0]
             for face, ear in zip(drawn["face"], drawn["ear"]))
 
     genuine, impostor = fuse()

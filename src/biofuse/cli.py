@@ -126,9 +126,8 @@ def cmd_verify(config: PipelineConfig, face_path, ear_path, claimed_id) -> int:
     fusion = config.fusion
     genuine_mass, impostor_mass, conflict, flagged = (
         value.item() for value in fused_genuine_mass(
-            scores["face"], scores["ear"], artifacts["face"].calibration,
-            artifacts["ear"].calibration, fusion.alpha_face,
-            fusion.alpha_ear))
+            scores["face"], scores["ear"],
+            {m: artifacts[m].calibration for m in MODALITIES}, fusion))
     accepted = genuine_mass >= fusion.threshold and not flagged
     verdict = "ACCEPT" if accepted else "REJECT"
     print(f"{verdict} m_genuine={genuine_mass:.6f} conflict={conflict:.6f} "

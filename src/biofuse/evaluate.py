@@ -188,13 +188,11 @@ def _build_report(scores: dict, num_thresholds: int):
     return ErrorReport(rows=tuple(rows)), rocs
 
 
-def _source_masses(scores, calibration, alpha, modality):
+def _source_masses(scores, modality, calibration, alpha):
     """(genuine, impostor, ignorance) masses, as dempster.bpa_from_score."""
-    lo, hi = float(calibration[0]), float(calibration[1])
+    lo, hi = map(float, calibration[modality])
     if not lo < hi:
         raise DegenerateCalibration(f"{modality} calibration [{lo}, {hi}]")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"{modality} alpha {alpha} must lie in [0, 1]")
     scores = np.asarray(scores, dtype=np.float64)
     if np.isnan(scores).any():
         raise ValueError(f"{modality} score is NaN")
@@ -203,16 +201,16 @@ def _source_masses(scores, calibration, alpha, modality):
     return alpha * s, alpha * (1.0 - s), 1.0 - alpha
 
 
-def fused_genuine_mass(face, ear, calib_face, calib_ear, alpha_face,
-                       alpha_ear):
+def fused_genuine_mass(face, ear, calibration, fusion):
     """Dempster's rule for face and ear evidence over {genuine, impostor},
     in closed form over arrays of trials (0-d too): arrays (genuine mass,
     impostor mass, conflict K, total-conflict flag). Source masses are
-    those of dempster.bpa_from_score; the normaliser is the sum of the
-    non-conflicting products, not 1 - K. A totally conflicting trial is a
-    flagged reject: masses 0, conflict 1."""
-    g1, i1, t1 = _source_masses(face, calib_face, alpha_face, "face")
-    g2, i2, t2 = _source_masses(ear, calib_ear, alpha_ear, "ear")
+    those of dempster.bpa_from_score on calibration[modality], the (lo,
+    hi) bounds, and the alpha of fusion, a FusionSettings that checked it;
+    the normaliser is the sum of the non-conflicting products, not 1 - K.
+    A totally conflicting trial is a flagged reject: masses 0, conflict 1."""
+    g1, i1, t1 = _source_masses(face, "face", calibration, fusion.alpha_face)
+    g2, i2, t2 = _source_masses(ear, "ear", calibration, fusion.alpha_ear)
     conflict = g1 * i2 + i1 * g2
     genuine = g1 * g2 + g1 * t2 + t1 * g2
     impostor = i1 * i2 + i1 * t2 + t1 * i2
@@ -246,9 +244,7 @@ def run_fusion_experiment(config: PipelineConfig):
     # the order of this dict
     scores = {"face": drawn["face"], "ear": drawn["ear"]}
     scores["fusion"] = tuple(
-        fused_genuine_mass(face, ear, calib["face"], calib["ear"],
-                           config.fusion.alpha_face,
-                           config.fusion.alpha_ear)[0]
+        fused_genuine_mass(face, ear, calib, config.fusion)[0]
         for face, ear in zip(drawn["face"], drawn["ear"]))
     report, rocs = _build_report(scores, settings.num_thresholds)
     return report, rocs, scores
@@ -303,9 +299,8 @@ def run_image_experiment(manifest_path, config: PipelineConfig):
             config))
         for true_sid in subjects]) for modality in MODALITIES}
     trials["fusion"] = fused_genuine_mass(
-        trials["face"], trials["ear"], artifacts["face"].calibration,
-        artifacts["ear"].calibration, config.fusion.alpha_face,
-        config.fusion.alpha_ear)[0]
+        trials["face"], trials["ear"],
+        {m: artifacts[m].calibration for m in MODALITIES}, config.fusion)[0]
     genuine = np.eye(len(subjects), dtype=bool).ravel()
     scores = {method: (values[genuine], values[~genuine])
               for method, values in trials.items()}

@@ -6,10 +6,13 @@ positions, cropped to a canonical frame, and histogram-equalized. All
 functions are pure; none mutate their inputs.
 """
 
+import contextlib
 import itertools
 import json
 import math
+import numbers
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -41,26 +44,45 @@ def check_subject_id(subject_id: str) -> None:
                            f"component: it holds a path separator or NUL")
 
 
+def _coordinate(value) -> float:
+    """float(value); NaN for a bool, a non-number or an int too large."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    return math.nan
+
+
 @dataclass(frozen=True)
 class LandmarkSet:
-    """Labeled 2D points in source-image pixel space (x right, y down).
-
-    Face sets carry exactly left_eye / right_eye / mouth_center; ear sets
-    exactly triangular_fossa / antitragus.
-    """
+    """Labeled 2D points in source-image pixel space (x right, y down),
+    checked when built: the modality is "face" or "ear", and the points
+    map exactly its labels (face: left_eye / right_eye / mouth_center;
+    ear: triangular_fossa / antitragus) each to a list or tuple of two
+    finite numbers, not bools. Kept, in order, as a dict of float pairs."""
 
     modality: str
     points: dict
 
     def __post_init__(self):
-        if self.modality not in _LABELS:
-            raise ValueError(f"unknown modality {self.modality!r}")
-        expected = set(_LABELS[self.modality])
-        got = set(self.points)
+        modality, points = self.modality, self.points
+        if not isinstance(modality, str) or modality not in _LABELS:
+            raise ValueError(f"unknown modality {modality!r}")
+        if not isinstance(points, Mapping):
+            raise ValueError(f"{modality} landmarks must map each label to "
+                             f"[x, y], got {points!r}")
+        expected, got = sorted(_LABELS[modality]), sorted(points, key=str)
         if got != expected:
-            raise ValueError(
-                f"{self.modality} landmarks must be exactly {sorted(expected)}, "
-                f"got {sorted(got)}")
+            raise ValueError(f"{modality} landmarks must be exactly "
+                             f"{expected}, got {got}")
+        pairs = {}
+        for label, xy in points.items():
+            pair = (tuple(map(_coordinate, xy))
+                    if isinstance(xy, (list, tuple)) else ())
+            if len(pair) != 2 or not all(map(math.isfinite, pair)):
+                raise ValueError(f"{modality} landmark {label!r} must be "
+                                 f"[x, y] of two finite numbers, got {xy!r}")
+            pairs[label] = pair
+        object.__setattr__(self, "points", pairs)
 
     def ordered(self):
         """Points as complex numbers x + iy, in canonical label order."""
@@ -311,11 +333,11 @@ def load_manifest(path) -> list:
     with an optional "prepped": true, which `prep` writes into each record
     it emits (absent reads as false).
 
-    Raises ManifestError naming the offending record on any defect,
-    including a session other than the integer 1 (gallery) or 2 (probe),
-    a subject id that is neither a string nor an integer (an integer
-    becomes its decimal string), one that check_subject_id refuses and a
-    prepped value that is not a JSON bool.
+    Raises ManifestError naming the offending record on any defect: a
+    non-string image_path, what LandmarkSet refuses, a session other than
+    the integer 1 (gallery) or 2 (probe), a subject id that is neither a
+    string nor an integer (an integer becomes its decimal string), one
+    that check_subject_id refuses and a prepped value that is no JSON bool.
     """
     try:
         with open(path, "rb") as fh:
@@ -339,25 +361,14 @@ def load_manifest(path) -> list:
             if key not in rec:
                 raise ManifestError(f"{where}: missing key {key!r}")
         image_path = rec["image_path"]
+        if not isinstance(image_path, str):
+            raise ManifestError(f"{where}: image_path must be a string, "
+                                f"got {image_path!r}")
         where = f"{where} ({image_path})"
-        modality = rec["modality"]
-        if modality not in _LABELS:
-            raise ManifestError(f"{where}: unknown modality {modality!r}")
-        raw_marks = rec["landmarks"]
-        if not isinstance(raw_marks, dict):
-            raise ManifestError(f"{where}: landmarks not an object")
-        for label in _LABELS[modality]:
-            if label not in raw_marks:
-                raise ManifestError(f"{where}: missing landmark {label!r}")
-        points = {}
-        for label, xy in raw_marks.items():
-            if label not in _LABELS[modality]:
-                raise ManifestError(f"{where}: unexpected landmark {label!r}")
-            try:
-                points[label] = (float(xy[0]), float(xy[1]))
-            except (TypeError, ValueError, IndexError):
-                raise ManifestError(
-                    f"{where}: landmark {label!r} is not [x, y]") from None
+        try:
+            landmarks = LandmarkSet(rec["modality"], rec["landmarks"])
+        except ValueError as exc:
+            raise ManifestError(f"{where}: {exc}") from None
         session = rec["session"]
         # JSON true and 1.0 compare equal to 1, so the type is checked too
         if type(session) is not int or session not in (1, 2):
@@ -378,12 +389,6 @@ def load_manifest(path) -> list:
         if type(prepped) is not bool:
             raise ManifestError(f"{where}: prepped must be true or false, "
                                 f"got {prepped!r}")
-        entries.append(ManifestEntry(
-            image_path=str(image_path),
-            modality=modality,
-            subject_id=subject_id,
-            session=session,
-            landmarks=LandmarkSet(modality, points),
-            prepped=prepped,
-        ))
+        entries.append(ManifestEntry(image_path, landmarks.modality,
+                                     subject_id, session, landmarks, prepped))
     return entries

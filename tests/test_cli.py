@@ -1046,6 +1046,22 @@ class TestEval:
         assert main(["--config", str(cfg), "synth-eval"]) == 2
 
 
+def _record_0_changed(toy_corpus, tmp_path, change):
+    """A config over the toy manifest with change(record 0) applied; that
+    record is alice's session-1 face."""
+    records = [dict(r) for r in toy_corpus["records"]]
+    records[0] = {**records[0], "landmarks": dict(records[0]["landmarks"])}
+    change(records[0])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(records))
+    return _write_config(tmp_path / "cfg.ini", toy_corpus["root"],
+                         str(manifest), tmp_path)
+
+
+def _set_left_eye(xy):
+    return lambda rec: rec["landmarks"].update(left_eye=xy)
+
+
 class TestMisc:
     def test_version_prints_model_format(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1096,6 +1112,49 @@ class TestMisc:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {where}{message}\n"
+
+
+    @pytest.mark.parametrize("command", ["prep", "train", "eval"])
+    @pytest.mark.parametrize("change, message", [
+        (_set_left_eye("12"), "face landmark 'left_eye' must be [x, y] of "
+         "two finite numbers, got '12'"),
+        (_set_left_eye([True, False]), "face landmark 'left_eye' must be "
+         "[x, y] of two finite numbers, got [True, False]"),
+        (_set_left_eye([1, 2, 3]), "face landmark 'left_eye' must be "
+         "[x, y] of two finite numbers, got [1, 2, 3]"),
+        (_set_left_eye(["60", "70"]), "face landmark 'left_eye' must be "
+         "[x, y] of two finite numbers, got ['60', '70']"),
+        (_set_left_eye({"x": 1, "y": 2}), "face landmark 'left_eye' must be "
+         "[x, y] of two finite numbers, got {'x': 1, 'y': 2}"),
+        (_set_left_eye([10 ** 400, 70.0]), "face landmark 'left_eye' must "
+         f"be [x, y] of two finite numbers, got {[10 ** 400, 70.0]!r}"),
+        (lambda rec: rec.update(modality=["face"]),
+         "unknown modality ['face']"),
+    ], ids=["string", "bools", "three-values", "strings", "object",
+            "huge-int", "modality-list"])
+    def test_malformed_landmarks_exit_2_naming_the_record(
+            self, toy_corpus, tmp_path, capsys, command, change, message):
+        cfg = _record_0_changed(toy_corpus, tmp_path, change)
+        assert main(["--config", cfg, command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: manifest record 0 "
+                                f"({toy_corpus['records'][0]['image_path']})"
+                                f": {message}\n")
+
+    @pytest.mark.parametrize("command", ["prep", "train", "eval"])
+    @pytest.mark.parametrize("image_path", [None, 5, True, [], {}],
+                             ids=["null", "int", "true", "list", "object"])
+    def test_image_path_that_is_no_string_exits_2(
+            self, toy_corpus, tmp_path, capsys, command, image_path):
+        # str() would read a file named 'None', '5', ... from the cwd
+        cfg = _record_0_changed(toy_corpus, tmp_path,
+                                lambda rec: rec.update(image_path=image_path))
+        assert main(["--config", cfg, command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: manifest record 0: image_path must "
+                                f"be a string, got {image_path!r}\n")
 
 
 def _random_gallery(root, counts, seed, spread):

@@ -314,12 +314,19 @@ def test_threshold_above_one_is_legal(tmp_path):
      "width must be at least 1, got 0"),
     (lambda: FusionSettings(threshold=math.nan), ValueError, "fusion",
      "threshold = nan", "threshold must be finite, got nan"),
+    (lambda: FusionSettings(alpha_face=1.5), ValueError, "fusion",
+     "alpha_face = 1.5", "alpha_face must lie in [0, 1], got 1.5"),
+    (lambda: FusionSettings(alpha_ear=-0.1), ValueError, "fusion",
+     "alpha_ear = -0.1", "alpha_ear must lie in [0, 1], got -0.1"),
+    (lambda: FusionSettings(alpha_face=math.nan), ValueError, "fusion",
+     "alpha_face = nan", "alpha_face must lie in [0, 1], got nan"),
     (lambda: EvalSettings(num_thresholds=1), ValueError, "eval",
      "num_thresholds = 1", "num_thresholds must be at least 2, got 1"),
     (lambda: SynthModality(genuine_mean=1.0, genuine_std=0.0), ValueError,
      "synth_face", "genuine_mean = 1.0\ngenuine_std = 0.0",
      "synthetic score stddevs must be positive"),
-], ids=["gabor", "gmm", "canonical", "fusion", "eval", "synth"])
+], ids=["gabor", "gmm", "canonical", "fusion", "fusion-alpha-above-1",
+        "fusion-alpha-below-0", "fusion-alpha-nan", "eval", "synth"])
 def test_settings_refuse_bad_values_when_made(tmp_path, make, error, section,
                                               lines, message):
     # built in Python, a settings object refuses what load_config refuses,

@@ -300,7 +300,8 @@ class TestFusedGenuineMass:
     def test_matches_the_general_engine(self, sources):
         (face, calib_face, alpha_face), (ear, calib_ear, alpha_ear) = sources
         genuine, impostor, conflict, flagged = fused_genuine_mass(
-            face, ear, calib_face, calib_ear, alpha_face, alpha_ear)
+            face, ear, {"face": calib_face, "ear": calib_ear},
+            FusionSettings(alpha_face=alpha_face, alpha_ear=alpha_ear))
         for k, (fs, es) in enumerate(zip(face, ear)):
             try:
                 combined, ref_conflict = combine_dempster(
@@ -319,7 +320,8 @@ class TestFusedGenuineMass:
     def test_scalar_trial_worked_value(self):
         # s = 0.8 and 0.7, alpha 1: K = .8*.3 + .2*.7, m(g) = .56 / .62
         genuine, impostor, conflict, flagged = fused_genuine_mass(
-            0.8, 0.7, (0.0, 1.0), (0.0, 1.0), 1.0, 1.0)
+            0.8, 0.7, {"face": (0.0, 1.0), "ear": (0.0, 1.0)},
+            FusionSettings(alpha_face=1.0, alpha_ear=1.0))
         assert genuine.shape == impostor.shape == conflict.shape == ()
         assert not flagged
         assert conflict == pytest.approx(0.38, abs=1e-15)
@@ -330,22 +332,18 @@ class TestFusedGenuineMass:
         ((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (2.0, 1.0))])
     def test_degenerate_calibration(self, calib_face, calib_ear):
         with pytest.raises(DegenerateCalibration):
-            fused_genuine_mass([0.5], [0.5], calib_face, calib_ear, 0.9, 0.9)
-
-    @pytest.mark.parametrize("alpha_face, alpha_ear", [
-        (1.5, 0.9), (0.9, -0.1), (math.nan, 0.9)])
-    def test_alpha_out_of_range(self, alpha_face, alpha_ear):
-        with pytest.raises(ValueError, match=r"alpha .* must lie in \[0, 1\]"):
-            fused_genuine_mass([0.5], [0.5], (0.0, 1.0), (0.0, 1.0),
-                               alpha_face, alpha_ear)
+            fused_genuine_mass([0.5], [0.5],
+                               {"face": calib_face, "ear": calib_ear},
+                               FusionSettings(alpha_face=0.9, alpha_ear=0.9))
 
     @pytest.mark.parametrize("modality", ["face", "ear"])
     def test_nan_score_names_the_modality(self, modality):
         scores = {"face": [0.5, 0.5], "ear": [0.5, 0.5]}
         scores[modality] = [0.5, math.nan]
         with pytest.raises(ValueError, match=f"{modality} score is NaN"):
-            fused_genuine_mass(scores["face"], scores["ear"], (0.0, 1.0),
-                               (0.0, 1.0), 0.9, 0.9)
+            fused_genuine_mass(scores["face"], scores["ear"],
+                               {"face": (0.0, 1.0), "ear": (0.0, 1.0)},
+                               FusionSettings(alpha_face=0.9, alpha_ear=0.9))
 
 
 class TestFusionExperiment:
@@ -363,8 +361,8 @@ class TestFusionExperiment:
             calib[modality] = (pool.min(), pool.max())
         for k in (0, 1):  # genuine, impostor
             fused = fused_genuine_mass(
-                scores["face"][k], scores["ear"][k], calib["face"],
-                calib["ear"], 0.9, 0.8)[0]
+                scores["face"][k], scores["ear"][k], calib,
+                FusionSettings(alpha_face=0.9, alpha_ear=0.8))[0]
             assert np.array_equal(scores["fusion"][k], fused)
 
     def test_fusion_beats_both_unimodal(self):
@@ -439,8 +437,8 @@ class TestImageExperiment:
         for k in (0, 1):  # genuine, impostor
             fused = fused_genuine_mass(
                 scores["face"][k], scores["ear"][k],
-                trained["face"].calibration, trained["ear"].calibration,
-                config.fusion.alpha_face, config.fusion.alpha_ear)[0]
+                {m: trained[m].calibration for m in ("face", "ear")},
+                config.fusion)[0]
             assert np.array_equal(scores["fusion"][k], fused)
 
     def test_toy_corpus_fully_separable(self, toy_corpus, tmp_path):

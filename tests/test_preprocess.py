@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -38,6 +40,45 @@ class TestLandmarkSet:
     def test_unknown_modality(self):
         with pytest.raises(ValueError):
             LandmarkSet("iris", {})
+
+    @pytest.mark.parametrize("xy", [
+        "12", [True, False], [1, 2, 3], ["60", "70"], {"x": 1, "y": 2},
+        [10 ** 400, 70.0], [math.nan, 70.0], [60.0, -math.inf], None, [60.0]],
+        ids=["string", "bools", "three", "strings", "object", "huge-int",
+             "nan", "infinity", "null", "one"])
+    def test_point_that_is_not_two_finite_numbers(self, xy):
+        with pytest.raises(ValueError) as refused:
+            LandmarkSet("ear", {**EAR, "antitragus": xy})
+        assert str(refused.value) == (
+            f"ear landmark 'antitragus' must be [x, y] of two finite "
+            f"numbers, got {xy!r}")
+
+    @pytest.mark.parametrize("points", [None, 5, [1, 2], "ab"],
+                             ids=["null", "int", "list", "string"])
+    def test_points_that_are_no_mapping(self, points):
+        with pytest.raises(ValueError) as refused:
+            LandmarkSet("ear", points)
+        assert str(refused.value) == (
+            f"ear landmarks must map each label to [x, y], got {points!r}")
+
+    @pytest.mark.parametrize("modality", [["face"], {"face": 1}],
+                             ids=["list", "object"])
+    def test_modality_that_is_no_string(self, modality):
+        with pytest.raises(ValueError) as refused:
+            LandmarkSet(modality, FACE)
+        assert str(refused.value) == f"unknown modality {modality!r}"
+
+    def test_points_are_float_pairs_in_the_order_given(self):
+        given = {"antitragus": [3, 4], "triangular_fossa": (np.float32(1.5),
+                                                          np.int64(2))}
+        marks = LandmarkSet("ear", given)
+        assert list(marks.points.items()) == [
+            ("antitragus", (3.0, 4.0)), ("triangular_fossa", (1.5, 2.0))]
+        assert all(type(v) is float for xy in marks.points.values()
+                   for v in xy)
+        # the checked points are a copy
+        given["antitragus"] = "12"
+        assert marks.points["antitragus"] == (3.0, 4.0)
 
 
 class TestGeometricNormalize:
@@ -399,6 +440,19 @@ class TestManifest:
                 "image_path": "x", "modality": "gait", "subject_id": "s",
                 "session": 1, "landmarks": {}}]))
 
+    @pytest.mark.parametrize("image_path", [None, 5, True, [], {}],
+                             ids=["null", "int", "true", "list", "object"])
+    def test_image_path_that_is_no_string(self, tmp_path, image_path):
+        # str() would read a file named 'None', '5', ...
+        good = {"image_path": "a.pgm", "modality": "ear", "subject_id": "s",
+                "session": 2, "landmarks": EAR}
+        path = self._write(tmp_path, [good, {**good,
+                                             "image_path": image_path}])
+        with pytest.raises(ManifestError) as refused:
+            load_manifest(path)
+        assert str(refused.value) == (f"manifest record 1: image_path must "
+                                      f"be a string, got {image_path!r}")
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ManifestError):
             load_manifest(tmp_path / "nope.json")
@@ -408,3 +462,49 @@ class TestManifest:
         path.write_text("[{")
         with pytest.raises(ManifestError):
             load_manifest(path)
+
+
+# any JSON value, nested or not; the numbers include NaN, the infinities
+# and integers beyond float range, and pairs of numbers are drawn often
+_NUMBERS = st.integers() | st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400])
+_LEAVES = (st.none() | st.booleans() | _NUMBERS | st.text()
+           | st.sampled_from(["face", "ear"]))
+_JSON_VALUES = (_LEAVES | st.lists(_NUMBERS, min_size=2, max_size=2)
+                | st.recursive(_LEAVES, lambda inner: st.lists(
+                    inner, max_size=3) | st.dictionaries(
+                        st.text(max_size=8), inner, max_size=3),
+                    max_leaves=6))
+_FIELDS = ("modality", "image_path", "subject_id", "session", "prepped",
+           "landmarks", "point")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(modality=st.sampled_from(["face", "ear"]),
+       field=st.sampled_from(_FIELDS), value=_JSON_VALUES,
+       label_index=st.integers(0, 2))
+def test_malformed_record_is_refused_or_read_as_finite_float_pairs(
+        modality, field, value, label_index):
+    # one field of a valid record, or one landmark point, is replaced
+    marks = dict(FACE if modality == "face" else EAR)
+    record = {"image_path": "a.pgm", "modality": modality,
+              "subject_id": "s", "session": 1, "landmarks": marks}
+    if field == "point":
+        marks[sorted(marks)[label_index % len(marks)]] = value
+    else:
+        record[field] = value
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "manifest.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump([record], fh)
+        try:
+            entries = load_manifest(path)
+        except ManifestError as exc:
+            assert str(exc).startswith("manifest record 0")
+            return
+    (entry,) = entries
+    assert isinstance(entry.image_path, str)
+    assert entry.landmarks.modality == entry.modality
+    for xy in entry.landmarks.points.values():
+        assert len(xy) == 2
+        assert all(type(v) is float and math.isfinite(v) for v in xy)
