@@ -12,14 +12,13 @@ weighted mean of the harmonic subtracted, so the kernel has exactly zero
 response to a constant image. Envelope and harmonic both factor into an
 x-factor times a y-factor, so build_bank samples 1-D factors and forms
 all the taps from their outer products, in place, as one array. A
-GaborBank is that read-only array with the GEMM operand sampled_responses
-multiplies by, built once per bank rather than once per image. Both
-routes take a response's magnitude with numpy's complex abs.
+GaborBank holds a read-only copy of that array and the GEMM operand
+sampled_responses multiplies by, built once per bank rather than once per
+image. Both routes take a response's magnitude with numpy's complex abs.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,21 +58,15 @@ class GaborBank:
     mu, and the (kh*kw, 2K) float64 operand of sampled_responses' GEMM,
     both read-only. Column pair 2c, 2c + 1 of the operand holds kernel c's
     taps, flipped and raveled, as Re and Im: the complex (kh*kw, K) array
-    of flipped taps viewed as float64. Taps that nothing can write, such
-    as build_bank's (complex128, read-only down to the array that owns
-    their memory), are taken as they are; any others are copied first, so
-    the operand cannot go stale."""
+    of flipped taps viewed as float64. Every bank holds a read-only copy
+    of the taps it is given, so the operand cannot go stale."""
 
     taps: np.ndarray
 
     def __post_init__(self):
-        taps = base = self.taps
-        while isinstance(base, np.ndarray) and not base.flags.writeable:
-            base = base.base
-        if base is not None or taps.dtype != np.complex128:
-            taps = np.array(taps, dtype=np.complex128)
-            taps.flags.writeable = False
-            object.__setattr__(self, "taps", taps)
+        taps = np.array(self.taps, dtype=np.complex128)
+        taps.flags.writeable = False
+        object.__setattr__(self, "taps", taps)
         if not taps.size:
             raise EmptyBank(f"a Gabor bank needs taps, got shape "
                             f"{taps.shape}")
@@ -100,8 +93,7 @@ def build_bank(params: GaborParams) -> GaborBank:
     along y, the taps are (k^2 / sigma^2) (hy (x) hx - dc g (x) g) with
     dc = sum(hy) sum(hx) / sum(g)^2, the envelope-weighted mean of the
     harmonic: rows are y, columns x, and the sum of the taps is zero to
-    machine precision. The taps array, read-only, becomes the returned
-    bank's own, without a copy.
+    machine precision.
     """
     t = np.arange(-params.kernel_radius, params.kernel_radius + 1,
                   dtype=np.float64)
@@ -123,11 +115,9 @@ def build_bank(params: GaborParams) -> GaborBank:
     taps -= dc[..., None, None] * envelope[:, None]
     np.multiply((k * k / params.sigma ** 2)[:, None, None, None], taps,
                 out=taps)
-    taps.flags.writeable = False
     return GaborBank(taps.reshape(-1, *taps.shape[2:]))
 
 
-@lru_cache(maxsize=None)
 def _fft_size(n: int) -> int:
     """Smallest 5-smooth integer >= n (keeps numpy FFTs fast)."""
     while True:

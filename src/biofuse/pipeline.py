@@ -60,7 +60,7 @@ def image_observations(img: np.ndarray, bank, config: PipelineConfig,
     """
     if cache_dir is None:
         return sampled_responses(img, bank, config.stride)
-    digest = hashlib.sha256(np.ascontiguousarray(img).tobytes())
+    digest = hashlib.sha256(img.tobytes())
     digest.update(f"shape={img.shape};dtype={img.dtype};"
                   f"{json.dumps(feature_settings(config))}".encode())
     path = os.path.join(cache_dir, digest.hexdigest() + ".npy")
@@ -153,7 +153,6 @@ def gallery_fingerprint(modality: str, images,
         f"models=v{MODEL_FORMAT_VERSION};"
         f"stats=v{STATS_FORMAT_VERSION}".encode())
     for entry, img in images:
-        img = np.ascontiguousarray(img)
         digest.update(f"|{entry.modality};{entry.subject_id!r};"
                       f"{img.shape};{img.dtype};".encode())
         digest.update(img.tobytes())
@@ -175,7 +174,9 @@ def train_modality(modality: str, block: np.ndarray, runs: dict,
     subject_id, in that order, to the number of its images, which lie
     together in block. The block is standardized once and the raw one
     dropped; the background, client i (seeded by its index) and each
-    image's calibration score read views of the scaled block.
+    image's calibration score read views of the scaled block. A gallery
+    whose scores are all one value gives no calibration bounds, and raises
+    a BiofuseError naming the modality and the value.
     """
     dim = block.shape[-1]
     scaler = ChannelScaler.fit(block.reshape(-1, dim))
@@ -204,8 +205,13 @@ def train_modality(modality: str, block: np.ndarray, runs: dict,
     means = np.stack([artifacts.stack.mean_log_likelihoods(obs)
                       for obs in block])
     scores = means[:, 1:] - means[:, :1]
-    return replace(artifacts,
-                   calibration=(float(scores.min()), float(scores.max())))
+    lo, hi = float(scores.min()), float(scores.max())
+    if lo == hi:
+        raise BiofuseError(
+            f"every {modality} gallery score is {lo}: the gallery's "
+            f"{modality} images cannot be told apart, so there are no "
+            f"calibration bounds")
+    return replace(artifacts, calibration=(lo, hi))
 
 
 def _observation_block(images, bank, config: PipelineConfig) -> np.ndarray:

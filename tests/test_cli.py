@@ -347,6 +347,29 @@ class TestTrain:
         assert "the gallery has 1 subject (alice)" in captured.err
         assert not (tmp_path / "models").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_gallery_of_constant_images_exits_2(self, toy_corpus, tmp_path,
+                                                capsys, command):
+        # identical images fit identical mixtures, so every gallery score
+        # is 0 and calibration would be [0.0, 0.0], which verify refuses
+        records = [dict(r) for r in toy_corpus["records"]]
+        for i, rec in enumerate(records):
+            rec["image_path"] = str(tmp_path / f"{i}.pgm")
+            write_pgm(np.full((220, 200), 128, dtype=np.uint8),
+                      rec["image_path"])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(records))
+        cfg = _write_config(tmp_path / "cfg.ini", "", str(manifest),
+                            tmp_path)
+        assert main(["--config", cfg, command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: every face gallery score is 0.0: the gallery's face "
+            "images cannot be told apart, so there are no calibration "
+            "bounds\n")
+        assert not (tmp_path / "models").exists()
+
     def test_gallery_rule_is_checked_before_any_image_is_loaded(
             self, trained, tmp_path, monkeypatch, capsys):
         def no_image(*args):
@@ -1157,11 +1180,12 @@ class TestMisc:
                                 f"be a string, got {image_path!r}\n")
 
 
-def _random_gallery(root, counts, seed, spread):
+def _random_gallery(root, counts, seed, spread, pixels=None):
     """A raw manifest of session-1 images at root: subject i has
-    counts[i] = (face images, ear images), each of seeded random pixels at
-    the canonical 220x200 size. Each landmark sits spread of the way from
-    its canonical position to a seeded random point inside the image."""
+    counts[i] = (face images, ear images), each at the canonical 220x200
+    size, of seeded random pixels, or every pixel the value pixels when it
+    is given. Each landmark sits spread of the way from its canonical
+    position to a seeded random point inside the image."""
     rng = np.random.default_rng(seed)
     layout = PipelineConfig().layout
     records = []
@@ -1169,8 +1193,10 @@ def _random_gallery(root, counts, seed, spread):
         for modality, count in zip(("face", "ear"), per_modality):
             for j in range(count):
                 path = os.path.join(root, f"s{i}_{modality}_{j}.pgm")
-                write_pgm(rng.integers(0, 256, (220, 200), dtype=np.uint8),
-                          path)
+                img = (rng.integers(0, 256, (220, 200), dtype=np.uint8)
+                       if pixels is None else
+                       np.full((220, 200), pixels, dtype=np.uint8))
+                write_pgm(img, path)
                 marks = {}
                 for label, (x, y) in layout.positions(modality).items():
                     u, v = rng.uniform(0.0, 199.0), rng.uniform(0.0, 219.0)
@@ -1197,13 +1223,15 @@ def _run(argv):
 @given(counts=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)),
                        min_size=1, max_size=3),
        seed=st.integers(0, 2**32 - 1),
-       spread=st.sampled_from([0.0, 0.1, 1.0]))
-@example(counts=[(1, 1)], seed=0, spread=0.0)
-def test_verify_accepts_whatever_train_writes(counts, seed, spread):
+       spread=st.sampled_from([0.0, 0.1, 1.0]),
+       pixels=st.none() | st.integers(0, 255))
+@example(counts=[(1, 1)], seed=0, spread=0.0, pixels=None)
+@example(counts=[(1, 1), (1, 1)], seed=0, spread=0.0, pixels=128)
+def test_verify_accepts_whatever_train_writes(counts, seed, spread, pixels):
     # a gallery train refuses leaves no model_dir; one it accepts can be
     # loaded for every subject, and verify decides every gallery pair
     with tempfile.TemporaryDirectory() as work:
-        manifest = _random_gallery(work, counts, seed, spread)
+        manifest = _random_gallery(work, counts, seed, spread, pixels)
         cfg = _write_config(Path(work, "cfg.ini"), work, manifest, work)
         models = os.path.join(work, "models")
         prepped = os.path.join(work, "prepped")

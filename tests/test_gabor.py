@@ -116,9 +116,12 @@ class TestSeparableBank:
                 setattr(default_bank, name, getattr(default_bank, name)[:1])
 
     def test_taps_that_could_change_are_copied(self, default_bank):
-        # build_bank's read-only array is taken as it is; a writable one,
-        # or a read-only view of one, is copied
-        assert GaborBank(default_bank.taps).taps is default_bank.taps
+        # every bank copies its taps: build_bank's read-only array, a
+        # writable one, and a read-only view of one
+        bank = GaborBank(default_bank.taps)
+        assert np.array_equal(bank.taps, default_bank.taps)
+        assert not bank.taps.flags.writeable
+        assert not np.shares_memory(bank.taps, default_bank.taps)
         writable = np.array(default_bank.taps[:2])
         view = writable.view()
         view.flags.writeable = False
