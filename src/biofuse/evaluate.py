@@ -30,8 +30,8 @@ from .preprocess import load_manifest
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Parallel arrays of (threshold, FAR, FRR); thresholds strictly
-    increasing, FAR nonincreasing, FRR nondecreasing."""
+    """Parallel arrays of (threshold, FAR, FRR); thresholds nondecreasing,
+    FAR nonincreasing, FRR nondecreasing."""
 
     thresholds: np.ndarray
     far: np.ndarray

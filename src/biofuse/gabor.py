@@ -11,10 +11,11 @@ Each kernel is a Gaussian-enveloped complex harmonic with the envelope-
 weighted mean of the harmonic subtracted, so the kernel has exactly zero
 response to a constant image. Envelope and harmonic both factor into an
 x-factor times a y-factor, so build_bank samples 1-D factors and forms
-all the taps from their outer products, in place, as one array. A
-GaborBank holds a read-only copy of that array and the GEMM operand
-sampled_responses multiplies by, built once per bank rather than once per
-image. Both routes take a response's magnitude with numpy's complex abs.
+all the taps from their outer products as one array. A GaborBank holds
+one read-only array, the GEMM operand sampled_responses multiplies by,
+built once per bank rather than once per image; its taps are a view of
+that operand. Both routes take a response's magnitude with numpy's
+complex abs.
 """
 
 import math
@@ -55,29 +56,29 @@ class GaborParams:
 @dataclass(frozen=True, eq=False)
 class GaborBank:
     """A bank's complex128 taps, (K, kh, kw) in channel order c = nu * O +
-    mu, and the (kh*kw, 2K) float64 operand of sampled_responses' GEMM,
-    both read-only. Column pair 2c, 2c + 1 of the operand holds kernel c's
-    taps, flipped and raveled, as Re and Im: the complex (kh*kw, K) array
-    of flipped taps viewed as float64. Every bank holds a read-only copy
-    of the taps it is given, so the operand cannot go stale."""
+    mu, and the (kh*kw, 2K) float64 operand of sampled_responses' GEMM:
+    read-only views of one array, a fresh copy of the taps the bank is
+    given, flipped, raveled and transposed to complex (kh*kw, K). Viewed
+    as float64 it is the operand, column pair 2c, 2c + 1 holding kernel
+    c's Re and Im; the taps view it back, so the two cannot disagree."""
 
     taps: np.ndarray
 
     def __post_init__(self):
-        taps = np.array(self.taps, dtype=np.complex128)
-        taps.flags.writeable = False
-        object.__setattr__(self, "taps", taps)
+        taps = np.asarray(self.taps, dtype=np.complex128)
         if not taps.size:
             raise EmptyBank(f"a Gabor bank needs taps, got shape "
                             f"{taps.shape}")
         if taps.ndim != 3:
             raise ValueError(f"expected (kernels, height, width) taps, got "
                              f"shape {taps.shape}")
-        # flipping both axes of a kernel reverses its raveled taps
-        operand = np.ascontiguousarray(
-            taps.reshape(len(taps), -1)[:, ::-1].T).view(np.float64)
-        operand.flags.writeable = False
-        object.__setattr__(self, "operand", operand)
+        # flipping both axes of a kernel reverses its raveled taps;
+        # np.array copies even a transpose that is already contiguous
+        flipped = np.array(taps.reshape(len(taps), -1)[:, ::-1].T, order="C")
+        flipped.flags.writeable = False
+        object.__setattr__(self, "operand", flipped.view(np.float64))
+        object.__setattr__(self, "taps",
+                           flipped.T[:, ::-1].reshape(taps.shape))
 
     def __len__(self) -> int:
         return len(self.taps)
@@ -92,8 +93,8 @@ def build_bank(params: GaborParams) -> GaborBank:
     hx = g exp(i k cos(phi) t) along x and hy = g exp(i k sin(phi) t)
     along y, the taps are (k^2 / sigma^2) (hy (x) hx - dc g (x) g) with
     dc = sum(hy) sum(hx) / sum(g)^2, the envelope-weighted mean of the
-    harmonic: rows are y, columns x, and the sum of the taps is zero to
-    machine precision.
+    harmonic, formed as that one expression: rows are y, columns x, and
+    the sum of the taps is zero to machine precision.
     """
     t = np.arange(-params.kernel_radius, params.kernel_radius + 1,
                   dtype=np.float64)
@@ -109,12 +110,9 @@ def build_bank(params: GaborParams) -> GaborBank:
     total = g.sum(axis=1)[:, None]
     dc = hy.sum(axis=2) * hx.sum(axis=2) / (total * total)
     envelope = g[:, :, None] * g[:, None, :]
-    # in place, with the docstring expression's operations in its order,
-    # so the taps are its bits without its three temporaries
-    taps = hy[..., :, None] * hx[..., None, :]
-    taps -= dc[..., None, None] * envelope[:, None]
-    np.multiply((k * k / params.sigma ** 2)[:, None, None, None], taps,
-                out=taps)
+    taps = (k * k / params.sigma ** 2)[:, None, None, None] * (
+        hy[..., :, None] * hx[..., None, :]
+        - dc[..., None, None] * envelope[:, None])
     return GaborBank(taps.reshape(-1, *taps.shape[2:]))
 
 

@@ -94,6 +94,16 @@ class TestRoc:
         roc = compute_roc([2.0, 2.0], [2.0], 11)
         _roc_invariants(roc)
 
+    def test_span_below_the_grid_spacing(self):
+        # a 10,000-step grid over a pooled span of 1e-3 at 1e9 has steps
+        # below that magnitude's float spacing: 1,611 of them are 0
+        roc = compute_roc([1e9 + 1e-3], [1e9], 10_001)
+        steps = np.diff(roc.thresholds)
+        assert np.all(steps >= 0) and np.any(steps == 0)
+        assert np.all(np.diff(roc.far) <= 0)
+        assert np.all(np.diff(roc.frr) >= 0)
+        assert 0.0 <= eer(roc) <= 1.0
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_invariants_random(self, seed):
